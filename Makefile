@@ -52,10 +52,12 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-smoke runs every ablation benchmark once — a fast plumbing check
-# that the measurement harnesses still execute end to end.
+# bench-smoke runs every ablation benchmark and the udp frame codec
+# benchmark once — a fast plumbing check that the measurement harnesses
+# still execute end to end.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAblation' -benchtime=1x ./...
+	$(GO) test -run '^$$' -bench '^BenchmarkFrameCodec$$' -benchtime=1x ./internal/btl/udp
 
 # bench-pml regenerates the machine-readable PML matching-engine ablation
 # (list vs bucket, pairs and incast shapes) quoted by EXPERIMENTS.md.

@@ -66,6 +66,7 @@ func corpusSeeds() map[string][]byte {
 		"zeros":            make([]byte, HeaderSize),
 		"bad-magic":        mut(single, 0, 'X'),
 		"bad-version":      mut(single, 4, 9),
+		"version-1":        mut(single, 4, 1), // the retired FNV-1a format
 		"bad-flags":        mut(single, 5, 0x80),
 		"bad-fraglen":      mut(single, 10, 99),
 		"bad-fragindex":    mut(single, 6, 7),

@@ -1,17 +1,22 @@
 // Package udp is the real-network BTL: it carries PML packets between
 // separate OS processes over UDP sockets, taking gompi off the simulator.
 // Every datagram is one self-describing frame — magic, version, fragment
-// geometry, a job nonce, and a cheap FNV-1a hash over header and payload —
+// geometry, a job nonce, and a CRC32C (Castagnoli) over header and payload —
 // so the receive path can discard malformed or foreign datagrams before
-// anything reaches the matching engine (DESIGN.md §5d). Packets above the
-// datagram MTU are fragmented by the sender and reassembled by the receiver
-// into buffers drawn from the PML's size-classed arena.
+// anything reaches the matching engine (DESIGN.md §5d). The checks run
+// cheapest-first — length, magic, version, nonce, geometry, and the only
+// one that reads the payload, the hash, last — so the datagrams a socket is
+// most likely to see by accident (another job's) cost a few compares.
+// Packets above the datagram MTU are fragmented by the sender and
+// reassembled by the receiver into buffers drawn from the PML's size-classed
+// arena.
 package udp
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync/atomic"
 )
 
@@ -20,8 +25,9 @@ const (
 	// Magic identifies a gompi udp frame ("gUDP" little-endian).
 	Magic = uint32('g') | uint32('U')<<8 | uint32('D')<<16 | uint32('P')<<24
 
-	// Version is the only frame version this build speaks.
-	Version = 1
+	// Version is the only frame version this build speaks. Version 1
+	// carried an FNV-1a hash in the same field and is rejected outright.
+	Version = 2
 
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 40
@@ -38,8 +44,8 @@ const (
 )
 
 // Decode errors. ErrMalformed is the class every structural failure wraps;
-// ErrForeign marks a well-formed frame from a different job (nonce
-// mismatch), reported by the PacketFilter rather than DecodeFrame.
+// ErrForeign marks a frame stamped with a different job's nonce, reported
+// bare by the PacketFilter rather than DecodeFrame.
 var (
 	ErrMalformed = errors.New("udp: malformed frame")
 	ErrForeign   = errors.New("udp: frame from a foreign job")
@@ -52,7 +58,7 @@ var (
 //
 //	off  0  u32  magic
 //	off  4  u8   version
-//	off  5  u8   flags (must be zero in version 1)
+//	off  5  u8   flags (must be zero in version 2)
 //	off  6  u16  fragIndex
 //	off  8  u16  fragCount
 //	off 10  u16  fragLen   (== len(datagram) - HeaderSize)
@@ -61,7 +67,7 @@ var (
 //	off 20  u32  fragOff   (byte offset of this fragment in the packet)
 //	off 24  u32  totalLen  (reassembled packet length)
 //	off 28  u64  nonce     (job identity)
-//	off 36  u32  hash      (FNV-1a over header[0:36] + payload)
+//	off 36  u32  hash      (CRC32C over header[0:36] + payload)
 type Frame struct {
 	SrcRank   uint32
 	MsgID     uint32
@@ -73,22 +79,15 @@ type Frame struct {
 	Payload   []byte
 }
 
-// fnv1a hashes the first 36 header bytes and the payload, exactly the bytes
-// the hash field covers. Inlined rather than hash/fnv to keep the per-frame
-// receive path allocation-free.
-func fnv1a(header, payload []byte) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for _, b := range header[:36] {
-		h = (h ^ uint32(b)) * prime32
-	}
-	for _, b := range payload {
-		h = (h ^ uint32(b)) * prime32
-	}
-	return h
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// frameHash is the CRC32C of the first 36 header bytes and the payload,
+// exactly the bytes the hash field covers. crc32.Update on the Castagnoli
+// table uses the CPU's CRC instructions where it has them and never
+// allocates, so the per-frame receive path stays allocation-free.
+func frameHash(frame []byte) uint32 {
+	h := crc32.Update(0, castagnoli, frame[:36])
+	return crc32.Update(h, castagnoli, frame[HeaderSize:])
 }
 
 // encodeInto writes the frame header and payload into dst, which must hold
@@ -108,7 +107,7 @@ func encodeInto(dst []byte, f Frame, payload []byte) []byte {
 	binary.LittleEndian.PutUint32(dst[24:], f.TotalLen)
 	binary.LittleEndian.PutUint64(dst[28:], f.Nonce)
 	copy(dst[HeaderSize:], payload)
-	binary.LittleEndian.PutUint32(dst[36:], fnv1a(dst, dst[HeaderSize:]))
+	binary.LittleEndian.PutUint32(dst[36:], frameHash(dst))
 	return dst
 }
 
@@ -123,15 +122,30 @@ func EncodeFrame(f Frame, payload []byte) []byte {
 // data. Nonce checking is the PacketFilter's job: a structurally valid
 // frame from another job decodes fine here.
 func DecodeFrame(data []byte) (Frame, error) {
+	if err := checkPreamble(data); err != nil {
+		return Frame{}, err
+	}
+	return decodeBody(data)
+}
+
+// checkPreamble is the part of validation that decides whether the rest of
+// the header may be read as a frame at all: length, magic, version.
+func checkPreamble(data []byte) error {
 	if len(data) < HeaderSize {
-		return Frame{}, fmt.Errorf("%w: %d bytes, need at least %d", ErrMalformed, len(data), HeaderSize)
+		return fmt.Errorf("%w: %d bytes, need at least %d", ErrMalformed, len(data), HeaderSize)
 	}
 	if m := binary.LittleEndian.Uint32(data[0:]); m != Magic {
-		return Frame{}, fmt.Errorf("%w: bad magic %#x", ErrMalformed, m)
+		return fmt.Errorf("%w: bad magic %#x", ErrMalformed, m)
 	}
 	if v := data[4]; v != Version {
-		return Frame{}, fmt.Errorf("%w: unsupported version %d", ErrMalformed, v)
+		return fmt.Errorf("%w: unsupported version %d", ErrMalformed, v)
 	}
+	return nil
+}
+
+// decodeBody checks flags and fragment geometry and, last, the hash — the
+// one check whose cost grows with the payload.
+func decodeBody(data []byte) (Frame, error) {
 	if data[5] != 0 {
 		return Frame{}, fmt.Errorf("%w: reserved flags %#x set", ErrMalformed, data[5])
 	}
@@ -163,7 +177,7 @@ func DecodeFrame(data []byte) (Frame, error) {
 	if f.FragCount == 1 && (f.FragOff != 0 || uint32(fragLen) != f.TotalLen) {
 		return Frame{}, fmt.Errorf("%w: single-fragment frame with partial geometry", ErrMalformed)
 	}
-	if want := binary.LittleEndian.Uint32(data[36:]); want != fnv1a(data, data[HeaderSize:]) {
+	if want := binary.LittleEndian.Uint32(data[36:]); want != frameHash(data) {
 		return Frame{}, fmt.Errorf("%w: header hash mismatch", ErrMalformed)
 	}
 	f.Payload = data[HeaderSize:]
@@ -186,25 +200,34 @@ func NewPacketFilter(nonce uint64) *PacketFilter {
 }
 
 // Screen validates one datagram. On rejection the returned error wraps
-// ErrMalformed or ErrForeign and the matching counter is bumped; the caller
-// must drop the datagram without delivering anything.
+// ErrMalformed or is ErrForeign and the matching counter is bumped; the
+// caller must drop the datagram without delivering anything. The nonce is
+// compared as soon as the preamble says the bytes are a frame of this
+// version, before geometry and hash: a datagram from another job is
+// rejected with the bare ErrForeign sentinel whatever else is wrong with
+// it, so a foreign flood costs a few compares per datagram and allocates
+// nothing.
 func (pf *PacketFilter) Screen(datagram []byte) (Frame, error) {
-	f, err := DecodeFrame(datagram)
-	if err != nil {
+	if err := checkPreamble(datagram); err != nil {
 		pf.malformed.Add(1)
 		return Frame{}, err
 	}
-	if f.Nonce != pf.nonce {
+	if binary.LittleEndian.Uint64(datagram[28:]) != pf.nonce {
 		pf.foreign.Add(1)
-		return Frame{}, fmt.Errorf("%w: nonce %#x, want %#x", ErrForeign, f.Nonce, pf.nonce)
+		return Frame{}, ErrForeign
+	}
+	f, err := decodeBody(datagram)
+	if err != nil {
+		pf.malformed.Add(1)
+		return Frame{}, err
 	}
 	return f, nil
 }
 
 // FilterStats is the drop breakdown of one PacketFilter.
 type FilterStats struct {
-	Malformed uint64 // failed structural validation or the header hash
-	Foreign   uint64 // valid frame stamped with another job's nonce
+	Malformed uint64 // not a frame of this version, or this job's frame failing geometry or the hash
+	Foreign   uint64 // frame of this version stamped with another job's nonce
 }
 
 // Stats snapshots the filter's drop counters.

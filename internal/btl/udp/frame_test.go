@@ -71,7 +71,8 @@ func TestDecodeFrameRejections(t *testing.T) {
 		{"truncated", func(w []byte) []byte { return w[:HeaderSize-1] }, "need at least"},
 		{"empty", func(w []byte) []byte { return nil }, "need at least"},
 		{"bad magic", func(w []byte) []byte { w[0] ^= 0xff; return w }, "bad magic"},
-		{"bad version", func(w []byte) []byte { w[4] = 2; return w }, "unsupported version"},
+		{"bad version", func(w []byte) []byte { w[4] = Version + 1; return w }, "unsupported version"},
+		{"version 1", func(w []byte) []byte { w[4] = 1; return w }, "unsupported version 1"},
 		{"flags set", func(w []byte) []byte { w[5] = 1; return w }, "reserved flags"},
 		{"fragLen short", func(w []byte) []byte {
 			binary.LittleEndian.PutUint16(w[10:], 3)
@@ -140,12 +141,116 @@ func TestPacketFilter(t *testing.T) {
 	}
 
 	foreign := EncodeFrame(Frame{FragCount: 1, TotalLen: 5, Nonce: 0x9999}, []byte("hello"))
-	if _, err := pf.Screen(foreign); !errors.Is(err, ErrForeign) {
-		t.Fatalf("want ErrForeign, got %v", err)
+	if _, err := pf.Screen(foreign); err != ErrForeign {
+		t.Fatalf("want the bare ErrForeign sentinel, got %v", err)
 	}
 
 	st := pf.Stats()
 	if st.Malformed != 1 || st.Foreign != 1 {
 		t.Fatalf("filter stats = %+v, want 1 malformed / 1 foreign", st)
+	}
+}
+
+// The filter runs cheapest-first: the nonce is compared before geometry and
+// hash, so another job's datagram is Foreign whatever else is wrong with it,
+// while anything that is not a frame of this version is Malformed before the
+// nonce is even looked at.
+func TestPacketFilterOrder(t *testing.T) {
+	pf := NewPacketFilter(0x1234)
+	foreign := func() []byte {
+		return EncodeFrame(Frame{FragCount: 1, TotalLen: 5, Nonce: 0x9999}, []byte("hello"))
+	}
+	cases := []struct {
+		name          string
+		datagram      []byte
+		want          error
+		malformed, fo uint64
+	}{
+		{"foreign nonce, corrupt hash", mutated(foreign(), 36, 0xff), ErrForeign, 0, 1},
+		{"foreign nonce, corrupt payload", mutated(foreign(), HeaderSize, 0xff), ErrForeign, 0, 1},
+		{"foreign nonce, bad geometry", mutated(foreign(), 8, 0xff), ErrForeign, 0, 1},
+		{"foreign nonce, version 1", mutated(foreign(), 4, Version^1), ErrMalformed, 1, 0},
+		{"own nonce, version 1", mutated(valid(t), 4, Version^1), ErrMalformed, 1, 0},
+		{"own nonce, corrupt hash", mutated(valid(t), 36, 0xff), ErrMalformed, 1, 0},
+	}
+	for _, tc := range cases {
+		before := pf.Stats()
+		_, err := pf.Screen(tc.datagram)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+		after := pf.Stats()
+		if after.Malformed-before.Malformed != tc.malformed || after.Foreign-before.Foreign != tc.fo {
+			t.Errorf("%s: counted %d malformed / %d foreign, want %d / %d", tc.name,
+				after.Malformed-before.Malformed, after.Foreign-before.Foreign, tc.malformed, tc.fo)
+		}
+	}
+}
+
+// mutated returns w with the byte at off XORed with x (never a no-op for
+// x != 0; XORing the version byte with Version^1 makes it version 1).
+func mutated(w []byte, off int, x byte) []byte {
+	w[off] ^= x
+	return w
+}
+
+// TestFrameGoldenBytes pins the wire format: a fixed frame and payload encode
+// to exactly these 40 + n bytes. A change to the header layout, the hash
+// function or the bytes it covers fails here instead of passing silently
+// between two builds that both round-trip their own frames; such a change
+// needs a Version bump and a regenerated fuzz corpus.
+func TestFrameGoldenBytes(t *testing.T) {
+	payload := []byte("gompi")
+	wire := EncodeFrame(Frame{
+		SrcRank:   0x01020304,
+		MsgID:     0x05060708,
+		FragIndex: 0x090a,
+		FragCount: 0x0b0c,
+		FragOff:   0x000e0f10,
+		TotalLen:  0x00fedcba,
+		Nonce:     0x1112131415161718,
+	}, payload)
+	golden := []byte{
+		'g', 'U', 'D', 'P', // magic
+		0x02,       // version
+		0x00,       // flags
+		0x0a, 0x09, // fragIndex
+		0x0c, 0x0b, // fragCount
+		0x05, 0x00, // fragLen
+		0x04, 0x03, 0x02, 0x01, // srcRank
+		0x08, 0x07, 0x06, 0x05, // msgID
+		0x10, 0x0f, 0x0e, 0x00, // fragOff
+		0xba, 0xdc, 0xfe, 0x00, // totalLen
+		0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11, // nonce
+		0xdf, 0x11, 0xc7, 0x25, // CRC32C (0x25c711df) over the 36 bytes above + payload
+		'g', 'o', 'm', 'p', 'i',
+	}
+	if !bytes.Equal(wire, golden) {
+		t.Fatalf("wire bytes changed:\n got %x\nwant %x", wire, golden)
+	}
+	if f, err := DecodeFrame(golden); err != nil || !bytes.Equal(f.Payload, payload) {
+		t.Fatalf("golden frame does not decode: %+v, %v", f, err)
+	}
+}
+
+var codecSink Frame
+
+// BenchmarkFrameCodec is one full-MTU datagram through the codec: encode
+// into a fresh buffer, decode with every check. Bytes/s is payload rate.
+func BenchmarkFrameCodec(b *testing.B) {
+	payload := make([]byte, DefaultMTU-HeaderSize)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	f := Frame{SrcRank: 1, MsgID: 2, FragIndex: 3, FragCount: 49, FragOff: 3 * 1360, TotalLen: 64 << 10, Nonce: 0x1234}
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := DecodeFrame(EncodeFrame(f, payload))
+		if err != nil {
+			b.Fatal(err)
+		}
+		codecSink = out
 	}
 }

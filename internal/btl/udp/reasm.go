@@ -28,12 +28,17 @@ type partial struct {
 }
 
 type reassembler struct {
-	partials  map[reasmKey]*partial
-	order     []reasmKey // insertion order for FIFO eviction
-	tombs     map[reasmKey]struct{}
-	tombOrder []reasmKey // insertion order for tombstone expiry
-	alloc     func(n int) []byte
-	free      func(b []byte)
+	partials map[reasmKey]*partial
+	order    []reasmKey // insertion order for FIFO eviction
+	// spare holds the records of finished partials, bitmap capacity
+	// included, for the next multi-fragment packet to reuse: at most
+	// maxPartial are ever live, so at most that many are ever made.
+	spare    []*partial
+	tombs    map[reasmKey]struct{}
+	tombRing [maxTombstones]reasmKey // tombstoned keys, oldest overwritten first
+	tombSeq  int                     // tombstones recorded so far
+	alloc    func(n int) []byte
+	free     func(b []byte)
 }
 
 func newReassembler(alloc func(int) []byte, free func([]byte)) *reassembler {
@@ -50,7 +55,11 @@ func newReassembler(alloc func(int) []byte, free func([]byte)) *reassembler {
 // nil while fragments are still outstanding, and (nil, evicted>0 or
 // dropped=true) when the frame was discarded: inconsistent with the
 // partial's established geometry, a duplicate, or the victim of an
-// eviction. evicted counts partials thrown away to make room.
+// eviction. evicted counts partials thrown away to make room. Steady state
+// allocates nothing: packet buffers come from the arena and partial records
+// from r.spare (TestUDPReceivePathAllocs).
+//
+//gompilint:noalloc
 func (r *reassembler) accept(f Frame) (pkt []byte, dropped bool, evicted int) {
 	if f.FragCount == 1 {
 		// Single-fragment fast path: copy out of the datagram buffer into
@@ -73,15 +82,7 @@ func (r *reassembler) accept(f Frame) (pkt []byte, dropped bool, evicted int) {
 			r.evictOldest()
 			evicted++
 		}
-		p = &partial{
-			buf:       r.alloc(int(f.TotalLen)),
-			got:       make([]bool, f.FragCount),
-			remaining: int(f.FragCount),
-			fragCount: f.FragCount,
-			totalLen:  f.TotalLen,
-		}
-		r.partials[key] = p
-		r.order = append(r.order, key)
+		p = r.open(key, f)
 	}
 
 	// Every fragment must agree with the geometry the first one established;
@@ -102,37 +103,38 @@ func (r *reassembler) accept(f Frame) (pkt []byte, dropped bool, evicted int) {
 	if p.remaining > 0 {
 		return nil, false, evicted
 	}
-	r.remove(key)
-	r.tombstone(key)
-	return p.buf, false, evicted
+	pkt = p.buf
+	r.finish(key, p)
+	return pkt, false, evicted
 }
 
-func (r *reassembler) evictOldest() {
-	key := r.order[0]
-	if p := r.partials[key]; p != nil {
-		r.free(p.buf)
+// open starts a partial for key with the geometry f announces, on a recycled
+// record when there is one.
+func (r *reassembler) open(key reasmKey, f Frame) *partial {
+	var p *partial
+	if n := len(r.spare); n > 0 {
+		p, r.spare = r.spare[n-1], r.spare[:n-1]
+	} else {
+		p = new(partial)
 	}
-	r.remove(key)
-	r.tombstone(key)
+	if cap(p.got) < int(f.FragCount) {
+		p.got = make([]bool, f.FragCount)
+	}
+	p.got = p.got[:f.FragCount]
+	clear(p.got)
+	p.buf = r.alloc(int(f.TotalLen))
+	p.remaining = int(f.FragCount)
+	p.fragCount = f.FragCount
+	p.totalLen = f.TotalLen
+	r.partials[key] = p
+	r.order = append(r.order, key)
+	return p
 }
 
-// tombstone records that key's packet is finished (delivered or evicted),
-// expiring the oldest record beyond maxTombstones. Senders allocate msgIDs
-// monotonically, so by the time a tombstone expires its stragglers — at most
-// one wire-latency behind — are long gone.
-func (r *reassembler) tombstone(key reasmKey) {
-	if _, ok := r.tombs[key]; ok {
-		return
-	}
-	for len(r.tombOrder) >= maxTombstones {
-		delete(r.tombs, r.tombOrder[0])
-		r.tombOrder = r.tombOrder[1:]
-	}
-	r.tombs[key] = struct{}{}
-	r.tombOrder = append(r.tombOrder, key)
-}
-
-func (r *reassembler) remove(key reasmKey) {
+// finish retires key's partial, delivered or evicted: the key is tombstoned
+// and the record goes back on the spare list. The packet buffer is the
+// caller's to deliver or free.
+func (r *reassembler) finish(key reasmKey, p *partial) {
 	delete(r.partials, key)
 	for i, k := range r.order {
 		if k == key {
@@ -140,6 +142,33 @@ func (r *reassembler) remove(key reasmKey) {
 			break
 		}
 	}
+	r.tombstone(key)
+	p.buf = nil
+	r.spare = append(r.spare, p)
+}
+
+func (r *reassembler) evictOldest() {
+	key := r.order[0]
+	p := r.partials[key]
+	r.free(p.buf)
+	r.finish(key, p)
+}
+
+// tombstone records that key's packet is finished (delivered or evicted),
+// overwriting the oldest record beyond maxTombstones. Senders allocate msgIDs
+// monotonically, so by the time a tombstone expires its stragglers — at most
+// one wire-latency behind — are long gone.
+func (r *reassembler) tombstone(key reasmKey) {
+	if _, ok := r.tombs[key]; ok {
+		return
+	}
+	slot := &r.tombRing[r.tombSeq%maxTombstones]
+	if r.tombSeq >= maxTombstones {
+		delete(r.tombs, *slot)
+	}
+	*slot = key
+	r.tombSeq++
+	r.tombs[key] = struct{}{}
 }
 
 // close releases every outstanding partial back to the arena.
@@ -149,6 +178,7 @@ func (r *reassembler) close() {
 		delete(r.partials, key)
 	}
 	r.order = nil
+	r.spare = nil
 	r.tombs = make(map[reasmKey]struct{})
-	r.tombOrder = nil
+	r.tombSeq = 0
 }

@@ -184,8 +184,9 @@ func (m *Module) Activate(deliver btl.DeliverFunc) {
 // progress is the single receive loop: read a datagram, screen it, fold it
 // into the reassembler, deliver completed packets. Everything the filter or
 // reassembler rejects is counted in Drops and never reaches the PML. The
-// steady-state single-fragment path allocates nothing (the datagram buffer
-// is preallocated in New, packet buffers come from the arena via m.alloc);
+// steady-state path allocates nothing, single- or multi-fragment (the
+// datagram buffer is preallocated in New, packet buffers come from the arena
+// via m.alloc, the reassembler recycles its partial records);
 // TestUDPReceivePathAllocs corroborates the annotation at runtime.
 //
 //gompilint:noalloc

@@ -164,9 +164,14 @@ func (r *Registry) CleanupIfIdle() bool {
 	}
 	entries := r.cleanups
 	r.cleanups = nil
+	// The cleanups run without the lock, so until they are done the
+	// subsystems read as initializing: an Acquire racing this teardown
+	// waits on done and starts the next cycle's init only once the old
+	// cycle's resources (mailbox registration, PMIx client) are gone.
+	done := make(chan struct{})
 	for _, s := range r.subsystems {
-		s.state = subsysIdle
-		s.done = nil
+		s.state = subsysInitializing
+		s.done = done
 	}
 	r.generation++
 	r.mu.Unlock()
@@ -174,6 +179,14 @@ func (r *Registry) CleanupIfIdle() bool {
 	for i := len(entries) - 1; i >= 0; i-- {
 		entries[i].fn()
 	}
+
+	r.mu.Lock()
+	for _, s := range r.subsystems {
+		s.state = subsysIdle
+		s.done = nil
+	}
+	r.mu.Unlock()
+	close(done)
 	return true
 }
 

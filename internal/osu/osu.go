@@ -210,7 +210,10 @@ func MBwMr(comm *mpi.Comm, sizes []int, window, iters, skip int, sync SyncMode) 
 		if sync == SyncSendrecv {
 			// Paper's modification: synchronize each pair directly, which
 			// completes the exCID handshake before timing.
-			if _, err := comm.Sendrecv(ack, partner, 900, ack, partner, 900); err != nil {
+			// Distinct buffers: Sendrecv reads one while the match writes
+			// the other, and MPI forbids aliasing them.
+			var syncIn [4]byte
+			if _, err := comm.Sendrecv(ack, partner, 900, syncIn[:], partner, 900); err != nil {
 				return nil, err
 			}
 		}

@@ -202,7 +202,14 @@ func (s *Server) dispatchEvents() {
 		select {
 		case ev := <-s.evq:
 			s.mu.Lock()
-			if ev.Code == EventProcTerminated {
+			// A rank's own server is the authority on its liveness: abort
+			// and Connect already updated this server's state, and the
+			// runtime's, when they raised the event. Applying it again here
+			// would let a termination notice still in the queue re-mark a
+			// rank that has reconnected in the meantime. The broadcast is
+			// for every other node.
+			remote := s.job.NodeOf(ev.Source.Rank) != s.Node()
+			if remote && ev.Code == EventProcTerminated {
 				s.terminated[ev.Source.Rank] = true
 				// Fail pending collectives that expect the dead rank on THIS
 				// node too — before this pass only the dying rank's own
@@ -210,7 +217,7 @@ func (s *Server) dispatchEvents() {
 				// operation timeout.
 				s.failCollsForLocked(ev.Source.Rank)
 			}
-			if ev.Code == EventProcRestarted {
+			if remote && ev.Code == EventProcRestarted {
 				delete(s.terminated, ev.Source.Rank)
 				s.dropRemoteCacheLocked(ev.Source.Rank)
 			}
@@ -228,11 +235,13 @@ func (s *Server) dispatchEvents() {
 				clients = append(clients, c)
 			}
 			s.mu.Unlock()
-			switch ev.Code {
-			case EventProcTerminated:
-				s.daemon.NoteDeadRank(ev.Source.Rank)
-			case EventProcRestarted:
-				s.daemon.NoteRevivedRank(ev.Source.Rank)
+			if remote {
+				switch ev.Code {
+				case EventProcTerminated:
+					s.daemon.NoteDeadRank(ev.Source.Rank)
+				case EventProcRestarted:
+					s.daemon.NoteRevivedRank(ev.Source.Rank)
+				}
 			}
 			for _, c := range clients {
 				c.deliverEvent(ev)

@@ -9,10 +9,23 @@ import "sync"
 // size-classed sync.Pools shared by every engine in the process; a class is
 // identified by its exact capacity, so putBuf silently drops any slice that
 // did not come from the arena (e.g. packets built by a legacy-mode sender).
+//
+// A packet is header + payload, and payload sizes cluster at powers of two
+// (a BTL's eager limit, a benchmark's message size), so each payload class
+// carries arenaHeaderRoom on top: a packet whose payload is exactly the
+// class's power of two still fits with the longest header in front of it.
+// Sized without the room, a 64 KiB message misses the arena by 14 bytes and
+// pays make + a 64 KiB memclr + GC on every send, and a 4 KiB eager message
+// borrows a 64 KiB buffer.
 const (
-	bufClassSmall = 256   // eager small messages: header + a cache line or two
-	bufClassMed   = 4096  // header + default eager limit
-	bufClassLarge = 65536 // header + sm eager limit; larger packets fall back to make
+	// arenaHeaderRoom covers the longest header the engine prepends
+	// (matchHeaderLen + extHeaderLen + rndvInfoLen = 52 bytes), rounded up
+	// to a cache line.
+	arenaHeaderRoom = 64
+
+	bufClassSmall = 256                     // control packets and small eager messages, header included
+	bufClassMed   = 4096 + arenaHeaderRoom  // header + net/udp eager limit
+	bufClassLarge = 65536 + arenaHeaderRoom // header + sm eager limit or a 64 KiB rendezvous DATA payload; larger packets fall back to make
 )
 
 // The pools hold *[N]byte array pointers, not []byte: a pointer stores

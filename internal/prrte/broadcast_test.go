@@ -75,3 +75,43 @@ func TestBroadcastDepth(t *testing.T) {
 		}
 	}
 }
+
+// Broadcasts from one daemon reach every node, the origin included, in one
+// order, even when they come from different goroutines — "rank terminated"
+// from the dying rank and "rank restarted" from its respawn do. A node that
+// sees the pair reversed keeps the respawned rank marked dead for good
+// (TestChaosRespawn's 60 s failures).
+func TestBroadcastsFromOneDaemonKeepOneOrder(t *testing.T) {
+	dvm := testDVM(t, 2)
+	handlers := [2]*countingHandler{{}, {}}
+	for i, h := range handlers {
+		dvm.Daemon(i).AttachServer(h)
+	}
+	const senders, each = 4, 50
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				dvm.Daemon(1).BroadcastEvent([]byte{byte(g), byte(i)})
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := handlers[1].count(); n != senders*each {
+		t.Fatalf("origin's handler saw %d of %d events when BroadcastEvent returned", n, senders*each)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for handlers[0].count() != senders*each {
+		if time.Now().After(deadline) {
+			t.Fatalf("remote handler saw %d of %d events", handlers[0].count(), senders*each)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i, ev := range handlers[1].events {
+		if got := handlers[0].events[i]; got[0] != ev[0] || got[1] != ev[1] {
+			t.Fatalf("position %d: origin saw %v, remote node saw %v", i, ev, got)
+		}
+	}
+}

@@ -48,7 +48,9 @@ const ctrlMsgOverhead = 32 // modeled header bytes for daemon control traffic
 type ServerHandler interface {
 	// HandleFetch returns locally published data for key, if present.
 	HandleFetch(key string) ([]byte, bool)
-	// HandleEvent delivers a broadcast runtime event.
+	// HandleEvent delivers a broadcast runtime event. It is called from the
+	// daemon's receive loop and under its broadcast lock, so it must only
+	// queue the event, never run handlers or block on them.
 	HandleEvent(data []byte)
 }
 
@@ -175,6 +177,10 @@ type Daemon struct {
 
 	handler   ServerHandler
 	handlerMu sync.RWMutex //gompilint:lockorder rank=10
+
+	// bcastMu makes BroadcastEvent atomic, so two broadcasts from this
+	// daemon reach every node, this one included, in one order.
+	bcastMu sync.Mutex //gompilint:lockorder rank=9
 }
 
 // Node returns the node index this daemon manages.
@@ -582,14 +588,20 @@ func (d *Daemon) BroadcastEvent(data []byte) {
 	if d.dvm.isShutdown() {
 		return
 	}
+	// One broadcast at a time, local handler and relay under the same lock:
+	// "rank terminated" and the "rank restarted" that answers it come from
+	// different goroutines of this node, and a node that sees them reversed
+	// keeps the respawned rank marked dead for good. HandleEvent only
+	// queues the event (the handler's own dispatcher runs it), as it must
+	// for the receive loop's sake too.
+	d.bcastMu.Lock()
+	defer d.bcastMu.Unlock()
 	d.relayEvent(eventMsg{Data: data, Root: d.node, Relay: true})
 	d.handlerMu.RLock()
 	h := d.handler
 	d.handlerMu.RUnlock()
 	if h != nil {
-		// Deliver asynchronously like a real event: the caller must not
-		// block on its own handler.
-		go h.HandleEvent(data)
+		h.HandleEvent(data)
 	}
 }
 

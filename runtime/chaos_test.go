@@ -73,6 +73,11 @@ func TestChaosRespawn(t *testing.T) {
 	var once sync.Once
 	var unblocked sync.WaitGroup
 	unblocked.Add(np - 1)
+	// A barrier does not return on every rank at the same instant: the
+	// victim holds its death until every rank is out of the boot barrier,
+	// or the death notice fails a survivor still inside it.
+	var pastBarrier sync.WaitGroup
+	pastBarrier.Add(np)
 	err = job.Launch(func(p *mpi.Process) error {
 		sess, err := p.SessionInit(nil, mpi.ErrorsReturn())
 		if err != nil {
@@ -109,7 +114,9 @@ func TestChaosRespawn(t *testing.T) {
 		if err := comm.Barrier(); err != nil {
 			return fmt.Errorf("rank %d: boot barrier: %v", p.JobRank(), err)
 		}
+		pastBarrier.Done()
 		if p.JobRank() == victim {
+			pastBarrier.Wait()
 			panic("rank 3 dies after the boot barrier")
 		}
 		defer unblocked.Done()
