@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build lint test test-race chaos pool-guard fuzz-smoke bench bench-smoke bench-pml bench-coll bench-udp smoke-udp figures
+.PHONY: check vet build lint test test-race chaos pool-guard fuzz-smoke bench bench-smoke bench-harness smoke-udp figures
 
 # check is the repo's verification gate: vet, build, the gompilint suite,
 # the full test suite under the race detector, the debug-build arena
@@ -59,26 +59,16 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAblation' -benchtime=1x ./...
 	$(GO) test -run '^$$' -bench '^BenchmarkFrameCodec$$' -benchtime=1x ./internal/btl/udp
 
-# bench-pml regenerates the machine-readable PML matching-engine ablation
-# (list vs bucket, pairs and incast shapes) quoted by EXPERIMENTS.md.
-bench-pml:
-	$(GO) run ./cmd/pmlbench -out BENCH_pml.json
-
-# bench-coll regenerates the persistent-collective ablation (setup-once
-# Start/Wait vs full per-call dispatch) quoted by EXPERIMENTS.md.
-bench-coll:
-	$(GO) run ./cmd/collbench -out BENCH_coll.json
-
-# bench-udp regenerates the simnet-vs-udp transport comparison quoted by
-# EXPERIMENTS.md: the same OSU kernels over the simulated fabric and over
-# real loopback UDP sockets (forced udp BTL), accumulated as JSONL.
-bench-udp:
-	rm -f BENCH_udp.json
-	for t in sim udp; do \
-		$(GO) run ./cmd/osu -bench latency -transport $$t -profile loopback -np 2 -ppn 2 -sessions -json BENCH_udp.json && \
-		$(GO) run ./cmd/osu -bench bw -transport $$t -profile loopback -np 2 -ppn 2 -sessions -json BENCH_udp.json && \
-		$(GO) run ./cmd/osu -bench allreduce -transport $$t -profile loopback -np 8 -ppn 8 -sessions -json BENCH_udp.json || exit 1; \
-	done
+# bench-harness runs the repo's one benchmark harness (cmd/bench,
+# BENCHMARK.json) briefly on the in-process data path: an untraced and a
+# traced run on simnet, then an untraced run over loopback udp sockets. The
+# harness checks every result and exits non-zero on a failed operation, so
+# this gates correctness and the traced allocation counts; it prints the
+# timings without judging them.
+bench-harness:
+	$(GO) run ./cmd/bench -workload data-sim -seed 1 -seconds 2
+	$(GO) run ./cmd/bench -workload data-sim -seed 1 -seconds 2 -trace 1
+	$(GO) run ./cmd/bench -workload data-udp -seed 1 -seconds 2
 
 # smoke-udp is the CI process-mode gate: a real multi-process job over
 # loopback UDP sockets, with prun's own watchdog bounding the run.

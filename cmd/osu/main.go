@@ -7,15 +7,14 @@
 //	osu -bench init -np 56 -ppn 28
 //	osu -bench latency -sessions
 //	osu -bench mbw_mr -np 16 -ppn 16 -sync sendrecv
-//	osu -bench latency -transport udp -profile loopback -json BENCH_udp.json
+//	osu -bench latency -transport udp -profile loopback
 //
 // -transport udp forces the udp BTL, so every byte crosses a real loopback
 // socket (frame encode, hash, fragmentation) instead of the simulated
-// fabric; -json FILE appends one machine-readable JSON record per run.
+// fabric.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -30,28 +29,6 @@ import (
 	"gompi/runtime"
 )
 
-// benchRow is one size point of a benchmark in the -json output.
-type benchRow struct {
-	Size      int     `json:"size"`
-	LatencyUs float64 `json:"latency_us,omitempty"`
-	MBs       float64 `json:"mb_s,omitempty"`
-	MsgRate   float64 `json:"msg_rate,omitempty"`
-}
-
-// benchRecord is the one-line-per-run JSON schema of -json (JSONL, appended
-// so a Make target can accumulate a matrix of runs into one file).
-type benchRecord struct {
-	Bench     string     `json:"bench"`
-	Transport string     `json:"transport"`
-	Variant   string     `json:"variant"`
-	NP        int        `json:"np"`
-	PPN       int        `json:"ppn"`
-	Rows      []benchRow `json:"rows"`
-}
-
-// jsonRec collects rows during the run when -json is set; nil otherwise.
-var jsonRec *benchRecord
-
 func main() {
 	benchName := flag.String("bench", "latency", "benchmark: init, latency, latency_mt, bw, mbw_mr, barrier, bcast, allreduce, allgather, alltoall, put, get")
 	threads := flag.Int("threads", 4, "threads per rank (latency_mt)")
@@ -65,9 +42,7 @@ func main() {
 	syncMode := flag.String("sync", "barrier", "mbw_mr pre-sync: barrier or sendrecv")
 	profileName := flag.String("profile", "jupiter", "cluster profile: jupiter, trinity, loopback")
 	transport := flag.String("transport", "sim", "transport: sim (simulated fabric) or udp (forced udp BTL over loopback sockets)")
-	jsonPath := flag.String("json", "", "append one JSON record of the results to this file")
 	collSpec := flag.String("coll", "", "collective component selection (e.g. \"^hier\" or \"basic\")")
-	matcher := flag.String("matcher", "", "PML matching engine: \"bucket\" (default) or \"list\" (single-lock ablation engine)")
 	mtComms := flag.Int("mt-comms", 1, "latency_mt: dup'd communicators round-robined across threads")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -112,7 +87,7 @@ func main() {
 	if *sessions {
 		mode = core.CIDExtended
 	}
-	cfg := core.Config{CIDMode: mode, Coll: *collSpec, PMLMatcher: *matcher}
+	cfg := core.Config{CIDMode: mode, Coll: *collSpec}
 	switch *transport {
 	case "sim":
 	case "udp":
@@ -129,15 +104,6 @@ func main() {
 		NP:      *np,
 		PPN:     *ppn,
 		Config:  cfg,
-	}
-	if *jsonPath != "" {
-		jsonRec = &benchRecord{
-			Bench:     *benchName,
-			Transport: *transport,
-			Variant:   variant(*sessions),
-			NP:        *np,
-			PPN:       *ppn,
-		}
 	}
 
 	var err error
@@ -168,22 +134,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "osu:", err)
 		os.Exit(1)
 	}
-	if jsonRec != nil {
-		if werr := appendJSON(*jsonPath, jsonRec); werr != nil {
-			fmt.Fprintln(os.Stderr, "osu:", werr)
-			os.Exit(1)
-		}
-	}
-}
-
-// appendJSON appends rec as one JSON line to path (JSONL accumulation).
-func appendJSON(path string, rec *benchRecord) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return json.NewEncoder(f).Encode(rec)
 }
 
 func runInit(opts runtime.Options, sessions bool) error {
@@ -281,13 +231,6 @@ func runLatency(opts runtime.Options, sessions bool, maxSize, iters, skip int) e
 	for _, r := range results {
 		fmt.Printf("%-10d %12.2f\n", r.Size, float64(r.Latency.Nanoseconds())/1e3)
 	}
-	if jsonRec != nil {
-		jsonRec.NP, jsonRec.PPN = opts.NP, opts.PPN
-		for _, r := range results {
-			jsonRec.Rows = append(jsonRec.Rows,
-				benchRow{Size: r.Size, LatencyUs: float64(r.Latency.Nanoseconds()) / 1e3})
-		}
-	}
 	return nil
 }
 
@@ -318,13 +261,6 @@ func runMBwMr(opts runtime.Options, sessions bool, maxSize, window, iters, skip 
 	fmt.Printf("%-10s %14s %16s\n", "Size", "MB/s", "Messages/s")
 	for _, r := range results {
 		fmt.Printf("%-10d %14.2f %16.0f\n", r.Size, r.BandwidthBs/1e6, r.MsgRate)
-	}
-	if jsonRec != nil {
-		jsonRec.NP, jsonRec.PPN = opts.NP, opts.PPN
-		for _, r := range results {
-			jsonRec.Rows = append(jsonRec.Rows,
-				benchRow{Size: r.Size, MBs: r.BandwidthBs / 1e6, MsgRate: r.MsgRate})
-		}
 	}
 	return nil
 }
@@ -357,13 +293,6 @@ func runBW(opts runtime.Options, sessions bool, maxSize, window, iters, skip int
 	fmt.Printf("# OSU MPI Bandwidth Test (%s)\n%-10s %14s\n", variant(sessions), "Size", "MB/s")
 	for _, r := range results {
 		fmt.Printf("%-10d %14.2f\n", r.Size, r.BandwidthBs/1e6)
-	}
-	if jsonRec != nil {
-		jsonRec.NP, jsonRec.PPN = opts.NP, opts.PPN
-		for _, r := range results {
-			jsonRec.Rows = append(jsonRec.Rows,
-				benchRow{Size: r.Size, MBs: r.BandwidthBs / 1e6, MsgRate: r.MsgRate})
-		}
 	}
 	return nil
 }
@@ -456,13 +385,6 @@ func runCollective(opts runtime.Options, kind string, sessions bool, maxSize, it
 	fmt.Printf("# OSU MPI %s Latency Test (%s)\n%-10s %12s\n", kind, variant(sessions), "Size", "Latency (us)")
 	for _, r := range rows {
 		fmt.Printf("%-10d %12.2f\n", r.Size, float64(r.Latency.Nanoseconds())/1e3)
-	}
-	if jsonRec != nil {
-		jsonRec.NP, jsonRec.PPN = opts.NP, opts.PPN
-		for _, r := range rows {
-			jsonRec.Rows = append(jsonRec.Rows,
-				benchRow{Size: r.Size, LatencyUs: float64(r.Latency.Nanoseconds()) / 1e3})
-		}
 	}
 	return nil
 }

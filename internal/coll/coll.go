@@ -12,15 +12,15 @@
 //
 // Since the schedule refactor, an algorithm is an *emitter*: it compiles
 // the collective for one rank into a Schedule — a DAG of typed steps with
-// explicit dependencies (schedule.go) — and the executors in engine.go run
-// it, either sequentially over the blocking Transport or concurrently over
-// an NBTransport. Modules cache compiled schedules per call shape, and
+// explicit dependencies (schedule.go) — and the engine in engine.go runs
+// it over an NBTransport, issuing every step whose dependencies have
+// completed. Modules cache compiled schedules per call shape, and
 // Prepare* returns a fully bound Exec (schedule + staging + engine state)
 // that can be run many times with zero per-run allocation — the substrate
 // of the mpi persistent collectives.
 //
 // The package is transport-agnostic: schedules move bytes through the
-// Transport interface (implemented by mpi.Comm over the PML), so they can
+// NBTransport interface (implemented by mpi.Comm over the PML), so they can
 // also run over an in-memory mesh in tests. Emitters never allocate tags:
 // the caller passes the base of a 16-tag window and steps use fixed
 // negative offsets inside it (tag, tag-1, ...), matching the
@@ -36,9 +36,12 @@ import (
 	"gompi/internal/opal"
 )
 
-// Transport moves bytes between the members of one communicator. Ranks are
-// communicator ranks. Implementations must provide MPI point-to-point
-// semantics: per-(peer, tag) ordering and blocking completion.
+// Transport is the blocking half of NBTransport: it moves bytes between the
+// members of one communicator. Ranks are communicator ranks. Implementations
+// must provide MPI point-to-point semantics: per-(peer, tag) ordering and
+// blocking completion. The engine itself only starts operations; the
+// blocking calls serve the sequential reference executor the tests compare
+// it against.
 type Transport interface {
 	Rank() int
 	Size() int
@@ -93,7 +96,7 @@ func Ops() []Op { return []Op{Barrier, Bcast, Reduce, Allreduce, Allgather, Allt
 // plus the node hosting each communicator rank (nil when placement is
 // unknown, which the hierarchical emitters treat as a single node).
 type Env struct {
-	T     Transport
+	T     NBTransport
 	Nodes []int
 }
 
@@ -205,9 +208,8 @@ type component struct {
 // chain plus per-algorithm invocation counters. One Framework serves every
 // communicator of an instance cycle.
 type Framework struct {
-	comps  []component
-	trace  *opal.Trace // may be nil (tracing disabled at the source)
-	direct bool        // run schedules through the sequential reference executor
+	comps []component
+	trace *opal.Trace // may be nil (tracing disabled at the source)
 
 	persistentStarts atomic.Uint64
 	cacheHits        atomic.Uint64
@@ -238,23 +240,6 @@ func NewFramework(names []string, trace *opal.Trace) (*Framework, error) {
 		return nil, fmt.Errorf("coll: empty component chain")
 	}
 	return f, nil
-}
-
-// SetExecMode selects the schedule executor: "" or "schedule" is the DAG
-// engine over the nonblocking transport (the default), "direct" (alias
-// "legacy") is the sequential reference executor that reproduces the
-// pre-schedule blocking behavior — the A/B knob, mirroring the PML's
-// Matcher="list". Call before the framework serves traffic.
-func (f *Framework) SetExecMode(mode string) error {
-	switch mode {
-	case "", "schedule":
-		f.direct = false
-	case "direct", "legacy":
-		f.direct = true
-	default:
-		return fmt.Errorf("coll: unknown exec mode %q (want schedule or direct)", mode)
-	}
-	return nil
 }
 
 // Components returns the selected component names in priority order.
@@ -314,8 +299,7 @@ type schedKey struct {
 type Module struct {
 	f    *Framework
 	env  Env
-	nb   NBTransport // non-nil when the transport has the nonblocking seam
-	comm string      // communicator name, for the trace
+	comm string // communicator name, for the trace
 
 	mu    sync.Mutex
 	hints map[Op]string
@@ -325,10 +309,9 @@ type Module struct {
 // NewModule binds the framework to one communicator. nodes[i] is the node
 // hosting communicator rank i (nil when unknown); comm names the
 // communicator in trace events.
-func (f *Framework) NewModule(t Transport, nodes []int, comm string) *Module {
-	nb, _ := t.(NBTransport)
+func (f *Framework) NewModule(t NBTransport, nodes []int, comm string) *Module {
 	return &Module{
-		f: f, env: Env{T: t, Nodes: nodes}, nb: nb, comm: comm,
+		f: f, env: Env{T: t, Nodes: nodes}, comm: comm,
 		hints: make(map[Op]string),
 		cache: make(map[schedKey]*Schedule),
 	}
@@ -450,16 +433,8 @@ func (m *Module) schedule(key schedKey) (*Schedule, error) {
 	return s, nil
 }
 
-// execute runs a one-shot schedule with freshly allocated state.
-func (m *Module) execute(s *Schedule, bind *binding) error {
-	if m.nb == nil || m.f.direct {
-		return runDirect(m.env.T, s, bind)
-	}
-	return run(m.nb, s, bind, newExecState(s))
-}
-
 // dispatch compiles (or fetches) the schedule for one call, records it,
-// and executes it with the given binding.
+// and executes it with the given binding and freshly allocated state.
 func (m *Module) dispatch(key schedKey, comp string, bytes int, bind *binding) error {
 	s, err := m.schedule(key)
 	if err != nil {
@@ -467,7 +442,7 @@ func (m *Module) dispatch(key schedKey, comp string, bytes int, bind *binding) e
 	}
 	m.f.record(key.op, comp, key.algo, m.comm, m.env.T.Size(), bytes, s)
 	bind.stage = make([]byte, s.stage)
-	return m.execute(s, bind)
+	return run(m.env.T, s, bind, newExecState(s))
 }
 
 // Barrier runs the selected barrier algorithm.
@@ -602,8 +577,5 @@ func (e *Exec) Steps() int { return e.s.Steps() }
 func (e *Exec) Run() error {
 	e.m.f.persistentStarts.Add(1)
 	e.m.f.stepsRun[e.op].Add(uint64(len(e.s.steps)))
-	if e.m.nb == nil || e.m.f.direct {
-		return runDirect(e.m.env.T, e.s, &e.bind)
-	}
-	return run(e.m.nb, e.s, &e.bind, e.x)
+	return run(e.m.env.T, e.s, &e.bind, e.x)
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // memNet is an in-memory full mesh with MPI point-to-point semantics:
-// per-(src, dst) FIFO ordering and blocking recv. It has no nonblocking
-// seam, so it exercises the direct (sequential reference) executor; the
-// NBMesh in ablation.go exercises the DAG engine.
+// per-(src, dst) FIFO ordering and blocking recv, and it rejects a message
+// whose tag or length is not exactly what the receive asked for. It has no
+// nonblocking seam: it carries the sequential reference executor
+// (runDirect); the NBMesh in mesh_test.go carries the engine.
 type memMsg struct {
 	tag  int
 	data []byte
@@ -68,9 +69,16 @@ func (m memT) Sendrecv(sendBuf []byte, dest int, recvBuf []byte, src, tag int) e
 // under: the sequential reference and the DAG engine.
 var execModes = []string{"direct", "engine"}
 
+// rankEnv is one rank's view of a test mesh: Env with a transport that need
+// only be blocking, so the reference executor can run over memT.
+type rankEnv struct {
+	T     Transport
+	Nodes []int
+}
+
 // runRanks runs fn once per rank over a fresh mesh — buffered-channel memT
 // for the direct executor, NBMesh for the engine — and fails on any error.
-func runRanks(t *testing.T, mode string, size int, nodes []int, fn func(e Env) error) {
+func runRanks(t *testing.T, mode string, size int, nodes []int, fn func(e rankEnv) error) {
 	t.Helper()
 	var transport func(r int) Transport
 	switch mode {
@@ -89,7 +97,7 @@ func runRanks(t *testing.T, mode string, size int, nodes []int, fn func(e Env) e
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			errs[r] = fn(Env{T: transport(r), Nodes: nodes})
+			errs[r] = fn(rankEnv{T: transport(r), Nodes: nodes})
 		}(r)
 	}
 	wg.Wait()
@@ -103,7 +111,7 @@ func runRanks(t *testing.T, mode string, size int, nodes []int, fn func(e Env) e
 // runOp compiles the schedule for one call shape on this rank and executes
 // it under the selected executor — the per-rank body of every algorithm
 // test. Algorithms run exclusively through emitted schedules.
-func runOp(e Env, mode string, key schedKey, bind binding) error {
+func runOp(e rankEnv, mode string, key schedKey, bind binding) error {
 	sh := Shape{Rank: e.T.Rank(), Size: e.T.Size(), Nodes: e.Nodes}
 	b := newBuilder()
 	if err := emitFor(b, sh, key); err != nil {
@@ -188,7 +196,7 @@ func TestBarrierAlgorithms(t *testing.T) {
 		for _, algo := range Algorithms(Barrier) {
 			for _, size := range testSizes {
 				for _, nodes := range nodeMaps(size) {
-					runRanks(t, mode, size, nodes, func(e Env) error {
+					runRanks(t, mode, size, nodes, func(e rankEnv) error {
 						return runOp(e, mode, schedKey{op: Barrier, algo: algo}, binding{baseTag: -16})
 					})
 				}
@@ -213,7 +221,7 @@ func TestBcastAlgorithms(t *testing.T) {
 									bufs[r] = make([]byte, n)
 								}
 							}
-							runRanks(t, mode, size, nodes, func(e Env) error {
+							runRanks(t, mode, size, nodes, func(e rankEnv) error {
 								return runOp(e, mode,
 									schedKey{op: Bcast, algo: algo, bytes: n, root: root},
 									binding{recv: bufs[e.T.Rank()], baseTag: -16})
@@ -252,7 +260,7 @@ func TestReduceAlgorithms(t *testing.T) {
 							for r := range recv {
 								recv[r] = make([]byte, count*tc.elt)
 							}
-							runRanks(t, mode, size, nil, func(e Env) error {
+							runRanks(t, mode, size, nil, func(e rankEnv) error {
 								r := e.T.Rank()
 								return runOp(e, mode,
 									schedKey{op: Reduce, algo: algo, count: count, elt: tc.elt, root: root},
@@ -294,7 +302,7 @@ func TestAllreduceAlgorithms(t *testing.T) {
 							for r := range recv {
 								recv[r] = make([]byte, count*tc.elt)
 							}
-							runRanks(t, mode, size, nodes, func(e Env) error {
+							runRanks(t, mode, size, nodes, func(e rankEnv) error {
 								r := e.T.Rank()
 								return runOp(e, mode,
 									schedKey{op: Allreduce, algo: algo, count: count, elt: tc.elt},
@@ -326,7 +334,7 @@ func TestAllgatherAlgorithms(t *testing.T) {
 					for r := range recv {
 						recv[r] = make([]byte, size*blk)
 					}
-					runRanks(t, mode, size, nil, func(e Env) error {
+					runRanks(t, mode, size, nil, func(e rankEnv) error {
 						r := e.T.Rank()
 						return runOp(e, mode,
 							schedKey{op: Allgather, algo: algo, bytes: blk},
@@ -360,7 +368,7 @@ func TestAlltoallAlgorithms(t *testing.T) {
 					for r := range recv {
 						recv[r] = make([]byte, size*blk)
 					}
-					runRanks(t, mode, size, nil, func(e Env) error {
+					runRanks(t, mode, size, nil, func(e rankEnv) error {
 						r := e.T.Rank()
 						return runOp(e, mode,
 							schedKey{op: Alltoall, algo: algo, bytes: blk},
@@ -393,7 +401,7 @@ func TestScheduleEquivalence(t *testing.T) {
 		for r := range recv {
 			recv[r] = make([]byte, count*elt)
 		}
-		runRanks(t, mode, size, nil, func(e Env) error {
+		runRanks(t, mode, size, nil, func(e rankEnv) error {
 			r := e.T.Rank()
 			return runOp(e, mode,
 				schedKey{op: op, algo: algo, count: count, elt: elt},
@@ -417,8 +425,8 @@ func TestScheduleEquivalence(t *testing.T) {
 }
 
 // TestModuleDispatch drives the full pick→schedule→record→execute path
-// through a Module on the blocking in-memory mesh (direct fallback) and
-// checks the counters, including the per-op step counts.
+// through a Module and checks the counters, including the per-op step
+// counts.
 func TestModuleDispatch(t *testing.T) {
 	fw, err := NewFramework([]string{"hier", "tuned", "basic"}, nil)
 	if err != nil {
@@ -426,14 +434,14 @@ func TestModuleDispatch(t *testing.T) {
 	}
 	size := 6
 	nodes := []int{0, 0, 0, 1, 1, 1}
-	net := newMemNet(size)
+	mesh := NewNBMesh(size)
 	errs := make([]error, size)
 	var wg sync.WaitGroup
 	for r := 0; r < size; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			m := fw.NewModule(memT{net: net, rank: r}, nodes, "test")
+			m := fw.NewModule(mesh.Rank(r), nodes, "test")
 			if errs[r] = m.Barrier(-16); errs[r] != nil {
 				return
 			}
@@ -554,21 +562,5 @@ func TestPersistentExec(t *testing.T) {
 	snap := fw.Snapshot()
 	if got, want := snap["persistent_starts"], uint64(size*iters); got != want {
 		t.Fatalf("persistent_starts = %d, want %d", got, want)
-	}
-}
-
-// TestExecModeKnob checks the A/B executor switch parses and falls back.
-func TestExecModeKnob(t *testing.T) {
-	fw, err := NewFramework([]string{"basic"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []string{"", "schedule", "direct", "legacy"} {
-		if err := fw.SetExecMode(mode); err != nil {
-			t.Fatalf("SetExecMode(%q): %v", mode, err)
-		}
-	}
-	if err := fw.SetExecMode("bogus"); err == nil {
-		t.Fatal("SetExecMode(bogus) should error")
 	}
 }

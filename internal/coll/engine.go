@@ -2,17 +2,13 @@ package coll
 
 import "runtime"
 
-// Schedule executors. Two interchangeable ways to run a compiled schedule:
-//
-//   - runDirect walks the steps in emission order with blocking transport
-//     calls. Emission order is a valid sequential execution (deps always
-//     point backwards), so this path reproduces the pre-schedule blocking
-//     algorithms exactly. It is the A/B reference (Config "coll_exec=direct")
-//     and the fallback when the transport has no nonblocking seam.
-//   - run (the engine) executes the DAG over a nonblocking transport:
-//     every step whose dependencies have completed is issued immediately,
-//     so independent exchanges overlap. This is the default path and the
-//     one the persistent collectives reuse with preallocated state.
+// The schedule executor. run (the engine) executes a compiled schedule's DAG
+// over a nonblocking transport: every step whose dependencies have completed
+// is issued immediately, so independent exchanges overlap. Per-call
+// collectives run it with fresh state; persistent collectives reuse it with
+// preallocated state. (The tests keep a second, sequential executor —
+// runDirect in direct_test.go — as the reference the engine's output is
+// compared against.)
 
 // Req is the completion handle of a nonblocking transport operation. Once
 // Wait returns or Test reports done, the handle is spent: the engine drops
@@ -33,34 +29,6 @@ type NBTransport interface {
 	Transport
 	Isend(buf []byte, dest, tag int) (Req, error)
 	Irecv(buf []byte, src, tag int) (Req, error)
-}
-
-// runDirect executes the schedule sequentially with blocking calls.
-func runDirect(t Transport, s *Schedule, bind *binding) error {
-	for i := range s.steps {
-		st := &s.steps[i]
-		switch st.kind {
-		case stepSend:
-			if err := t.Send(bind.resolve(st.a), st.peer, bind.baseTag-st.tagOff); err != nil {
-				return err
-			}
-		case stepRecv:
-			if err := t.Recv(bind.resolve(st.a), st.peer, bind.baseTag-st.tagOff); err != nil {
-				return err
-			}
-		case stepSendrecv:
-			if err := t.Sendrecv(bind.resolve(st.a), st.peer, bind.resolve(st.b), st.peer2, bind.baseTag-st.tagOff); err != nil {
-				return err
-			}
-		case stepReduce:
-			if err := bind.rf(bind.resolve(st.a), bind.resolve(st.b), st.count); err != nil {
-				return err
-			}
-		case stepCopy:
-			copy(bind.resolve(st.a), bind.resolve(st.b))
-		}
-	}
-	return nil
 }
 
 // execState is the engine's mutable per-run state, separated from the

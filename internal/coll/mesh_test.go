@@ -1,16 +1,9 @@
 package coll
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
-// The persistent-collective ablation harness behind
-// BenchmarkAblationPersistentColl and cmd/collbench: an in-memory
-// nonblocking mesh with zero steady-state allocation, plus a lockstep
-// multi-rank driver that contrasts setup-once/start-N persistent execution
-// against full per-call dispatch. The mesh is also the engine's reference
-// transport in the package tests.
+// An in-memory nonblocking mesh with zero steady-state allocation: the
+// transport the package tests run the engine over.
 
 // nbOp is one outstanding mesh operation: a pooled record that doubles as
 // the Req handle. After completion has been observed through Wait or Test
@@ -217,142 +210,4 @@ func (o *nbOp) Test() (bool, error) {
 		o.owner.put(o)
 	}
 	return done, nil
-}
-
-// CollBench drives one allreduce shape across every rank of an NBMesh in
-// lockstep: persistent worker goroutines for ranks 1..N-1 trigger once per
-// iteration over unbuffered channels, rank 0 runs inline so the benchmark
-// loop measures it. Mode "persistent" binds one Exec per rank up front and
-// only Runs it per iteration; mode "percall" goes through the full Module
-// dispatch (pick, schedule cache, binding, fresh engine state) every time.
-type CollBench struct {
-	mods    []*Module
-	execs   []*Exec // persistent mode
-	count   int
-	in, out [][]byte
-	trigger []chan struct{}
-	done    []chan error
-	wg      sync.WaitGroup
-}
-
-// benchTag is the collective tag window the harness runs in. One window is
-// enough: per-(peer, tag) FIFO keeps back-to-back iterations ordered.
-const benchTag = -16
-
-// NewCollBench builds the harness: ranks members reducing count int64-wide
-// elements. persistent selects the setup-once path.
-func NewCollBench(ranks, count int, persistent bool) (*CollBench, error) {
-	fw, err := NewFramework([]string{"tuned", "basic"}, nil)
-	if err != nil {
-		return nil, err
-	}
-	mesh := NewNBMesh(ranks)
-	cb := &CollBench{count: count}
-	for r := 0; r < ranks; r++ {
-		m := fw.NewModule(mesh.Rank(r), nil, "bench")
-		cb.mods = append(cb.mods, m)
-		in := make([]byte, count*8)
-		out := make([]byte, count*8)
-		for i := range in {
-			in[i] = byte(r + i)
-		}
-		cb.in = append(cb.in, in)
-		cb.out = append(cb.out, out)
-		if persistent {
-			ex, err := m.PrepareAllreduce(in, out, count, 8, sumInt64, true, benchTag)
-			if err != nil {
-				return nil, err
-			}
-			cb.execs = append(cb.execs, ex)
-		}
-	}
-	for r := 1; r < ranks; r++ {
-		cb.trigger = append(cb.trigger, make(chan struct{}))
-		cb.done = append(cb.done, make(chan error))
-		cb.wg.Add(1)
-		go cb.worker(r, cb.trigger[r-1], cb.done[r-1])
-	}
-	return cb, nil
-}
-
-func (cb *CollBench) worker(r int, trigger <-chan struct{}, done chan<- error) {
-	defer cb.wg.Done()
-	for range trigger {
-		done <- cb.iter(r)
-	}
-}
-
-func (cb *CollBench) iter(r int) error {
-	if cb.execs != nil {
-		return cb.execs[r].Run()
-	}
-	return cb.mods[r].Allreduce(cb.in[r], cb.out[r], cb.count, 8, sumInt64, true, benchTag)
-}
-
-// Step runs one lockstep iteration across every rank and returns the first
-// error. The rank-0 leg runs on the calling goroutine; in persistent mode
-// the whole call performs zero allocations.
-func (cb *CollBench) Step() error {
-	for _, t := range cb.trigger {
-		t <- struct{}{}
-	}
-	err := cb.iter(0)
-	for _, d := range cb.done {
-		if werr := <-d; werr != nil && err == nil {
-			err = werr
-		}
-	}
-	return err
-}
-
-// Close stops the worker goroutines.
-func (cb *CollBench) Close() {
-	for _, t := range cb.trigger {
-		close(t)
-	}
-	cb.wg.Wait()
-}
-
-// Result returns rank 0's reduction output for verification.
-func (cb *CollBench) Result() []byte { return cb.out[0] }
-
-// sumInt64 adds count little-endian int64s in place.
-func sumInt64(inout, in []byte, count int) error {
-	for i := 0; i < count; i++ {
-		o := i * 8
-		var a, b uint64
-		for k := 0; k < 8; k++ {
-			a |= uint64(inout[o+k]) << (8 * k)
-			b |= uint64(in[o+k]) << (8 * k)
-		}
-		s := a + b
-		for k := 0; k < 8; k++ {
-			inout[o+k] = byte(s >> (8 * k))
-		}
-	}
-	return nil
-}
-
-// CheckStep sanity-runs one iteration and validates rank 0's output
-// against an independently computed reference — used by cmd/collbench so a
-// broken harness cannot silently publish numbers.
-func (cb *CollBench) CheckStep() error {
-	if err := cb.Step(); err != nil {
-		return err
-	}
-	want := make([]byte, cb.count*8)
-	tmp := make([]byte, cb.count*8)
-	copy(want, cb.in[0])
-	for r := 1; r < len(cb.mods); r++ {
-		copy(tmp, cb.in[r])
-		if err := sumInt64(want, tmp, cb.count); err != nil {
-			return err
-		}
-	}
-	for i := range want {
-		if cb.out[0][i] != want[i] {
-			return fmt.Errorf("collbench: output byte %d = %#x, want %#x", i, cb.out[0][i], want[i])
-		}
-	}
-	return nil
 }

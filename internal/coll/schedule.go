@@ -62,9 +62,9 @@ func (k stepKind) String() string {
 
 // step is one node of the DAG. deps always point at earlier steps: the
 // builder appends steps in a valid sequential order, so executing steps in
-// index order with blocking transport calls is always correct (the
-// "direct" A/B executor), while the engine exploits the explicit deps for
-// overlap.
+// index order with blocking transport calls is always correct (the tests'
+// reference executor does exactly that), while the engine exploits the
+// explicit deps for overlap.
 type step struct {
 	kind   stepKind
 	peer   int // send dest / recv src / sendrecv dest

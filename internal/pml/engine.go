@@ -26,13 +26,6 @@ type Config struct {
 	// Trace, when non-nil, receives "btl" layer events for route selection:
 	// which module carries each peer, and which modules declined it.
 	Trace *opal.Trace
-	// Matcher selects the matching-engine implementation. "" or "bucket"
-	// (the default) is the fine-grained engine: per-channel locks, bucketed
-	// O(1) (src, tag) matching, and pooled packet/record allocation.
-	// "list" (alias "legacy") is the original engine discipline — one
-	// engine-wide lock, linear queue scans, a fresh allocation per packet —
-	// kept as the BenchmarkAblationPML baseline.
-	Matcher string
 }
 
 // Stats counts messages by header kind, used by tests and by the Fig. 5c
@@ -93,7 +86,6 @@ type Engine struct {
 	btls     []btl.Module // in MCA priority order
 	cfgEager int          // explicit override; 0 = per-module default
 	trace    *opal.Trace  // may be nil (tracing disabled)
-	legacy   bool         // Config.Matcher "list": single shared lock, no pooling
 
 	closed  atomic.Bool
 	nextReq atomic.Uint64
@@ -103,7 +95,7 @@ type Engine struct {
 	// packet path reads them without taking regMu; writers (and the
 	// lookup-miss path that buffers orphans) serialize on regMu, which
 	// closes the "packet races AddChannel" window.
-	regMu     sync.Mutex //gompilint:lockorder rank=40
+	regMu     sync.Mutex          //gompilint:lockorder rank=40
 	comms     sync.Map            // uint16 -> *Channel
 	byEx      sync.Map            // ExCID -> *Channel
 	orphans   map[uint16][][]byte // fast-path packets for not-yet-registered CIDs
@@ -123,11 +115,6 @@ type Engine struct {
 	// no-failures case skip the map probe entirely.
 	failedPeers sync.Map // int -> struct{}
 	failedCount atomic.Int64
-
-	// legacyMu/legacyCond are the engine-wide lock and condvar shared by
-	// every channel when Config.Matcher selects the legacy engine.
-	legacyMu   sync.Mutex //gompilint:lockorder rank=44
-	legacyCond *sync.Cond
 
 	st engineStats
 }
@@ -204,9 +191,11 @@ type peerState struct {
 
 // Channel is the PML view of one communicator: a local CID, an optional
 // exCID, and the comm-rank to global-rank translation. lock guards the
-// matcher and peer state; cond is signaled on unexpected-queue arrivals and
-// teardown. Both are pointers so the legacy engine can share one pair
-// across all channels.
+// matcher and peer state; cond (on lock) is signaled on unexpected-queue
+// arrivals and teardown. They sit last, behind the state they guard, so the
+// contended lock word never shares a cache line with the immutable header,
+// which every send reads without the lock (placed right after ranks it cost
+// ~5 % on data-sim's allreduce_32KiB_us).
 type Channel struct {
 	eng      *Engine
 	localCID uint16
@@ -215,8 +204,6 @@ type Channel struct {
 	myRank   int
 	ranks    []int // comm rank -> global rank; immutable
 
-	lock    *sync.Mutex //gompilint:lockorder rank=44
-	cond    *sync.Cond
 	removed bool
 	// deadMember is set by FailPeer when any rank of this channel dies.
 	// Internal (negative-tag) receives posted afterwards fail fast with
@@ -235,7 +222,7 @@ type Channel struct {
 	// operations so everyone reaches the rebuild collectively.
 	revoked bool
 	peers   []peerState
-	m          matcher
+	m       *bucketMatcher
 
 	// persNext/persFree drive the persistent-collective tag-window
 	// allocator (partitioned.go): windows are handed out lowest-first so
@@ -243,6 +230,9 @@ type Channel struct {
 	// window without communicating. Guarded by lock.
 	persNext int
 	persFree []int
+
+	lock sync.Mutex //gompilint:lockorder rank=44
+	cond sync.Cond
 }
 
 // NewEngine creates an engine over the given BTL modules, listed in MCA
@@ -256,13 +246,11 @@ func NewEngine(btls []btl.Module, cfg Config) *Engine {
 		btls:      btls,
 		cfgEager:  cfg.EagerLimit,
 		trace:     cfg.Trace,
-		legacy:    cfg.Matcher == "list" || cfg.Matcher == "legacy",
 		orphans:   make(map[uint16][][]byte),
 		orphansEx: make(map[ExCID][][]byte),
 		pendSend:  make(map[uint64]*pendingSend),
 		pendRecv:  make(map[uint64]*postedRecv),
 	}
-	e.legacyCond = sync.NewCond(&e.legacyMu)
 	for _, m := range btls {
 		m.Activate(e.deliver)
 	}
@@ -363,237 +351,6 @@ func (e *Engine) Close() {
 	}
 }
 
-// FailPeer reacts to a runtime process-failure notification: every posted
-// receive naming the dead process as its specific source fails with
-// ErrPeerFailed, as do rendezvous operations pending in either direction —
-// sends awaiting the dead peer's CTS and receives whose CTS went out but
-// whose DATA will never arrive. Wildcard application receives are left
-// posted while any other channel member survives — they may still match
-// another sender — but once the LAST non-self member dies they are failed
-// too (and new ones rejected): nothing can ever send on the channel again,
-// so a blocking wildcard Recv would hang forever. On every channel
-// containing the dead rank, internal (negative-tag) receives are failed
-// regardless of source and the channel is poisoned for future internal
-// receives: a collective's dependency graph reaches the dead rank
-// transitively, so waiting on a live peer that itself bailed out would hang
-// forever.
-func (e *Engine) FailPeer(globalRank int) {
-	if _, loaded := e.failedPeers.LoadOrStore(globalRank, struct{}{}); !loaded {
-		e.failedCount.Add(1)
-	}
-	var victims []*Request
-	var frees []*postedRecv
-	e.comms.Range(func(_, v any) bool {
-		ch := v.(*Channel)
-		commRank := -1
-		allDead := true
-		for i, r := range ch.ranks {
-			if r == globalRank {
-				commRank = i
-			}
-			if i != ch.myRank && !e.peerFailed(r) {
-				allDead = false
-			}
-		}
-		if commRank < 0 {
-			return true
-		}
-		ch.lock.Lock()
-		ch.deadMember = true
-		prs := ch.m.takePostedBySrc(commRank)
-		prs = append(prs, ch.m.takePostedInternal()...)
-		if allDead && !ch.allDead {
-			ch.allDead = true
-			prs = append(prs, ch.m.takePostedWildcard()...)
-		}
-		ch.cond.Broadcast() // wake probes so they re-check state
-		ch.lock.Unlock()
-		for _, pr := range prs {
-			victims = append(victims, pr.req)
-			frees = append(frees, pr)
-		}
-		return true
-	})
-	e.pendMu.Lock()
-	for id, ps := range e.pendSend {
-		if ps.destGlobal == globalRank {
-			victims = append(victims, ps.req)
-			delete(e.pendSend, id)
-		}
-	}
-	for id, pr := range e.pendRecv {
-		// resSrc is the matched sender's comm rank, fixed when the CTS was
-		// issued. The receive hangs if that sender died — or, for internal
-		// tags, if any member of the channel died (the sender may never
-		// reach its DATA send).
-		dead := pr.resSrc >= 0 && pr.resSrc < len(pr.ch.ranks) && pr.ch.ranks[pr.resSrc] == globalRank
-		if dead || (pr.resTag < 0 && channelHasRank(pr.ch, globalRank)) {
-			victims = append(victims, pr.req)
-			frees = append(frees, pr)
-			delete(e.pendRecv, id)
-		}
-	}
-	e.pendMu.Unlock()
-	err := fmt.Errorf("%w: rank %d", ErrPeerFailed, globalRank)
-	for _, r := range victims {
-		r.complete(Status{}, err)
-	}
-	for _, pr := range frees {
-		e.freePostedRecv(pr)
-	}
-}
-
-// RevivePeer clears the failure mark for a respawned process so new
-// communicators can reach its fresh incarnation: the failed-peer entry is
-// dropped (sends stop failing fast) and the cached route is discarded so the
-// next communication re-resolves the peer's new endpoint through the modex.
-// Channels poisoned while the rank was dead STAY poisoned — their collective
-// and matching state straddles two incarnations and cannot be trusted; the
-// application rebuilds communicators over a survivor group instead.
-func (e *Engine) RevivePeer(globalRank int) {
-	if _, loaded := e.failedPeers.LoadAndDelete(globalRank); loaded {
-		e.failedCount.Add(-1)
-	}
-	e.routes.Delete(globalRank)
-}
-
-// Revoke marks the communicator revoked everywhere (the ULFM
-// MPIX_Comm_revoke analogue): locally, every pending and future operation
-// on the channel fails with ErrRevoked; remotely, a revocation notice goes
-// to every member the runtime still believes alive, whose engine applies
-// the same local poison on receipt. The notice is best-effort and
-// direct — every member that observed the triggering failure revokes too,
-// so delivery does not depend on a single revoker surviving. Revoking an
-// already-revoked (or removed) channel is a no-op.
-//
-// Revocation exists for exactly one situation: a member died, some
-// survivors noticed (their operations toward the dead rank failed) and
-// abandoned the communicator, and other survivors are still blocked in
-// operations among themselves that no one will ever complete. FailPeer
-// cannot unblock those — the blocked operation's peer is alive — so the
-// survivors that DID notice interrupt the rest.
-func (e *Engine) Revoke(ch *Channel) {
-	if !e.revokeLocal(ch) {
-		return
-	}
-	for i, g := range ch.ranks {
-		if i == ch.myRank || e.peerFailed(g) {
-			continue
-		}
-		rt, err := e.routeTo(g)
-		if err != nil {
-			continue // unreachable peer learns from another revoker
-		}
-		// Unlike data packets, a revocation notice deliberately races with
-		// the receiver freeing this communicator and building its
-		// replacement. Local CIDs are recycled, so a notice addressed by
-		// remoteCID could poison an innocent successor channel that reused
-		// the number; the exCID is never reused, so exCID channels always
-		// address the notice extended. (Consensus-CID channels have no
-		// unique identity on the wire — there the notice is best-effort and
-		// the tiny reuse window is accepted.)
-		ext := ch.useEx
-		hdr := matchHeader{typ: hdrRevoke, ctx: ch.localCID, src: uint32(ch.myRank)}
-		if ext {
-			hdr.flags |= flagExt
-		}
-		pkt := e.buildPacket(hdr, ch, ext, nil, nil)
-		_ = rt.ep.Send(pkt)
-	}
-}
-
-// revokeLocal applies the local half of a revocation: poison the channel,
-// fail every posted receive and every pending rendezvous operation on it.
-// Reports whether this call was the one that revoked (false if the channel
-// was already revoked or removed).
-func (e *Engine) revokeLocal(ch *Channel) bool {
-	ch.lock.Lock()
-	if ch.revoked || ch.removed {
-		ch.lock.Unlock()
-		return false
-	}
-	ch.revoked = true
-	posted := ch.m.takeAllPosted()
-	ch.cond.Broadcast() // wake probes so they re-check state
-	ch.lock.Unlock()
-
-	var victims []*Request
-	frees := append([]*postedRecv(nil), posted...)
-	for _, pr := range posted {
-		victims = append(victims, pr.req)
-	}
-	e.pendMu.Lock()
-	for id, ps := range e.pendSend {
-		if ps.ch == ch {
-			victims = append(victims, ps.req)
-			delete(e.pendSend, id)
-		}
-	}
-	for id, pr := range e.pendRecv {
-		if pr.ch == ch {
-			victims = append(victims, pr.req)
-			frees = append(frees, pr)
-			delete(e.pendRecv, id)
-		}
-	}
-	e.pendMu.Unlock()
-	for _, r := range victims {
-		r.complete(Status{}, ErrRevoked)
-	}
-	for _, pr := range frees {
-		e.freePostedRecv(pr)
-	}
-	return true
-}
-
-// handleRevoke poisons the addressed channel on receipt of a member's
-// revocation notice. An exCID-addressed notice racing ahead of the local
-// communicator construction is buffered with the other early packets and
-// replayed by AddChannel, so the revocation is not lost. A consensus-CID
-// notice that finds no channel is dropped instead: the receiver may
-// already have freed the communicator, local CIDs are recycled, and a
-// parked notice would be replayed into whatever successor channel claims
-// the number next.
-func (e *Engine) handleRevoke(pkt []byte, env envelope) {
-	var ch *Channel
-	if env.hasExt {
-		if v, ok := e.byEx.Load(env.ext.ex); ok {
-			ch = v.(*Channel)
-		}
-		if ch == nil {
-			e.regMu.Lock()
-			if v, ok := e.byEx.Load(env.ext.ex); ok {
-				ch = v.(*Channel)
-			} else {
-				e.orphansEx[env.ext.ex] = append(e.orphansEx[env.ext.ex], pkt)
-			}
-			e.regMu.Unlock()
-			if ch == nil {
-				return
-			}
-		}
-	} else {
-		if v, ok := e.comms.Load(env.hdr.ctx); ok {
-			ch = v.(*Channel)
-		}
-		if ch == nil {
-			e.putBuf(pkt)
-			return
-		}
-	}
-	e.revokeLocal(ch)
-	e.putBuf(pkt)
-}
-
-func channelHasRank(ch *Channel, globalRank int) bool {
-	for _, r := range ch.ranks {
-		if r == globalRank {
-			return true
-		}
-	}
-	return false
-}
-
 // AllocCID returns the lowest unused local CID at or above min, reserving
 // nothing: the caller must register a channel to claim it. It mirrors Open
 // MPI's "lowest available index in the local communicator array" step of
@@ -667,16 +424,9 @@ func (e *Engine) AddChannel(localCID uint16, ex ExCID, useEx bool, myRank int, r
 		myRank:   myRank,
 		ranks:    append([]int(nil), ranks...),
 		peers:    make([]peerState, len(ranks)),
+		m:        newBucketMatcher(len(ranks)),
 	}
-	if e.legacy {
-		ch.lock = &e.legacyMu
-		ch.cond = e.legacyCond
-		ch.m = newListMatcher()
-	} else {
-		ch.lock = new(sync.Mutex)
-		ch.cond = sync.NewCond(ch.lock)
-		ch.m = newBucketMatcher(len(ranks))
-	}
+	ch.cond.L = &ch.lock
 	e.regMu.Lock()
 	if _, dup := e.comms.Load(localCID); dup {
 		e.regMu.Unlock()
@@ -771,17 +521,6 @@ func (ch *Channel) Rank() int { return ch.myRank }
 // GlobalRank translates a comm rank to the job-global rank.
 func (ch *Channel) GlobalRank(commRank int) int { return ch.ranks[commRank] }
 
-// PeerConnected reports whether the exCID handshake with a peer has
-// completed (always true for consensus-CID channels).
-func (ch *Channel) PeerConnected(commRank int) bool {
-	if !ch.useEx {
-		return true
-	}
-	ch.lock.Lock()
-	defer ch.lock.Unlock()
-	return ch.peers[commRank].haveACK
-}
-
 // routeTo returns the cached transport for a peer, selecting one on first
 // use: modules are tried in priority order and the first whose AddProc
 // accepts the peer wins; ErrUnreachable falls through to the next module,
@@ -819,323 +558,6 @@ func (e *Engine) routeTo(globalRank int) (*route, error) {
 		return rt, nil
 	}
 	return nil, fmt.Errorf("pml: no btl module reaches rank %d", globalRank)
-}
-
-// Isend starts a nonblocking send of buf to dest (a comm rank) with tag.
-// Eager messages complete as soon as they are injected; larger messages use
-// the rendezvous protocol and complete when the receiver has drained them.
-func (ch *Channel) Isend(dest, tag int, buf []byte) *Request {
-	return ch.isend(dest, tag, buf, false)
-}
-
-// Issend starts a nonblocking synchronous-mode send (MPI_Issend): the
-// request completes only after the receiver has matched the message. It
-// always uses the rendezvous protocol, whose CTS is exactly the
-// matched-notification synchronous mode needs.
-func (ch *Channel) Issend(dest, tag int, buf []byte) *Request {
-	return ch.isend(dest, tag, buf, true)
-}
-
-// Ssend is the blocking form of Issend (MPI_Ssend).
-func (ch *Channel) Ssend(dest, tag int, buf []byte) error {
-	_, err := ch.Issend(dest, tag, buf).Wait()
-	return err
-}
-
-func (ch *Channel) isend(dest, tag int, buf []byte, synchronous bool) *Request {
-	e := ch.eng
-	if dest < 0 || dest >= len(ch.ranks) {
-		return completedRequest(Status{}, fmt.Errorf("pml: send dest %d out of range [0,%d)", dest, len(ch.ranks)))
-	}
-	destGlobal := ch.ranks[dest]
-
-	// Fail fast before routing: routeTo may block resolving a peer that
-	// the runtime already declared dead.
-	if e.closed.Load() {
-		return completedRequest(Status{}, ErrClosed)
-	}
-	if e.peerFailed(destGlobal) {
-		return completedRequest(Status{}, fmt.Errorf("%w: rank %d", ErrPeerFailed, destGlobal))
-	}
-
-	rt, err := e.routeTo(destGlobal)
-	if err != nil {
-		return completedRequest(Status{}, err)
-	}
-
-	ch.lock.Lock()
-	if ch.revoked {
-		ch.lock.Unlock()
-		return completedRequest(Status{}, ErrRevoked)
-	}
-	ps := &ch.peers[dest]
-	seq := ps.sendSeq
-	ps.sendSeq++
-	ext := false
-	ctx := ch.localCID
-	if ch.useEx {
-		if ps.haveACK {
-			ctx = ps.remoteCID
-		} else {
-			ext = true
-		}
-	}
-	ch.lock.Unlock()
-
-	eager := len(buf) <= rt.eager && !synchronous
-	var reqID uint64
-	var req *Request
-	if !eager {
-		reqID = e.nextReq.Add(1)
-		req = newRequest()
-		e.pendMu.Lock()
-		if e.closed.Load() {
-			e.pendMu.Unlock()
-			return completedRequest(Status{}, ErrClosed)
-		}
-		e.pendSend[reqID] = &pendingSend{req: req, payload: buf, destGlobal: destGlobal, ch: ch}
-		e.pendMu.Unlock()
-		e.st.rendezvous.Add(1)
-	}
-	if ext {
-		e.st.extSent.Add(1)
-	} else {
-		e.st.fastSent.Add(1)
-	}
-
-	hdr := matchHeader{ctx: ctx, src: uint32(ch.myRank), tag: int32(tag), seq: seq}
-	if ext {
-		hdr.flags |= flagExt
-	}
-
-	var pkt []byte
-	if eager {
-		hdr.typ = hdrMatch
-		pkt = e.buildPacket(hdr, ch, ext, buf, nil)
-	} else {
-		hdr.typ = hdrRTS
-		var info [rndvInfoLen]byte
-		putRndvInfo(info[:], rndvInfo{length: uint64(len(buf)), sendReqID: reqID})
-		pkt = e.buildPacket(hdr, ch, ext, info[:], nil)
-	}
-
-	// Send with no lock held: the sm BTL delivers inline on this
-	// goroutine, and the receiver's handler (or our own, on a self-send)
-	// may send replies that re-enter the engine.
-	if err := rt.ep.Send(pkt); err != nil {
-		err = e.wrapSendErr(destGlobal, err)
-		if !eager {
-			e.pendMu.Lock()
-			delete(e.pendSend, reqID)
-			e.pendMu.Unlock()
-			req.complete(Status{}, err)
-			return req
-		}
-		return completedRequest(Status{}, err)
-	}
-	if eager {
-		return completedRequest(Status{Source: ch.myRank, Tag: tag, Count: len(buf)}, nil)
-	}
-	return req
-}
-
-// buildPacket assembles header(s) + body (+extra appended after body) into
-// an arena buffer; the receiving engine recycles it after consumption.
-func (e *Engine) buildPacket(hdr matchHeader, ch *Channel, ext bool, body, extra []byte) []byte {
-	n := matchHeaderLen
-	if ext {
-		n += extHeaderLen
-	}
-	pkt := e.getBuf(n + len(body) + len(extra))
-	putMatchHeader(pkt, hdr)
-	off := matchHeaderLen
-	if ext {
-		putExtHeader(pkt[off:], extHeader{ex: ch.ex, localCID: ch.localCID, commSize: uint32(len(ch.ranks))})
-		off += extHeaderLen
-	}
-	copy(pkt[off:], body)
-	copy(pkt[off+len(body):], extra)
-	return pkt
-}
-
-// Send is the blocking form of Isend.
-func (ch *Channel) Send(dest, tag int, buf []byte) error {
-	_, err := ch.Isend(dest, tag, buf).Wait()
-	return err
-}
-
-// Irecv posts a nonblocking receive from src (comm rank or AnySource) with
-// tag (or AnyTag) into buf.
-func (ch *Channel) Irecv(src, tag int, buf []byte) *Request {
-	e := ch.eng
-	if src != AnySource && (src < 0 || src >= len(ch.ranks)) {
-		return completedRequest(Status{}, fmt.Errorf("pml: recv src %d out of range [0,%d)", src, len(ch.ranks)))
-	}
-	if e.closed.Load() {
-		return completedRequest(Status{}, ErrClosed)
-	}
-	// If the runtime already declared the source dead, any message it sent
-	// before dying may still be in the unexpected queue, so drain that
-	// first, but never block waiting for a new one.
-	srcFailed := src != AnySource && e.peerFailed(ch.ranks[src])
-
-	req := newRequest()
-	pr := e.newPostedRecv()
-	pr.ch, pr.src, pr.tag, pr.buf, pr.req = ch, src, tag, buf, req
-
-	ch.lock.Lock()
-	if e.closed.Load() || ch.removed {
-		ch.lock.Unlock()
-		e.freePostedRecv(pr)
-		return completedRequest(Status{}, ErrClosed)
-	}
-	if ch.revoked {
-		// Revocation is terminal: even messages already in the unexpected
-		// queue are not delivered — the communicator's state is no longer
-		// globally consistent and the caller must rebuild.
-		ch.lock.Unlock()
-		e.freePostedRecv(pr)
-		return completedRequest(Status{}, ErrRevoked)
-	}
-	msg := ch.m.takeUnexpected(src, tag)
-	if msg == nil {
-		if srcFailed {
-			ch.lock.Unlock()
-			e.freePostedRecv(pr)
-			return completedRequest(Status{}, fmt.Errorf("%w: rank %d", ErrPeerFailed, ch.ranks[src]))
-		}
-		if src == AnySource && ch.allDead {
-			// Every peer that could ever match this wildcard is dead and
-			// its pre-death traffic was just drained above: nothing will
-			// arrive, so posting would hang forever.
-			ch.lock.Unlock()
-			e.freePostedRecv(pr)
-			return completedRequest(Status{}, fmt.Errorf("%w: all channel peers failed", ErrPeerFailed))
-		}
-		if ch.deadMember && tag < 0 && tag != AnyTag {
-			// A collective must not start (or continue) on a communicator
-			// with a failed member: its dependency graph includes the dead
-			// rank, so this receive could hang on a live-but-bailed peer.
-			ch.lock.Unlock()
-			e.freePostedRecv(pr)
-			return completedRequest(Status{}, fmt.Errorf("%w: communicator has a failed member", ErrPeerFailed))
-		}
-		ch.m.pushPosted(pr)
-		ch.lock.Unlock()
-		return req
-	}
-	ch.lock.Unlock()
-	e.st.unexpectedHits.Add(1)
-	e.consume(pr, msg)
-	return req
-}
-
-// Recv is the blocking form of Irecv.
-func (ch *Channel) Recv(src, tag int, buf []byte) (Status, error) {
-	return ch.Irecv(src, tag, buf).Wait()
-}
-
-// consume finishes matching a posted receive against an inbound message.
-// Called with no locks held; both records have been removed from every
-// queue, so this goroutine owns them.
-func (e *Engine) consume(pr *postedRecv, msg *inbound) {
-	if !msg.rndv {
-		n := copy(pr.buf, msg.payload)
-		st := Status{Source: msg.src, Tag: msg.tag, Count: n}
-		var err error
-		if len(msg.payload) > len(pr.buf) {
-			err = ErrTruncate
-		}
-		e.putBuf(msg.raw)
-		e.freeInbound(msg)
-		pr.req.complete(st, err)
-		e.freePostedRecv(pr)
-		return
-	}
-	// Rendezvous: register the receive and send CTS.
-	recvID := e.nextReq.Add(1)
-	pr.resSrc, pr.resTag = msg.src, msg.tag
-	sendReqID, senderGlobal := msg.sendReqID, msg.senderGlobal
-	ch := pr.ch
-	e.freeInbound(msg)
-	e.pendMu.Lock()
-	if e.closed.Load() {
-		e.pendMu.Unlock()
-		pr.req.complete(Status{}, ErrClosed)
-		e.freePostedRecv(pr)
-		return
-	}
-	e.pendRecv[recvID] = pr
-	e.pendMu.Unlock()
-	e.sendCTS(ch, senderGlobal, sendReqID, recvID)
-}
-
-func (e *Engine) sendCTS(ch *Channel, senderGlobal int, sendReqID, recvID uint64) {
-	pkt := e.getBuf(matchHeaderLen + ctsInfoLen)
-	putMatchHeader(pkt, matchHeader{typ: hdrCTS, ctx: 0, src: uint32(ch.myRank)})
-	putCTSInfo(pkt[matchHeaderLen:], ctsInfo{sendReqID: sendReqID, recvReqID: recvID})
-	rt, err := e.routeTo(senderGlobal)
-	if err == nil {
-		err = rt.ep.Send(pkt)
-	}
-	if err != nil {
-		e.pendMu.Lock()
-		pr := e.pendRecv[recvID]
-		delete(e.pendRecv, recvID)
-		e.pendMu.Unlock()
-		if pr != nil {
-			pr.req.complete(Status{}, e.wrapSendErr(senderGlobal, err))
-			e.freePostedRecv(pr)
-		}
-	}
-}
-
-// wrapSendErr classifies a transport error for traffic toward a peer the
-// runtime has declared dead: the closed endpoint IS the peer failure, so
-// surface it as ErrPeerFailed rather than a generic transport error. Errors
-// toward live peers pass through unchanged.
-func (e *Engine) wrapSendErr(destGlobal int, err error) error {
-	if err == nil || errors.Is(err, ErrPeerFailed) {
-		return err
-	}
-	if e.peerFailed(destGlobal) {
-		return fmt.Errorf("%w: rank %d: %v", ErrPeerFailed, destGlobal, err)
-	}
-	return err
-}
-
-func probeStatus(msg *inbound) Status {
-	n := len(msg.payload)
-	if msg.rndv {
-		n = int(msg.rndvLen)
-	}
-	return Status{Source: msg.src, Tag: msg.tag, Count: n}
-}
-
-// Iprobe checks for a matching unexpected message without receiving it.
-func (ch *Channel) Iprobe(src, tag int) (Status, bool) {
-	ch.lock.Lock()
-	defer ch.lock.Unlock()
-	if msg := ch.m.peekUnexpected(src, tag); msg != nil {
-		return probeStatus(msg), true
-	}
-	return Status{}, false
-}
-
-// Probe blocks until a matching message is available (without consuming it).
-func (ch *Channel) Probe(src, tag int) (Status, error) {
-	e := ch.eng
-	ch.lock.Lock()
-	defer ch.lock.Unlock()
-	for {
-		if e.closed.Load() || ch.removed {
-			return Status{}, ErrClosed
-		}
-		if msg := ch.m.peekUnexpected(src, tag); msg != nil {
-			return probeStatus(msg), nil
-		}
-		ch.cond.Wait()
-	}
 }
 
 // handlePacket decodes and dispatches one wire packet. It runs on whatever
@@ -1214,174 +636,6 @@ func (e *Engine) handlePacket(pkt []byte) {
 		e.st.acksRecved.Add(1)
 		e.putBuf(pkt)
 	}
-}
-
-// handleMatch routes an eager (hdrMatch) or rendezvous-RTS packet through
-// tag matching on its channel.
-func (e *Engine) handleMatch(pkt []byte, env envelope) {
-	hdr := env.hdr
-	for {
-		var ch *Channel
-		if env.hasExt {
-			if v, ok := e.byEx.Load(env.ext.ex); ok {
-				ch = v.(*Channel)
-			}
-		} else {
-			if v, ok := e.comms.Load(hdr.ctx); ok {
-				ch = v.(*Channel)
-			}
-		}
-		if ch == nil {
-			// The communicator is still being constructed locally: buffer
-			// and replay on AddChannel. Re-check the registry under regMu
-			// first — AddChannel holds it while taking the orphan list, so
-			// a packet cannot slip into orphans after its replay.
-			e.regMu.Lock()
-			if env.hasExt {
-				if v, ok := e.byEx.Load(env.ext.ex); ok {
-					ch = v.(*Channel)
-				} else {
-					e.orphansEx[env.ext.ex] = append(e.orphansEx[env.ext.ex], pkt)
-				}
-			} else {
-				if v, ok := e.comms.Load(hdr.ctx); ok {
-					ch = v.(*Channel)
-				} else {
-					e.orphans[hdr.ctx] = append(e.orphans[hdr.ctx], pkt)
-				}
-			}
-			e.regMu.Unlock()
-			if ch == nil {
-				return
-			}
-		}
-		if int(hdr.src) >= len(ch.ranks) {
-			e.putBuf(pkt)
-			return // corrupt source rank
-		}
-
-		msg := e.newInbound()
-		msg.src = int(hdr.src)
-		msg.tag = int(hdr.tag)
-		msg.seq = hdr.seq
-		msg.senderGlobal = ch.ranks[hdr.src]
-		if hdr.typ == hdrRTS {
-			msg.rndv = true
-			msg.rndvLen = env.rndv.length
-			msg.sendReqID = env.rndv.sendReqID
-		} else {
-			msg.payload = env.payload
-			msg.raw = pkt
-		}
-
-		var needAck bool
-		var ackTo int
-		ch.lock.Lock()
-		if ch.removed {
-			ch.lock.Unlock()
-			msg.raw = nil
-			e.freeInbound(msg)
-			continue // channel torn down under us: redo the lookup
-		}
-		ps := &ch.peers[hdr.src]
-		if env.hasExt && !ps.ackSent {
-			ps.ackSent = true
-			needAck = true
-			ackTo = ch.ranks[hdr.src]
-		}
-
-		// Sequence screening: the sender stamps every match/RTS frame with a
-		// per-(channel, peer) sequence number. A frame behind the expected
-		// number — or equal to one already parked — is a duplicate and is
-		// dropped; a frame ahead of it is parked until the gap fills. This
-		// is what makes the matching path immune to duplicated or reordered
-		// first messages on an exCID channel (and everywhere else).
-		if d := int16(msg.seq - ps.recvSeq); d != 0 {
-			if d < 0 || ps.stash[msg.seq] != nil {
-				ch.lock.Unlock()
-				e.st.dupsDropped.Add(1)
-				msg.raw = nil
-				e.freeInbound(msg)
-				e.putBuf(pkt)
-			} else {
-				if ps.stash == nil {
-					ps.stash = make(map[uint16]*inbound)
-				}
-				ps.stash[msg.seq] = msg
-				ch.lock.Unlock()
-				e.st.reorderStashed.Add(1)
-				if hdr.typ == hdrRTS {
-					e.putBuf(pkt) // fully decoded into msg; the frame is done
-				}
-			}
-			if needAck {
-				e.sendChannelAck(ch, ackTo)
-			}
-			return
-		}
-
-		// In sequence: deliver, then drain any parked successors in order.
-		ps.recvSeq++
-		matched := ch.m.takePosted(msg.src, msg.tag)
-		if matched == nil {
-			ch.m.pushUnexpected(msg)
-			ch.cond.Broadcast()
-		}
-		var drained []*inbound
-		var drainedMatch []*postedRecv
-		for len(ps.stash) > 0 {
-			nxt, ok := ps.stash[ps.recvSeq]
-			if !ok {
-				break
-			}
-			delete(ps.stash, ps.recvSeq)
-			ps.recvSeq++
-			m2 := ch.m.takePosted(nxt.src, nxt.tag)
-			if m2 == nil {
-				ch.m.pushUnexpected(nxt)
-				ch.cond.Broadcast()
-			}
-			drained = append(drained, nxt)
-			drainedMatch = append(drainedMatch, m2)
-		}
-		ch.lock.Unlock()
-
-		if matched != nil {
-			e.st.postedHits.Add(1)
-			e.consume(matched, msg)
-		}
-		for i, m2 := range drainedMatch {
-			if m2 != nil {
-				e.st.postedHits.Add(1)
-				e.consume(m2, drained[i])
-			}
-		}
-		if hdr.typ == hdrRTS {
-			e.putBuf(pkt) // RTS is fully decoded into msg; the frame is done
-		}
-		if needAck {
-			e.sendChannelAck(ch, ackTo)
-		}
-		return
-	}
-}
-
-// sendChannelAck emits the one-time CID handshake ACK for a channel.
-func (e *Engine) sendChannelAck(ch *Channel, ackTo int) {
-	e.st.acksSent.Add(1)
-	ack := e.buildCIDAck(ch)
-	if rt, err := e.routeTo(ackTo); err == nil {
-		_ = rt.ep.Send(ack)
-	}
-}
-
-// buildCIDAck assembles the handshake ACK for a channel (immutable fields
-// only; no lock needed).
-func (e *Engine) buildCIDAck(ch *Channel) []byte {
-	pkt := e.getBuf(matchHeaderLen + cidAckLen)
-	putMatchHeader(pkt, matchHeader{typ: hdrCIDAck})
-	putCIDAck(pkt[matchHeaderLen:], cidAck{ex: ch.ex, localCID: ch.localCID, commRank: uint32(ch.myRank)})
-	return pkt
 }
 
 func putUint64(b []byte, v uint64) {

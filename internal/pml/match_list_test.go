@@ -1,11 +1,9 @@
 package pml
 
-// listMatcher is the original single-queue matcher: one posted slice and one
-// unexpected slice, scanned linearly in order, with O(n) splice removals. It
-// is retained verbatim as the reference implementation — the matching
-// property test checks bucketMatcher against it, and Config.Matcher "list"
-// selects it (together with the shared engine-wide lock and unpooled
-// allocation) for the BenchmarkAblationPML before/after comparison.
+// listMatcher is the single-queue reference matcher: one posted slice and
+// one unexpected slice, scanned linearly in order, with O(n) splice
+// removals — MPI's matching rules in their most literal form. The property
+// test in match_test.go checks bucketMatcher against it.
 type listMatcher struct {
 	posted     []*postedRecv
 	unexpected []*inbound

@@ -1,7 +1,7 @@
 package pml
 
 import (
-	"bytes"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -16,8 +16,8 @@ import (
 type mirror struct {
 	t      *testing.T
 	size   int
-	bucket matcher
-	list   matcher
+	bucket *bucketMatcher
+	list   *listMatcher
 	bpID   map[*postedRecv]int
 	lpID   map[*postedRecv]int
 	buID   map[*inbound]int
@@ -116,22 +116,41 @@ func (m *mirror) probe(src, tag int) {
 	}
 }
 
-func (m *mirror) failSrc(src int) {
+// sameBatch checks that a batch removal (peer failure, channel poisoning)
+// took the same records from both matchers — in the same order when the
+// bucket matcher promises posted order.
+func (m *mirror) sameBatch(what string, ordered bool, bucket, list []*postedRecv) {
 	var bids, lids []int
-	for _, pr := range m.bucket.takePostedBySrc(src) {
+	for _, pr := range bucket {
 		bids = append(bids, m.postedID(pr, m.bpID))
 	}
-	for _, pr := range m.list.takePostedBySrc(src) {
+	for _, pr := range list {
 		lids = append(lids, m.postedID(pr, m.lpID))
 	}
+	if !ordered {
+		sort.Ints(bids)
+		sort.Ints(lids)
+	}
 	if len(bids) != len(lids) {
-		m.t.Fatalf("failSrc(%d): bucket dropped %v, list dropped %v", src, bids, lids)
+		m.t.Fatalf("%s: bucket dropped %v, list dropped %v", what, bids, lids)
 	}
 	for i := range bids {
 		if bids[i] != lids[i] {
-			m.t.Fatalf("failSrc(%d): order differs: bucket %v, list %v", src, bids, lids)
+			m.t.Fatalf("%s: order differs: bucket %v, list %v", what, bids, lids)
 		}
 	}
+}
+
+func (m *mirror) failSrc(src int) {
+	m.sameBatch(fmt.Sprintf("failSrc(%d)", src), true, m.bucket.takePostedBySrc(src), m.list.takePostedBySrc(src))
+}
+
+func (m *mirror) failWildcard() {
+	m.sameBatch("failWildcard", true, m.bucket.takePostedWildcard(), m.list.takePostedWildcard())
+}
+
+func (m *mirror) failInternal() {
+	m.sameBatch("failInternal", false, m.bucket.takePostedInternal(), m.list.takePostedInternal())
 }
 
 func (m *mirror) drain() {
@@ -178,7 +197,8 @@ func (m *mirror) drain() {
 }
 
 // TestMatcherPropertyEquivalence is the matching-semantics property test:
-// random streams of posts, arrivals, receives, probes, and peer failures,
+// random streams of posts, arrivals, receives, probes, and peer failures
+// (one source, the internal-tag receives, or the wildcards),
 // with wildcard sources, wildcard tags, and negative (internal) tags, must
 // produce identical decisions from the bucketed matcher and the linear
 // reference matcher at every step.
@@ -214,65 +234,16 @@ func TestMatcherPropertyEquivalence(t *testing.T) {
 			case 7, 8:
 				m.probe(randSrc(true), randTag(true))
 			case 9:
-				m.failSrc(rng.Intn(size))
+				switch rng.Intn(4) {
+				case 0:
+					m.failWildcard()
+				case 1:
+					m.failInternal()
+				default:
+					m.failSrc(rng.Intn(size))
+				}
 			}
 		}
 		m.drain()
-	}
-}
-
-// TestLegacyEngineEndToEnd smoke-tests the Config.Matcher="list" ablation
-// engine over the fabric: eager, wildcard, rendezvous, and probe paths all
-// behave identically to the default engine.
-func TestLegacyEngineEndToEnd(t *testing.T) {
-	tn := newTestNet(t, 2, Config{Matcher: "list", EagerLimit: 64})
-	chans := tn.worldChannels(t, 0)
-
-	// Eager, posted side first.
-	rbuf := make([]byte, 16)
-	req := chans[1].Irecv(0, 7, rbuf)
-	if err := chans[0].Send(1, 7, []byte("eager-posted")); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	st, err := req.Wait()
-	if err != nil || st.Source != 0 || st.Tag != 7 {
-		t.Fatalf("recv: %+v %v", st, err)
-	}
-	if !bytes.Equal(rbuf[:st.Count], []byte("eager-posted")) {
-		t.Fatalf("payload mismatch: %q", rbuf[:st.Count])
-	}
-
-	// Unexpected + wildcard receive + probe.
-	if err := chans[0].Send(1, 9, []byte("unexpected")); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	pst, err := chans[1].Probe(AnySource, AnyTag)
-	if err != nil || pst.Tag != 9 || pst.Count != len("unexpected") {
-		t.Fatalf("probe: %+v %v", pst, err)
-	}
-	st, err = chans[1].Recv(AnySource, AnyTag, rbuf)
-	if err != nil || st.Source != 0 || st.Tag != 9 {
-		t.Fatalf("wildcard recv: %+v %v", st, err)
-	}
-
-	// Rendezvous (above the 64-byte eager limit).
-	big := bytes.Repeat([]byte("r"), 400)
-	rbig := make([]byte, 400)
-	done := make(chan error, 1)
-	go func() {
-		_, err := chans[1].Recv(0, 11, rbig)
-		done <- err
-	}()
-	if err := chans[0].Send(1, 11, big); err != nil {
-		t.Fatalf("rndv send: %v", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("rndv recv: %v", err)
-	}
-	if !bytes.Equal(rbig, big) {
-		t.Fatalf("rndv payload mismatch")
-	}
-	if st := tn.engines[0].Stats(); st.Rendezvous != 1 {
-		t.Fatalf("expected 1 rendezvous, got %+v", st)
 	}
 }

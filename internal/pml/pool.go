@@ -8,7 +8,9 @@ import "sync"
 // recycles them after the payload has been copied out. Buffers live in three
 // size-classed sync.Pools shared by every engine in the process; a class is
 // identified by its exact capacity, so putBuf silently drops any slice that
-// did not come from the arena (e.g. packets built by a legacy-mode sender).
+// did not come from the arena: a udp module built without the arena
+// allocator, a simnet fault-plan duplicate, an oversize packet that fell
+// back to make.
 //
 // A packet is header + payload, and payload sizes cluster at powers of two
 // (a BTL's eager limit, a benchmark's message size), so each payload class
@@ -88,22 +90,11 @@ func ArenaPut(b []byte) {
 }
 
 // getBuf returns a length-n buffer whose contents are undefined; every
-// caller fully overwrites [0:n]. Legacy-mode engines always allocate fresh
-// so the ablation benchmark measures the original allocation behavior.
-func (e *Engine) getBuf(n int) []byte {
-	if e.legacy {
-		return make([]byte, n)
-	}
-	return ArenaGet(n)
-}
+// caller fully overwrites [0:n] (see ArenaGet).
+func (e *Engine) getBuf(n int) []byte { return ArenaGet(n) }
 
 // putBuf recycles a packet buffer (see ArenaPut).
-func (e *Engine) putBuf(b []byte) {
-	if e.legacy {
-		return
-	}
-	ArenaPut(b)
-}
+func (e *Engine) putBuf(b []byte) { ArenaPut(b) }
 
 // Matching-record pools: postedRecv and inbound records cycle through the
 // queues on every message, so they are recycled once no queue or pending-map
@@ -115,31 +106,19 @@ var (
 )
 
 func (e *Engine) newPostedRecv() *postedRecv {
-	if e.legacy {
-		return new(postedRecv)
-	}
 	return postedRecvPool.Get().(*postedRecv)
 }
 
 func (e *Engine) freePostedRecv(pr *postedRecv) {
-	if e.legacy {
-		return
-	}
 	*pr = postedRecv{}
 	postedRecvPool.Put(pr)
 }
 
 func (e *Engine) newInbound() *inbound {
-	if e.legacy {
-		return new(inbound)
-	}
 	return inboundPool.Get().(*inbound)
 }
 
 func (e *Engine) freeInbound(m *inbound) {
-	if e.legacy {
-		return
-	}
 	*m = inbound{}
 	inboundPool.Put(m)
 }

@@ -100,3 +100,45 @@ func TestLargeEagerPingPongAllocs(t *testing.T) {
 		t.Errorf("%d bytes allocated per 64 KiB eager message, want < 4096: the packet is missing the arena", perMsg)
 	}
 }
+
+// TestEagerSendAllocDrop pins the eager path's allocation count: once routes
+// and pools are warm, an 8-byte Isend over sm — packet build, inline
+// delivery, match against a pre-posted receive and completion, all on the
+// sender's goroutine — allocates at most one object (the sender's completed
+// Request). Packets and matching records come from the pools; the unpooled
+// single-lock engine this replaced read 3.0 here.
+func TestEagerSendAllocDrop(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool discards Puts at random under -race")
+	}
+	tn := newMixedNet(t, 1, 2, Config{})
+	chs := tn.worldChannels(t, 0)
+	sbuf := make([]byte, 8)
+	rbuf := make([]byte, 8)
+	for i := 0; i < 8; i++ { // warm routes and pools
+		r := chs[1].Irecv(0, 1, rbuf)
+		if _, err := chs[0].Isend(1, 1, sbuf).Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 200
+	reqs := make([]*Request, 0, runs+1)
+	for i := 0; i < runs+1; i++ { // +1: AllocsPerRun's warm-up call
+		reqs = append(reqs, chs[1].Irecv(0, 1, rbuf))
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := chs[0].Isend(1, 1, sbuf).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := WaitAll(reqs...); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("eager send allocs/op: %.1f", allocs)
+	if allocs > 1.0 {
+		t.Errorf("warmed 8 B eager send allocates %.1f objects per message, want <= 1.0", allocs)
+	}
+}

@@ -335,9 +335,15 @@ func (e *Endpoint) Send(dst Addr, m Message) error {
 		time.AfterFunc(v.reorderLag, func() { dep.enqueue(m) })
 		return nil
 	}
+	// Copy before the hand-off: once m is enqueued the receiver owns its
+	// buffer and may already be recycling it.
+	var dup Message
+	if v.dup {
+		dup = dupMessage(m)
+	}
 	err := dep.enqueue(m)
 	if err == nil && v.dup {
-		dep.enqueue(dupMessage(m))
+		dep.enqueue(dup)
 	}
 	return err
 }

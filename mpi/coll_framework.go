@@ -45,10 +45,8 @@ func (q collReq) Test() (bool, error) {
 	return done, err
 }
 
-// Isend and Irecv make collTransport a coll.NBTransport, so communicator
-// collectives run their compiled schedules through the DAG engine (issuing
-// every dependency-free step at once) instead of the sequential reference
-// executor.
+// Isend and Irecv make collTransport a coll.NBTransport: the seam the
+// schedule engine drives, issuing every dependency-free step at once.
 func (t collTransport) Isend(buf []byte, dest, tag int) (coll.Req, error) {
 	return collReq{t.c.ch.Isend(dest, tag, buf)}, nil
 }
