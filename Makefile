@@ -60,15 +60,17 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkFrameCodec$$' -benchtime=1x ./internal/btl/udp
 
 # bench-harness runs the repo's one benchmark harness (cmd/bench,
-# BENCHMARK.json) briefly on the in-process data path: an untraced and a
-# traced run on simnet, then an untraced run over loopback udp sockets. The
-# harness checks every result and exits non-zero on a failed operation, so
-# this gates correctness and the traced allocation counts; it prints the
+# BENCHMARK.json) briefly on every stack: an untraced and a traced run on
+# simnet, an untraced run over loopback udp sockets, and one with a process
+# per rank — the stack where work added to a fresh process's init path shows.
+# The harness checks every result and exits non-zero on a failed operation,
+# so this gates correctness and the traced allocation counts; it prints the
 # timings without judging them.
 bench-harness:
 	$(GO) run ./cmd/bench -workload data-sim -seed 1 -seconds 2
 	$(GO) run ./cmd/bench -workload data-sim -seed 1 -seconds 2 -trace 1
 	$(GO) run ./cmd/bench -workload data-udp -seed 1 -seconds 2
+	$(GO) run ./cmd/bench -workload startup-proc -seed 1 -seconds 2
 
 # smoke-udp is the CI process-mode gate: a real multi-process job over
 # loopback UDP sockets, with prun's own watchdog bounding the run.

@@ -7,7 +7,7 @@
 // cheapest-first — length, magic, version, nonce, geometry, and the only
 // one that reads the payload, the hash, last — so the datagrams a socket is
 // most likely to see by accident (another job's) cost a few compares.
-// Packets above the datagram MTU are fragmented by the sender and
+// Packets above the path's datagram budget are fragmented by the sender and
 // reassembled by the receiver into buffers drawn from the PML's size-classed
 // arena.
 package udp
@@ -36,10 +36,13 @@ const (
 	// larger is malformed (the PML never builds packets near this size).
 	MaxPacketSize = 16 << 20
 
-	// DefaultMTU is the default datagram budget (header + payload). It
-	// stays under the classic 1500-byte Ethernet MTU so frames survive a
-	// LAN hop unfragmented by IP; loopback could go far larger, but a
-	// small MTU exercises the fragmentation path constantly.
+	// DefaultMTU is the LAN-safe floor of the datagram budget (header +
+	// payload): under the classic 1500-byte Ethernet MTU, so a frame this
+	// size crosses any hop unfragmented by IP. A module cuts packets that
+	// fit it to it without asking anybody, and falls back to it when the
+	// interface behind its socket is unknown; larger packets are cut to
+	// what that interface carries (Module.budget) — 65507 bytes on
+	// loopback, where the kernel's cost is per datagram, not per byte.
 	DefaultMTU = 1400
 )
 

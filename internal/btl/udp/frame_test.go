@@ -235,22 +235,33 @@ func TestFrameGoldenBytes(t *testing.T) {
 
 var codecSink Frame
 
-// BenchmarkFrameCodec is one full-MTU datagram through the codec: encode
-// into a fresh buffer, decode with every check. Bytes/s is payload rate.
+// BenchmarkFrameCodec is one full datagram through the codec — encode into a
+// fresh buffer, decode with every check — at the LAN floor and at the
+// loopback path budget. Bytes/s is payload rate.
 func BenchmarkFrameCodec(b *testing.B) {
-	payload := make([]byte, DefaultMTU-HeaderSize)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	f := Frame{SrcRank: 1, MsgID: 2, FragIndex: 3, FragCount: 49, FragOff: 3 * 1360, TotalLen: 64 << 10, Nonce: 0x1234}
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := DecodeFrame(EncodeFrame(f, payload))
-		if err != nil {
-			b.Fatal(err)
-		}
-		codecSink = out
+	for _, bc := range []struct {
+		name   string
+		budget int
+	}{
+		{"mtu1400", DefaultMTU},
+		{"path65507", maxUDPPayload4},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			payload := make([]byte, bc.budget-HeaderSize)
+			for i := range payload {
+				payload[i] = byte(i)
+			}
+			f := Frame{SrcRank: 1, MsgID: 2, FragIndex: 1, FragCount: 3, FragOff: uint32(len(payload)), TotalLen: uint32(3 * len(payload)), Nonce: 0x1234}
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err := DecodeFrame(EncodeFrame(f, payload))
+				if err != nil {
+					b.Fatal(err)
+				}
+				codecSink = out
+			}
+		})
 	}
 }

@@ -11,7 +11,8 @@ import (
 // on the progress loop and the reassembler's accept at runtime: the
 // steady-state receive pipeline (Screen -> reassembler accept -> arena
 // packet) performs zero heap allocations once the arena size class is warm,
-// for a single-fragment packet and for a 64 KiB packet in 49 fragments. The
+// for a single-fragment packet and for a 64 KiB packet in 49 fragments (the
+// LAN floor) or 2 (the loopback path budget). The
 // socket read is exercised separately (ReadFromUDPAddrPort into the module's
 // preallocated scratch buffer is allocation-free by construction); this test
 // drives the exact per-datagram work the loop does after the read, with the
@@ -64,55 +65,57 @@ func TestUDPReceivePathAllocs(t *testing.T) {
 		t.Errorf("udp receive path allocated %.1f times per datagram; the //gompilint:noalloc progress loop must stay allocation-free", allocs)
 	}
 
-	// A 64 KiB rendezvous DATA packet at the default MTU: 49 fragments, a
-	// fresh msgID per packet as the sender stamps them. The partial record,
-	// its bitmap and the reassembly buffer must all be recycled, and the
-	// tombstone table must turn over (300 packets > maxTombstones) without
-	// allocating either.
+	// A 64 KiB rendezvous DATA packet cut to the LAN floor (49 fragments) and
+	// to the loopback path budget (2), a fresh msgID per packet as the sender
+	// stamps them. The partial record, its bitmap and the reassembly buffer
+	// must all be recycled, and the tombstone table must turn over (300
+	// packets > maxTombstones) without allocating either.
 	const totalLen = 14 + 8 + 64<<10
-	const maxPayload = DefaultMTU - HeaderSize
-	const fragCount = (totalLen + maxPayload - 1) / maxPayload
-	if fragCount != 49 {
-		t.Fatalf("a 64 KiB DATA packet is %d fragments, want 49", fragCount)
-	}
-	body := make([]byte, totalLen)
-	for i := range body {
-		body[i] = byte(i * 7)
-	}
-	frames := make([][]byte, fragCount)
-	for i := range frames {
-		off := i * maxPayload
-		end := min(off+maxPayload, totalLen)
-		frames[i] = EncodeFrame(Frame{
-			SrcRank: 3, FragIndex: uint16(i), FragCount: fragCount,
-			FragOff: uint32(off), TotalLen: totalLen, Nonce: nonce,
-		}, body[off:end])
-	}
+	body := patterned(totalLen)
 	msgID := uint32(1000)
-	deliverLarge := func() {
-		msgID++
-		for i, frame := range frames {
-			f, err := filter.Screen(frame)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f.MsgID = msgID // what a re-encode with the next msgID would decode to
-			pkt, dropped, evicted := reasm.accept(f)
-			if dropped || evicted != 0 || (pkt != nil) != (i == fragCount-1) {
-				t.Fatalf("fragment %d: pkt=%v dropped=%v evicted=%d", i, pkt != nil, dropped, evicted)
-			}
-			if pkt != nil {
-				if !bytes.Equal(pkt, body) {
-					t.Fatal("reassembled packet differs from what was sent")
+	for _, tc := range []struct{ budget, fragCount int }{
+		{DefaultMTU, 49},
+		{maxUDPPayload4, 2},
+	} {
+		maxPayload := tc.budget - HeaderSize
+		fragCount := (totalLen + maxPayload - 1) / maxPayload
+		if fragCount != tc.fragCount {
+			t.Fatalf("a 64 KiB DATA packet at budget %d is %d fragments, want %d", tc.budget, fragCount, tc.fragCount)
+		}
+		frames := make([][]byte, fragCount)
+		for i := range frames {
+			off := i * maxPayload
+			end := min(off+maxPayload, totalLen)
+			frames[i] = EncodeFrame(Frame{
+				SrcRank: 3, FragIndex: uint16(i), FragCount: uint16(fragCount),
+				FragOff: uint32(off), TotalLen: totalLen, Nonce: nonce,
+			}, body[off:end])
+		}
+		deliverLarge := func() {
+			msgID++
+			for i, frame := range frames {
+				f, err := filter.Screen(frame)
+				if err != nil {
+					t.Fatal(err)
 				}
-				pml.ArenaPut(pkt)
+				f.MsgID = msgID // what a re-encode with the next msgID would decode to
+				pkt, dropped, evicted := reasm.accept(f)
+				if dropped || evicted != 0 || (pkt != nil) != (i == fragCount-1) {
+					t.Fatalf("fragment %d: pkt=%v dropped=%v evicted=%d", i, pkt != nil, dropped, evicted)
+				}
+				if pkt != nil {
+					if !bytes.Equal(pkt, body) {
+						t.Fatal("reassembled packet differs from what was sent")
+					}
+					pml.ArenaPut(pkt)
+				}
 			}
 		}
-	}
-	for i := 0; i < maxTombstones+8; i++ {
-		deliverLarge()
-	}
-	if allocs := testing.AllocsPerRun(300, deliverLarge); allocs != 0 {
-		t.Errorf("udp receive path allocated %.1f times per 49-fragment packet; accept must recycle partial records, bitmaps and buffers", allocs)
+		for i := 0; i < maxTombstones+8; i++ {
+			deliverLarge()
+		}
+		if allocs := testing.AllocsPerRun(300, deliverLarge); allocs != 0 {
+			t.Errorf("udp receive path allocated %.1f times per %d-fragment packet; accept must recycle partial records, bitmaps and buffers", allocs, fragCount)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package udp
 import (
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 
 	"gompi/internal/btl"
@@ -13,14 +14,26 @@ import (
 const DefaultEagerLimit = 4096
 
 // DefaultRecvBuf is the socket receive buffer requested from the kernel.
-// UDP has no flow control, so a large burst (a rendezvous payload fragmented
-// into hundreds of datagrams) must fit in the socket buffer or the kernel
-// silently drops the overflow; v1 has no retransmission to recover it.
+// UDP has no flow control, so a burst of packets nobody is draining yet (a
+// window of rendezvous payloads, every rank's first message to a slow
+// starter) must fit in the socket buffer or the kernel silently drops the
+// overflow; v1 has no retransmission to recover it. The kernel charges the
+// buffer per datagram (skb bookkeeping on top of the bytes), so a burst cut
+// into fewer, larger datagrams fits more of it, not less
+// (TestBurstSurvivalAtPathBudget).
 const DefaultRecvBuf = 4 << 20
 
 // maxDatagram bounds a single read: fragLen is a uint16 so no well-formed
 // frame exceeds HeaderSize + 64KiB.
 const maxDatagram = HeaderSize + 65535
+
+// The largest UDP payload the kernel accepts in one sendto: the 16-bit IP
+// length field less the IP (v4 only; the v6 field excludes its own header)
+// and UDP headers. Anything larger fails with EMSGSIZE.
+const (
+	maxUDPPayload4 = 65535 - 20 - 8
+	maxUDPPayload6 = 65535 - 8
+)
 
 // Config parameterizes one udp module.
 type Config struct {
@@ -36,8 +49,10 @@ type Config struct {
 	// earlier runs on a recycled port) are filtered, not delivered.
 	Nonce uint64
 
-	// MTU is the maximum datagram size, header included (DefaultMTU when
-	// <= 0). Payloads above MTU-HeaderSize are fragmented.
+	// MTU forces the maximum datagram size, header included; payloads above
+	// MTU-HeaderSize are fragmented. When <= 0 the module sizes datagrams to
+	// the path instead (Module.budget). Tests set it to force small
+	// fragments.
 	MTU int
 
 	// Eager is the eager/rendezvous switch point (DefaultEagerLimit when
@@ -67,15 +82,23 @@ type Config struct {
 // reuse (srcRank, msgID) pairs even across module restarts.
 var msgIDCounter atomic.Uint32
 
-// Module is the UDP transport for one process. It holds no mutexes: the
-// socket is safe for concurrent use, the reassembler is touched only by the
-// progress goroutine, per-peer endpoints are created under the PML's route
-// lock, and all counters are atomic.
+// Module is the UDP transport for one process. Its data path takes no
+// locks: the socket is safe for concurrent use, the reassembler is touched
+// only by the progress goroutine, per-peer endpoints are created under the
+// PML's route lock, all counters are atomic, and the one-time path lookup
+// sits behind a sync.Once.
 type Module struct {
-	rank   uint32
-	nonce  uint64
-	mtu    int
-	eager  int
+	rank  uint32
+	nonce uint64
+	eager int
+
+	// mtu is Config.MTU when the caller forced one, else 0: the datagram
+	// budget is then DefaultMTU for packets that fit it and pathBudget for
+	// the rest, resolved by pathOnce on the first packet that needs it.
+	mtu        int
+	pathOnce   sync.Once
+	pathBudget int
+
 	conn   *net.UDPConn
 	filter *PacketFilter
 	reasm  *reassembler
@@ -124,16 +147,16 @@ func New(cfg Config) (*Module, error) {
 	// buffer only raises the burst-loss odds, it doesn't break correctness.
 	_ = conn.SetReadBuffer(recvBuf)
 
-	mtu := cfg.MTU
-	if mtu <= 0 {
-		mtu = DefaultMTU
-	}
-	if mtu <= HeaderSize {
-		conn.Close()
-		return nil, fmt.Errorf("udp: MTU %d leaves no payload room (header is %d bytes)", mtu, HeaderSize)
-	}
-	if mtu > maxDatagram {
-		mtu = maxDatagram
+	// A forced MTU is validated here; the path's own is looked up on first
+	// need (budget), because asking the kernel costs more than the rest of
+	// New put together and most processes never send an oversize packet.
+	mtu := 0
+	if cfg.MTU > 0 {
+		if cfg.MTU <= HeaderSize {
+			conn.Close()
+			return nil, fmt.Errorf("udp: MTU %d leaves no payload room (header is %d bytes)", cfg.MTU, HeaderSize)
+		}
+		mtu = min(cfg.MTU, maxUDPPayload(conn.LocalAddr().(*net.UDPAddr).IP))
 	}
 	eager := cfg.Eager
 	if eager <= 0 {
@@ -161,6 +184,79 @@ func New(cfg Config) (*Module, error) {
 		done:        make(chan struct{}),
 		recvScratch: make([]byte, maxDatagram),
 	}, nil
+}
+
+// budget is the datagram size, header included, that a packet of pktLen
+// bytes is cut to. A packet that fits one DefaultMTU datagram never needs
+// more, so the common small-message send pays one compare; the first packet
+// that does not fit resolves the path's budget, once for the module's
+// lifetime.
+func (m *Module) budget(pktLen int) int {
+	if m.mtu > 0 {
+		return m.mtu
+	}
+	if pktLen <= DefaultMTU-HeaderSize {
+		return DefaultMTU
+	}
+	m.pathOnce.Do(func() {
+		ip := m.conn.LocalAddr().(*net.UDPAddr).IP
+		m.pathBudget = datagramBudget(linkMTU(ip), ip)
+	})
+	return m.pathBudget
+}
+
+// linkMTU reports the MTU of the interface that owns ip, 0 when none does
+// (a wildcard bind, an address the host lost). A variable so tests can count
+// the calls: the lookup walks every interface over netlink, ~130 µs in a
+// fresh process, and must stay off the init path and the per-send path.
+var linkMTU = interfaceMTU
+
+func interfaceMTU(ip net.IP) int {
+	ifaces, err := net.Interfaces()
+	if err != nil {
+		return 0
+	}
+	for _, ifc := range ifaces {
+		// All of 127/8 routes through the loopback interface, whichever of
+		// its addresses is configured on it.
+		if ip.IsLoopback() && ifc.Flags&net.FlagLoopback != 0 {
+			return ifc.MTU
+		}
+		addrs, err := ifc.Addrs()
+		if err != nil {
+			continue
+		}
+		for _, a := range addrs {
+			if ipn, ok := a.(*net.IPNet); ok && ipn.IP.Equal(ip) {
+				return ifc.MTU
+			}
+		}
+	}
+	return 0
+}
+
+// datagramBudget turns a link MTU into the largest frame (header + payload)
+// that leaves a socket bound to ip as one IP packet: the link MTU less the
+// IP and UDP headers, capped at the UDP maximum, and never below DefaultMTU
+// — the floor an unknown link (0) gets too. An over-estimate is harmless:
+// the kernel IP-fragments a datagram larger than the link carries, which
+// costs speed on that path but is never an error.
+func datagramBudget(mtu int, ip net.IP) int {
+	ipHeader := 40
+	if ip.To4() != nil {
+		ipHeader = 20
+	}
+	return max(DefaultMTU, min(mtu-ipHeader-8, maxUDPPayload(ip)))
+}
+
+// maxUDPPayload is the sendto size limit for a socket bound to ip. A
+// wildcard bind is a dual-stack socket that may face IPv4 peers, so it takes
+// the smaller IPv4 limit.
+func maxUDPPayload(ip net.IP) int {
+	if ip.To4() != nil || ip.IsUnspecified() {
+		return maxUDPPayload4
+	}
+	return maxUDPPayload6
 }
 
 // Card returns this module's business card — the bound UDP address peers
@@ -272,7 +368,8 @@ func (m *Module) Close() {
 func (m *Module) send(raddr *net.UDPAddr, pkt []byte) error {
 	n := uint64(len(pkt))
 	msgID := msgIDCounter.Add(1)
-	maxPayload := m.mtu - HeaderSize
+	budget := m.budget(len(pkt))
+	maxPayload := budget - HeaderSize
 	fragCount := (len(pkt) + maxPayload - 1) / maxPayload
 	if fragCount == 0 {
 		fragCount = 1 // zero-length packet still needs one frame
@@ -281,7 +378,9 @@ func (m *Module) send(raddr *net.UDPAddr, pkt []byte) error {
 		return fmt.Errorf("udp: packet of %d bytes needs %d fragments (max 65535)", len(pkt), fragCount)
 	}
 
-	scratch := m.alloc(m.mtu)
+	// One frame's worth, not the whole budget: a packet well under the
+	// path's 64 KiB must not borrow the arena's largest class.
+	scratch := m.alloc(min(budget, HeaderSize+len(pkt)))
 	var sendErr error
 	for i := 0; i < fragCount; i++ {
 		off := i * maxPayload

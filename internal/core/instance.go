@@ -133,8 +133,6 @@ type Config struct {
 	// launcher generates one per job so the receive-path filter can reject
 	// datagrams from other jobs or stale runs on a recycled port.
 	UDPNonce uint64
-	// UDPMTU overrides the udp datagram budget (default 1400 bytes).
-	UDPMTU int
 	// Trace enables the diagnostic ring buffer (the analogue of MCA
 	// verbosity); read it with Instance.Trace().Events().
 	Trace bool
@@ -421,7 +419,6 @@ func (inst *Instance) initPML() (func(), error) {
 				Rank:   inst.deps.Rank,
 				Listen: inst.deps.Cfg.UDPListen,
 				Nonce:  inst.deps.Cfg.UDPNonce,
-				MTU:    inst.deps.Cfg.UDPMTU,
 				Resolve: func(rank int) (string, error) {
 					card, err := client.Get(rank, udpKey(gen), inst.Timeout())
 					if err != nil {
