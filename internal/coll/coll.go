@@ -14,10 +14,10 @@
 // the collective for one rank into a Schedule — a DAG of typed steps with
 // explicit dependencies (schedule.go) — and the engine in engine.go runs
 // it over an NBTransport, issuing every step whose dependencies have
-// completed. Modules cache compiled schedules per call shape, and
-// Prepare* returns a fully bound Exec (schedule + staging + engine state)
-// that can be run many times with zero per-run allocation — the substrate
-// of the mpi persistent collectives.
+// completed. Modules cache compiled schedules per call shape together with
+// one parked run state (staging + engine state), so a warm per-call
+// collective allocates nothing; Prepare* returns an Exec that owns its run
+// state outright — the substrate of the mpi persistent collectives.
 //
 // The package is transport-agnostic: schedules move bytes through the
 // NBTransport interface (implemented by mpi.Comm over the PML), so they can
@@ -216,14 +216,14 @@ type Framework struct {
 	stepsRun         [numOps]atomic.Uint64
 
 	mu     sync.Mutex
-	counts map[string]uint64 // "op/algo" -> calls
+	counts map[string]*atomic.Uint64 // "op/algo" -> calls
 }
 
 // NewFramework builds a framework from MCA-selected component names in
 // priority order. Unknown names error: the component was registered with
 // the MCA but this package does not implement it.
 func NewFramework(names []string, trace *opal.Trace) (*Framework, error) {
-	f := &Framework{trace: trace, counts: make(map[string]uint64)}
+	f := &Framework{trace: trace, counts: make(map[string]*atomic.Uint64)}
 	for _, n := range names {
 		switch n {
 		case "basic":
@@ -258,7 +258,7 @@ func (f *Framework) Snapshot() map[string]uint64 {
 	f.mu.Lock()
 	out := make(map[string]uint64, len(f.counts)+int(numOps)+2)
 	for k, v := range f.counts {
-		out[k] = v
+		out[k] = v.Load()
 	}
 	f.mu.Unlock()
 	for _, op := range Ops() {
@@ -271,14 +271,29 @@ func (f *Framework) Snapshot() map[string]uint64 {
 	return out
 }
 
-func (f *Framework) record(op Op, comp, algo, comm string, size, bytes int, s *Schedule) {
+// counter returns the invocation counter of one (operation, algorithm)
+// pair. Modules resolve it once per compiled schedule, so counting a call
+// is one atomic add — no lock, no key to build.
+func (f *Framework) counter(op Op, algo string) *atomic.Uint64 {
+	key := op.String() + "/" + algo
 	f.mu.Lock()
-	f.counts[op.String()+"/"+algo]++
-	f.mu.Unlock()
-	f.stepsRun[op].Add(uint64(s.Steps()))
+	defer f.mu.Unlock()
+	c := f.counts[key]
+	if c == nil {
+		c = new(atomic.Uint64)
+		f.counts[key] = c
+	}
+	return c
+}
+
+// record counts one call of a compiled schedule (per-call dispatch or a
+// persistent prepare) and, when tracing is on, logs the decision.
+func (f *Framework) record(key schedKey, e *compiled, comp, comm string, size, bytes int) {
+	e.calls.Add(1)
+	f.stepsRun[key.op].Add(uint64(e.s.Steps()))
 	if f.trace != nil {
 		f.trace.Logf("coll", "%s on %s (size=%d bytes=%d) -> %s/%s (%d steps)",
-			op, comm, size, bytes, comp, algo, s.Steps())
+			key.op, comm, size, bytes, comp, key.algo, e.s.Steps())
 	}
 }
 
@@ -293,17 +308,35 @@ type schedKey struct {
 	root  int
 }
 
+// compiled is one entry of a module's schedule cache: the immutable
+// schedule, the framework counter its calls are charged to, and at most one
+// idle run state left behind by the last per-call execution that finished
+// cleanly (DESIGN.md §5c, "Run-state ownership").
+type compiled struct {
+	s     *Schedule
+	calls *atomic.Uint64
+	idle  *runState // guarded by Module.mu
+}
+
+// maxParkedStage caps the staging bytes one module keeps parked across all
+// its cache entries. A run state that would exceed it is dropped when its
+// call returns, so a sweep over many large shapes costs what it did before
+// states were parked instead of pinning every arena it ever used.
+const maxParkedStage = 1 << 20
+
 // Module is the framework's view of one communicator: the environment the
 // schedules run in, the per-communicator algorithm hints (MPI info keys),
-// and the compiled-schedule cache.
+// and the compiled-schedule cache with its parked run states. Everything a
+// module holds goes with it when the communicator is freed.
 type Module struct {
 	f    *Framework
 	env  Env
 	comm string // communicator name, for the trace
 
-	mu    sync.Mutex
-	hints map[Op]string
-	cache map[schedKey]*Schedule
+	mu     sync.Mutex
+	hints  map[Op]string
+	cache  map[schedKey]*compiled
+	parked int // staging bytes of the idle run states in cache
 }
 
 // NewModule binds the framework to one communicator. nodes[i] is the node
@@ -313,7 +346,7 @@ func (f *Framework) NewModule(t NBTransport, nodes []int, comm string) *Module {
 	return &Module{
 		f: f, env: Env{T: t, Nodes: nodes}, comm: comm,
 		hints: make(map[Op]string),
-		cache: make(map[schedKey]*Schedule),
+		cache: make(map[schedKey]*compiled),
 	}
 }
 
@@ -408,17 +441,11 @@ func emitFor(b *builder, sh Shape, key schedKey) error {
 	return nil
 }
 
-// schedule returns the compiled schedule for one call shape, consulting
-// the per-communicator cache first. Hitting the cache is the common case
-// for iterative applications: the whole emit+compile pipeline is skipped.
-func (m *Module) schedule(key schedKey) (*Schedule, error) {
-	m.mu.Lock()
-	if s, ok := m.cache[key]; ok {
-		m.mu.Unlock()
-		m.f.cacheHits.Add(1)
-		return s, nil
-	}
-	m.mu.Unlock()
+// compile emits and compiles the schedule for a call shape the cache has
+// not seen and inserts it. When two callers race on the same new shape the
+// first insert wins, so an entry (and whatever it has parked) is never
+// replaced.
+func (m *Module) compile(key schedKey) (*compiled, error) {
 	b := newBuilder()
 	if err := emitFor(b, m.shape(), key); err != nil {
 		return nil, err
@@ -427,56 +454,111 @@ func (m *Module) schedule(key schedKey) (*Schedule, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coll: %v/%s: %w", key.op, key.algo, err)
 	}
+	e := &compiled{s: s, calls: m.f.counter(key.op, key.algo)}
 	m.mu.Lock()
-	m.cache[key] = s
-	m.mu.Unlock()
-	return s, nil
+	defer m.mu.Unlock()
+	if prev := m.cache[key]; prev != nil {
+		return prev, nil
+	}
+	m.cache[key] = e
+	return e, nil
 }
 
-// dispatch compiles (or fetches) the schedule for one call, records it,
-// and executes it with the given binding and freshly allocated state.
-func (m *Module) dispatch(key schedKey, comp string, bytes int, bind *binding) error {
-	s, err := m.schedule(key)
+// checkout returns the compiled schedule for one call shape together with
+// a run state the caller owns: the entry's parked state when it is idle, a
+// fresh one when the shape is new or its state is out with another call
+// (two same-shape nonblocking collectives in flight). Hitting the cache is
+// the common case for iterative applications: the emit+compile pipeline
+// and every allocation are skipped.
+func (m *Module) checkout(key schedKey) (*compiled, *runState, error) {
+	m.mu.Lock()
+	e := m.cache[key]
+	var st *runState
+	if e != nil && e.idle != nil {
+		st, e.idle = e.idle, nil
+		m.parked -= len(st.bind.stage)
+	}
+	m.mu.Unlock()
+	if e != nil {
+		m.f.cacheHits.Add(1)
+	} else {
+		var err error
+		if e, err = m.compile(key); err != nil {
+			return nil, nil, err
+		}
+	}
+	if st == nil {
+		st = newRunState(e.s)
+	}
+	return e, st, nil
+}
+
+// park returns a run state whose run completed cleanly to its cache entry,
+// unless the entry already holds one or the module's staging cap is spent;
+// then the state is simply dropped.
+func (m *Module) park(e *compiled, st *runState) {
+	st.rebind(binding{}) // do not pin the caller's buffers
+	m.mu.Lock()
+	if e.idle == nil && m.parked+len(st.bind.stage) <= maxParkedStage {
+		e.idle = st
+		m.parked += len(st.bind.stage)
+	}
+	m.mu.Unlock()
+}
+
+// dispatch runs one per-call collective: check out the shape's schedule
+// and run state, bind the caller's buffers, execute, park the state again.
+// A warm call allocates nothing (TestPerCallCollAllocs). A run that errors
+// never parks its state: the engine abandons outstanding requests on error,
+// and those may still write into that staging arena.
+//
+//gompilint:noalloc
+func (m *Module) dispatch(key schedKey, comp string, bytes int, bind binding) error {
+	e, st, err := m.checkout(key)
 	if err != nil {
 		return err
 	}
-	m.f.record(key.op, comp, key.algo, m.comm, m.env.T.Size(), bytes, s)
-	bind.stage = make([]byte, s.stage)
-	return run(m.env.T, s, bind, newExecState(s))
+	m.f.record(key, e, comp, m.comm, m.env.T.Size(), bytes)
+	st.rebind(bind)
+	if err := run(m.env.T, e.s, st); err != nil {
+		return err
+	}
+	m.park(e, st)
+	return nil
 }
 
 // Barrier runs the selected barrier algorithm.
 func (m *Module) Barrier(tag int) error {
 	comp, algo := m.pick(Barrier, 0, true)
-	return m.dispatch(schedKey{op: Barrier, algo: algo}, comp, 0, &binding{baseTag: tag})
+	return m.dispatch(schedKey{op: Barrier, algo: algo}, comp, 0, binding{baseTag: tag})
 }
 
 // Bcast broadcasts buf from root.
 func (m *Module) Bcast(buf []byte, root, tag int) error {
 	comp, algo := m.pick(Bcast, len(buf), true)
 	return m.dispatch(schedKey{op: Bcast, algo: algo, bytes: len(buf), root: root}, comp, len(buf),
-		&binding{recv: buf, baseTag: tag})
+		binding{recv: buf, baseTag: tag})
 }
 
 // Reduce combines count elements of elt bytes into recvBuf at root.
 func (m *Module) Reduce(sendBuf, recvBuf []byte, count, elt int, rf ReduceFunc, commutative bool, root, tag int) error {
 	comp, algo := m.pick(Reduce, count*elt, commutative)
 	return m.dispatch(schedKey{op: Reduce, algo: algo, count: count, elt: elt, root: root}, comp, count*elt,
-		&binding{send: sendBuf, recv: recvBuf, rf: rf, baseTag: tag})
+		binding{send: sendBuf, recv: recvBuf, rf: rf, baseTag: tag})
 }
 
 // Allreduce combines count elements of elt bytes into recvBuf everywhere.
 func (m *Module) Allreduce(sendBuf, recvBuf []byte, count, elt int, rf ReduceFunc, commutative bool, tag int) error {
 	comp, algo := m.pick(Allreduce, count*elt, commutative)
 	return m.dispatch(schedKey{op: Allreduce, algo: algo, count: count, elt: elt}, comp, count*elt,
-		&binding{send: sendBuf, recv: recvBuf, rf: rf, baseTag: tag})
+		binding{send: sendBuf, recv: recvBuf, rf: rf, baseTag: tag})
 }
 
 // Allgather concatenates each member's sendBuf into recvBuf everywhere.
 func (m *Module) Allgather(sendBuf, recvBuf []byte, tag int) error {
 	comp, algo := m.pick(Allgather, len(sendBuf), true)
 	return m.dispatch(schedKey{op: Allgather, algo: algo, bytes: len(sendBuf)}, comp, len(sendBuf),
-		&binding{send: sendBuf, recv: recvBuf, baseTag: tag})
+		binding{send: sendBuf, recv: recvBuf, baseTag: tag})
 }
 
 // Alltoall exchanges block i of sendBuf with member i.
@@ -488,32 +570,33 @@ func (m *Module) Alltoall(sendBuf, recvBuf []byte, tag int) error {
 	}
 	comp, algo := m.pick(Alltoall, blk, true)
 	return m.dispatch(schedKey{op: Alltoall, algo: algo, bytes: blk}, comp, blk,
-		&binding{send: sendBuf, recv: recvBuf, baseTag: tag})
+		binding{send: sendBuf, recv: recvBuf, baseTag: tag})
 }
 
-// Exec is a prepared (persistent) collective: the compiled schedule bound
-// to fixed buffers, a reserved tag base, a preallocated staging arena, and
-// reusable engine state. Run executes it synchronously; every Run after
-// the first performs zero allocations and zero decision-table work. The
-// mpi layer wraps Exec in the startable persistent-request surface.
+// Exec is a prepared (persistent) collective: a compiled schedule plus a
+// checked-out run state that is never parked again — bound to fixed
+// buffers and a reserved tag base for as long as the Exec lives. Run
+// executes it synchronously through the same engine entry point as the
+// per-call path; every Run performs zero allocations and zero
+// decision-table work. The mpi layer wraps Exec in the startable
+// persistent-request surface.
 type Exec struct {
 	m    *Module
 	s    *Schedule
 	op   Op
 	algo string
-	bind binding
-	x    *execState
+	st   *runState
 }
 
 // prepare compiles, records, and binds one persistent call shape.
 func (m *Module) prepare(key schedKey, comp string, bind binding) (*Exec, error) {
-	s, err := m.schedule(key)
+	e, st, err := m.checkout(key)
 	if err != nil {
 		return nil, err
 	}
-	m.f.record(key.op, comp, key.algo, m.comm, m.env.T.Size(), key.bytes, s)
-	bind.stage = make([]byte, s.stage)
-	return &Exec{m: m, s: s, op: key.op, algo: key.algo, bind: bind, x: newExecState(s)}, nil
+	m.f.record(key, e, comp, m.comm, m.env.T.Size(), key.bytes)
+	st.rebind(bind)
+	return &Exec{m: m, s: e.s, op: key.op, algo: key.algo, st: st}, nil
 }
 
 // PrepareBarrier binds a persistent barrier on the given tag window.
@@ -577,5 +660,5 @@ func (e *Exec) Steps() int { return e.s.Steps() }
 func (e *Exec) Run() error {
 	e.m.f.persistentStarts.Add(1)
 	e.m.f.stepsRun[e.op].Add(uint64(len(e.s.steps)))
-	return run(e.m.env.T, e.s, &e.bind, e.x)
+	return run(e.m.env.T, e.s, e.st)
 }

@@ -121,10 +121,12 @@ func runOp(e rankEnv, mode string, key schedKey, bind binding) error {
 	if err != nil {
 		return err
 	}
-	bind.stage = make([]byte, s.stage)
 	if mode == "engine" {
-		return run(e.T.(NBTransport), s, &bind, newExecState(s))
+		st := newRunState(s)
+		st.rebind(bind)
+		return run(e.T.(NBTransport), s, st)
 	}
+	bind.stage = make([]byte, s.stage)
 	return runDirect(e.T, s, &bind)
 }
 

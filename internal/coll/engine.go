@@ -5,8 +5,9 @@ import "runtime"
 // The schedule executor. run (the engine) executes a compiled schedule's DAG
 // over a nonblocking transport: every step whose dependencies have completed
 // is issued immediately, so independent exchanges overlap. Per-call
-// collectives run it with fresh state; persistent collectives reuse it with
-// preallocated state. (The tests keep a second, sequential executor —
+// collectives run it on the run state parked with their cached schedule,
+// persistent collectives on the one their Exec owns. (The tests keep a
+// second, sequential executor —
 // runDirect in direct_test.go — as the reference the engine's output is
 // compared against.)
 
@@ -31,9 +32,17 @@ type NBTransport interface {
 	Irecv(buf []byte, src, tag int) (Req, error)
 }
 
-// execState is the engine's mutable per-run state, separated from the
-// immutable schedule so persistent collectives can preallocate it once and
-// run every Start without allocating.
+// runState is everything one execution of a compiled schedule writes: the
+// binding (caller buffers, staging arena, reduction, tag base) and the
+// engine's bookkeeping. It is separate from the immutable schedule so it
+// can be sized once and reused: a persistent Exec owns one for life, and a
+// per-call collective borrows the one parked with its cache entry.
+type runState struct {
+	bind binding
+	x    execState
+}
+
+// execState is the engine's mutable bookkeeping for one run.
 type execState struct {
 	ndep    []int32 // remaining unmet dependencies per step
 	sreq    []Req   // outstanding send/recv request per step
@@ -42,16 +51,26 @@ type execState struct {
 	pending []int32 // steps with outstanding requests
 }
 
-// newExecState sizes the state for one schedule.
-func newExecState(s *Schedule) *execState {
+// newRunState sizes a run state, staging arena included, for one schedule.
+func newRunState(s *Schedule) *runState {
 	n := len(s.steps)
-	return &execState{
-		ndep:    make([]int32, n),
-		sreq:    make([]Req, n),
-		rreq:    make([]Req, n),
-		ready:   make([]int32, 0, n),
-		pending: make([]int32, 0, n),
+	return &runState{
+		bind: binding{stage: make([]byte, s.stage)},
+		x: execState{
+			ndep:    make([]int32, n),
+			sreq:    make([]Req, n),
+			rreq:    make([]Req, n),
+			ready:   make([]int32, 0, n),
+			pending: make([]int32, 0, n),
+		},
 	}
+}
+
+// rebind points the state at one call's buffers, reduction and tag base;
+// the staging arena stays its own.
+func (st *runState) rebind(b binding) {
+	b.stage = st.bind.stage
+	st.bind = b
 }
 
 // reset rewinds the state for another run of the same schedule.
@@ -75,13 +94,15 @@ func (x *execState) reset(s *Schedule) {
 // action from this member, so blocking can never add a cycle the schedule
 // did not already have.
 //
-// run is the persistent-collective inner loop: every slice it touches was
-// sized in newExecState, so steady-state rounds allocate nothing (the
-// self-appends below reuse the preallocated backing arrays; growth there is
-// a capacity bug TestPersistentCollStartAllocs would catch).
+// run is the inner loop of every collective, per-call and persistent:
+// every slice it touches was sized in newRunState, so steady-state rounds
+// allocate nothing (the self-appends below reuse the preallocated backing
+// arrays; growth there is a capacity bug TestPersistentCollStartAllocs and
+// TestPerCallCollAllocs would catch).
 //
 //gompilint:noalloc
-func run(t NBTransport, s *Schedule, bind *binding, x *execState) error {
+func run(t NBTransport, s *Schedule, st *runState) error {
+	bind, x := &st.bind, &st.x
 	x.reset(s)
 	completed := 0
 	total := len(s.steps)

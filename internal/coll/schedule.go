@@ -12,9 +12,10 @@ import "fmt"
 // schedule therefore serves every call with the same shape (op, algorithm,
 // sizes, root) on one communicator, which is what makes both the one-shot
 // schedule cache and the persistent *_init collectives possible: binding a
-// schedule to concrete buffers and a tag base is allocation-light, and a
-// persistent binding reuses its staging arena and execution state across
-// every Start.
+// schedule to concrete buffers and a tag base is a struct assignment, and
+// the run state it is bound into (staging arena + engine bookkeeping) is
+// reused — across every Start of a persistent collective, and across
+// per-call collectives of the same shape.
 
 // bufKind names the three buffer spaces a step may reference.
 type bufKind uint8
@@ -302,9 +303,8 @@ func (b *builder) compile() (*Schedule, error) {
 
 // binding resolves a schedule's symbolic buffers for one execution: the
 // caller's send/recv buffers, the staging arena, the reduction function,
-// and the concrete base tag. Bindings are cheap; persistent collectives
-// keep one alive across Starts so the staging arena is allocated exactly
-// once.
+// and the concrete base tag. It lives inside a runState, which owns the
+// staging arena.
 type binding struct {
 	send, recv []byte
 	stage      []byte

@@ -131,6 +131,7 @@ type pendingSend struct {
 	payload    []byte
 	destGlobal int
 	ch         *Channel // owning channel, so Revoke can fail it
+	internal   bool     // negative tag: a collective's send, failed with the channel (FailPeer)
 }
 
 // postedRecv is one posted receive. The pseq/pnext/pprev fields are owned

@@ -100,3 +100,34 @@ func TestFailPeerUnknownRankIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A collective's rendezvous send to a live member must not outlive a death
+// on its channel: the live member may have bailed out of the collective and
+// will never answer the RTS. Pending internal-tag sends fail with the
+// channel, and new ones fail fast; application sends to live peers, pending
+// or new, are untouched.
+func TestFailPeerFailsCollectiveRendezvousSends(t *testing.T) {
+	tn := newTestNet(t, 3, Config{EagerLimit: 8})
+	chs := tn.worldChannels(t, 0)
+	payload := make([]byte, 100)
+	collSend := chs[0].Isend(1, -5, payload) // internal tag, live dest, no receive posted
+	appSend := chs[0].Isend(1, 5, payload)   // application tag, live dest
+
+	tn.engines[0].FailPeer(2)
+
+	if err := waitErr(t, collSend, 2*time.Second); !errors.Is(err, ErrPeerFailed) {
+		t.Fatalf("pending internal-tag rendezvous send err = %v, want ErrPeerFailed", err)
+	}
+	if err := waitErr(t, chs[0].Isend(1, -6, payload), 2*time.Second); !errors.Is(err, ErrPeerFailed) {
+		t.Fatalf("post-failure internal-tag rendezvous send err = %v, want ErrPeerFailed", err)
+	}
+	if done, _, _ := appSend.Test(); done {
+		t.Fatal("application rendezvous send to a live peer was failed")
+	}
+	if _, err := chs[1].Recv(0, 5, make([]byte, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := waitErr(t, appSend, 2*time.Second); err != nil {
+		t.Fatalf("application send to a live peer after the failure: %v", err)
+	}
+}

@@ -8,10 +8,11 @@ import "fmt"
 // FailPeer reacts to a runtime process-failure notification: every posted
 // receive naming the dead process as its specific source fails with
 // ErrPeerFailed, as do rendezvous operations pending in either direction —
-// sends awaiting the dead peer's CTS and receives whose CTS went out but
-// whose DATA will never arrive. Wildcard application receives are left
-// posted while any other channel member survives — they may still match
-// another sender — but once the LAST non-self member dies they are failed
+// sends awaiting the dead peer's CTS (or, for internal tags, any member's
+// CTS on a channel the dead process belonged to) and receives whose CTS
+// went out but whose DATA will never arrive. Wildcard application receives
+// are left posted while any other channel member survives — they may still
+// match another sender — but once the LAST non-self member dies they are failed
 // too (and new ones rejected): nothing can ever send on the channel again,
 // so a blocking wildcard Recv would hang forever. On every channel
 // containing the dead rank, internal (negative-tag) receives are failed
@@ -58,7 +59,7 @@ func (e *Engine) FailPeer(globalRank int) {
 	})
 	e.pendMu.Lock()
 	for id, ps := range e.pendSend {
-		if ps.destGlobal == globalRank {
+		if ps.destGlobal == globalRank || (ps.internal && channelHasRank(ps.ch, globalRank)) {
 			victims = append(victims, ps.req)
 			delete(e.pendSend, id)
 		}

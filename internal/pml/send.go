@@ -49,10 +49,17 @@ func (ch *Channel) isend(dest, tag int, buf []byte, synchronous bool) *Request {
 		return completedRequest(Status{}, err)
 	}
 
+	eager := len(buf) <= rt.eager && !synchronous
 	ch.lock.Lock()
 	if ch.revoked {
 		ch.lock.Unlock()
 		return completedRequest(Status{}, ErrRevoked)
+	}
+	if ch.deadMember && tag < 0 && !eager {
+		// The mirror of Irecv's rule: a collective's rendezvous send to a
+		// live member that already bailed out would wait for a CTS forever.
+		ch.lock.Unlock()
+		return completedRequest(Status{}, fmt.Errorf("%w: communicator has a failed member", ErrPeerFailed))
 	}
 	ps := &ch.peers[dest]
 	seq := ps.sendSeq
@@ -68,7 +75,6 @@ func (ch *Channel) isend(dest, tag int, buf []byte, synchronous bool) *Request {
 	}
 	ch.lock.Unlock()
 
-	eager := len(buf) <= rt.eager && !synchronous
 	var reqID uint64
 	var req *Request
 	if !eager {
@@ -79,7 +85,7 @@ func (ch *Channel) isend(dest, tag int, buf []byte, synchronous bool) *Request {
 			e.pendMu.Unlock()
 			return completedRequest(Status{}, ErrClosed)
 		}
-		e.pendSend[reqID] = &pendingSend{req: req, payload: buf, destGlobal: destGlobal, ch: ch}
+		e.pendSend[reqID] = &pendingSend{req: req, payload: buf, destGlobal: destGlobal, ch: ch, internal: tag < 0}
 		e.pendMu.Unlock()
 		e.st.rendezvous.Add(1)
 	}

@@ -2,6 +2,7 @@ package mpi_test
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -446,6 +447,161 @@ func TestChaosPeerDeathMidPersistentColl(t *testing.T) {
 		}
 		if err := req.Free(); err != nil {
 			return fmt.Errorf("rank %d: Free after failure: %v", p.JobRank(), err)
+		}
+		return nil
+	})
+	if err == nil {
+		t.Fatal("expected the injected rank death to be reported by Launch")
+	}
+	unblocked.Wait()
+}
+
+// TestChaosPeerDeathMidAllreduceDropsRunState: per-call collectives borrow
+// the run state (staging arena + engine bookkeeping) parked with their
+// cached schedule. A rank dies while the survivors are inside a 32 KiB
+// allreduce whose state was parked by an earlier clean call; the run
+// errors with receives still posted into that staging, so it must not be
+// parked again. What the survivors do next has to be right: the other
+// communicator's module, whose shapes were parked before the fault, and the
+// same shape on a communicator rebuilt over the survivors. Operands come
+// from a fixed seed, so a wrong sum reproduces.
+func TestChaosPeerDeathMidAllreduceDropsRunState(t *testing.T) {
+	const seed, count = 24, 4096
+	operand := func(rank int) []int64 {
+		rng := rand.New(rand.NewSource(seed*1000 + int64(rank)))
+		v := make([]int64, count)
+		for i := range v {
+			v[i] = rng.Int63n(1 << 40)
+		}
+		return v
+	}
+	allreduce := func(c *mpi.Comm, p *mpi.Process, members int) error {
+		out := make([]byte, 8*count)
+		if err := c.Allreduce(mpi.PackInt64s(operand(p.JobRank())), out, count, mpi.Int64, mpi.OpSum); err != nil {
+			return err
+		}
+		want := make([]int64, count)
+		for r := 0; r < members; r++ {
+			for i, v := range operand(r) {
+				want[i] += v
+			}
+		}
+		for i, got := range mpi.UnpackInt64s(out) {
+			if got != want[i] {
+				return fmt.Errorf("rank %d: element %d of the %d-member sum = %d, want %d", p.JobRank(), i, members, got, want[i])
+			}
+		}
+		return nil
+	}
+
+	job, err := runtime.NewJob(runtime.Options{
+		Cluster: topo.New(topo.Loopback(2), 2),
+		PPN:     2,
+		Config:  core.Config{CIDMode: core.CIDExtended},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer job.Shutdown()
+
+	var unblocked sync.WaitGroup
+	unblocked.Add(3)
+	err = job.Launch(func(p *mpi.Process) error {
+		sess, err := p.SessionInit(nil, mpi.ErrorsReturn())
+		if err != nil {
+			return err
+		}
+		world, err := sess.GroupFromPset(mpi.PsetWorld)
+		if err != nil {
+			return err
+		}
+		comm, err := sess.CommCreateFromGroup(world, "all-four", nil, mpi.ErrorsReturn())
+		if err != nil {
+			return err
+		}
+		// One clean call parks the 32 KiB shape's state on every member.
+		if err := allreduce(comm, p, 4); err != nil {
+			return err
+		}
+		if p.JobRank() == 3 {
+			time.Sleep(30 * time.Millisecond)
+			panic("rank 3 dies mid-allreduce")
+		}
+		defer unblocked.Done()
+		defer func() { _ = sess.Finalize() }()
+
+		// A second communicator the dead rank is not a member of, with the
+		// same shape and a broadcast parked before the fault.
+		trio, err := world.Incl([]int{0, 1, 2})
+		if err != nil {
+			return err
+		}
+		sub, err := sess.CommCreateFromGroup(trio, "trio", nil, mpi.ErrorsReturn())
+		if err != nil {
+			return err
+		}
+		defer func() { _ = sub.Free() }()
+		token := make([]byte, 1024)
+		bcast := func() error {
+			if sub.Rank() == 1 {
+				for i := range token {
+					token[i] = byte(seed + i)
+				}
+			} else {
+				clear(token)
+			}
+			if err := sub.Bcast(token, 1); err != nil {
+				return err
+			}
+			for i, b := range token {
+				if b != byte(seed+i) {
+					return fmt.Errorf("rank %d: bcast byte %d = %d", p.JobRank(), i, b)
+				}
+			}
+			return nil
+		}
+		if err := allreduce(sub, p, 3); err != nil {
+			return err
+		}
+		if err := bcast(); err != nil {
+			return err
+		}
+
+		// The survivors sit inside the same shape, on its parked state,
+		// when rank 3 dies.
+		err = allreduce(comm, p, 4)
+		if cls := mpi.ErrorClassOf(err); cls != mpi.ErrClassProcFailed {
+			return fmt.Errorf("rank %d: allreduce over a dead peer = %v (class %v), want MPI_ERR_PROC_FAILED", p.JobRank(), err, cls)
+		}
+
+		// The surviving module's shapes still work, twice each (the second
+		// call runs on whatever the first one parked).
+		for i := 0; i < 2; i++ {
+			if err := allreduce(sub, p, 3); err != nil {
+				return fmt.Errorf("after the fault, on the other communicator: %w", err)
+			}
+			if err := bcast(); err != nil {
+				return fmt.Errorf("after the fault, on the other communicator: %w", err)
+			}
+		}
+
+		// And the same shape on a communicator rebuilt over the survivors.
+		if err := comm.Free(); err != nil {
+			return err
+		}
+		alive, err := sess.SurvivorGroup(mpi.PsetAlive)
+		if err != nil {
+			return err
+		}
+		rebuilt, err := sess.CommCreateFromGroup(alive, "rebuilt", nil, mpi.ErrorsReturn())
+		if err != nil {
+			return err
+		}
+		defer func() { _ = rebuilt.Free() }()
+		for i := 0; i < 2; i++ {
+			if err := allreduce(rebuilt, p, 3); err != nil {
+				return fmt.Errorf("on the rebuilt communicator: %w", err)
+			}
 		}
 		return nil
 	})

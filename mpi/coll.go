@@ -15,6 +15,31 @@ import (
 // This file validates arguments, claims the collective tag window, and
 // dispatches; the shapes themselves live in internal/coll.
 
+// checkCount rejects a negative element count: byte lengths computed from
+// it would pass every "buffer at least this long" test.
+func checkCount(what string, count int) error {
+	if count < 0 {
+		return fmt.Errorf("%w: %s count %d is negative", ErrBuffer, what, count)
+	}
+	return nil
+}
+
+// checkBlocks validates a vector collective's block list against a buffer
+// of n bytes: one (count, displacement) pair per member, none negative,
+// every block inside the buffer.
+func checkBlocks(what string, counts, displs []int, size, n int) error {
+	if len(counts) != size || len(displs) != size {
+		return fmt.Errorf("mpi: %s needs %d counts/displs", what, size)
+	}
+	for i := range counts {
+		if counts[i] < 0 || displs[i] < 0 || displs[i] > n || counts[i] > n-displs[i] {
+			return fmt.Errorf("%w: %s block %d (%d bytes at %d) is negative or outside the %d-byte buffer",
+				ErrBuffer, what, i, counts[i], displs[i], n)
+		}
+	}
+	return nil
+}
+
 // Barrier blocks until every member has entered (MPI_Barrier).
 func (c *Comm) Barrier() error {
 	if err := c.checkLive(); err != nil {
@@ -75,6 +100,9 @@ func (c *Comm) Reduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, ro
 	if root < 0 || root >= c.Size() {
 		return c.errh.invoke(fmt.Errorf("mpi: reduce root %d out of range", root))
 	}
+	if err := checkCount("reduce", count); err != nil {
+		return c.errh.invoke(err)
+	}
 	nbytes := count * dt.Size()
 	if len(sendBuf) < nbytes {
 		return c.errh.invoke(fmt.Errorf("mpi: reduce send buffer %d < %d bytes", len(sendBuf), nbytes))
@@ -102,6 +130,9 @@ func (c *Comm) reduceWithTag(sendBuf, recvBuf []byte, count int, dt Datatype, op
 // hierarchy on multi-node communicators.
 func (c *Comm) Allreduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) error {
 	if err := c.checkLive(); err != nil {
+		return c.errh.invoke(err)
+	}
+	if err := checkCount("allreduce", count); err != nil {
 		return c.errh.invoke(err)
 	}
 	nbytes := count * dt.Size()

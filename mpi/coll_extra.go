@@ -14,6 +14,9 @@ func (c *Comm) Scan(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) erro
 	if err := c.checkLive(); err != nil {
 		return c.errh.invoke(err)
 	}
+	if err := checkCount("scan", count); err != nil {
+		return c.errh.invoke(err)
+	}
 	nbytes := count * dt.Size()
 	if len(sendBuf) < nbytes || len(recvBuf) < nbytes {
 		return c.errh.invoke(fmt.Errorf("mpi: scan buffers too small for %d x %s", count, dt))
@@ -45,6 +48,9 @@ func (c *Comm) Scan(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) erro
 // (MPI_Exscan).
 func (c *Comm) Exscan(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) error {
 	if err := c.checkLive(); err != nil {
+		return c.errh.invoke(err)
+	}
+	if err := checkCount("exscan", count); err != nil {
 		return c.errh.invoke(err)
 	}
 	nbytes := count * dt.Size()
@@ -84,6 +90,9 @@ func (c *Comm) ReduceScatterBlock(sendBuf, recvBuf []byte, count int, dt Datatyp
 	if err := c.checkLive(); err != nil {
 		return c.errh.invoke(err)
 	}
+	if err := checkCount("reduce_scatter", count); err != nil {
+		return c.errh.invoke(err)
+	}
 	size := c.Size()
 	nbytes := count * dt.Size()
 	if len(sendBuf) < size*nbytes {
@@ -112,13 +121,8 @@ func (c *Comm) Allgatherv(sendBuf, recvBuf []byte, counts, displs []int) error {
 		return c.errh.invoke(err)
 	}
 	size := c.Size()
-	if len(counts) != size || len(displs) != size {
-		return c.errh.invoke(fmt.Errorf("mpi: allgatherv needs %d counts/displs", size))
-	}
-	for i := 0; i < size; i++ {
-		if displs[i]+counts[i] > len(recvBuf) {
-			return c.errh.invoke(fmt.Errorf("mpi: allgatherv recv buffer too small for block %d", i))
-		}
+	if err := checkBlocks("allgatherv", counts, displs, size, len(recvBuf)); err != nil {
+		return c.errh.invoke(err)
 	}
 	if len(sendBuf) < counts[c.Rank()] {
 		return c.errh.invoke(fmt.Errorf("mpi: allgatherv send buffer %d < count %d", len(sendBuf), counts[c.Rank()]))
@@ -153,16 +157,13 @@ func (c *Comm) Gatherv(sendBuf, recvBuf []byte, counts, displs []int, root int) 
 	if rank != root {
 		return c.errh.invoke(c.sendT(sendBuf, root, tag))
 	}
-	if len(counts) != size || len(displs) != size {
-		return c.errh.invoke(fmt.Errorf("mpi: gatherv needs %d counts/displs", size))
+	if err := checkBlocks("gatherv", counts, displs, size, len(recvBuf)); err != nil {
+		return c.errh.invoke(err)
 	}
 	copy(recvBuf[displs[rank]:displs[rank]+counts[rank]], sendBuf)
 	for r := 0; r < size; r++ {
 		if r == root {
 			continue
-		}
-		if displs[r]+counts[r] > len(recvBuf) {
-			return c.errh.invoke(fmt.Errorf("mpi: gatherv recv buffer too small for block %d", r))
 		}
 		if err := c.recvT(recvBuf[displs[r]:displs[r]+counts[r]], r, tag); err != nil {
 			return c.errh.invoke(err)
@@ -181,15 +182,12 @@ func (c *Comm) Scatterv(sendBuf []byte, counts, displs []int, recvBuf []byte, ro
 	if rank != root {
 		return c.errh.invoke(c.recvT(recvBuf, root, tag))
 	}
-	if len(counts) != size || len(displs) != size {
-		return c.errh.invoke(fmt.Errorf("mpi: scatterv needs %d counts/displs", size))
+	if err := checkBlocks("scatterv", counts, displs, size, len(sendBuf)); err != nil {
+		return c.errh.invoke(err)
 	}
 	for r := 0; r < size; r++ {
 		if r == root {
 			continue
-		}
-		if displs[r]+counts[r] > len(sendBuf) {
-			return c.errh.invoke(fmt.Errorf("mpi: scatterv send buffer too small for block %d", r))
 		}
 		if err := c.sendT(sendBuf[displs[r]:displs[r]+counts[r]], r, tag); err != nil {
 			return c.errh.invoke(err)
@@ -207,6 +205,9 @@ func (c *Comm) Scatterv(sendBuf []byte, counts, displs []int, recvBuf []byte, ro
 // would select.
 func (c *Comm) Iallreduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) (Request, error) {
 	if err := c.checkLive(); err != nil {
+		return nil, c.errh.invoke(err)
+	}
+	if err := checkCount("iallreduce", count); err != nil {
 		return nil, c.errh.invoke(err)
 	}
 	nbytes := count * dt.Size()

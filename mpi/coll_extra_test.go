@@ -195,6 +195,52 @@ func TestIallreduceAndIbcast(t *testing.T) {
 	})
 }
 
+// TestIallreduceSameShapeInFlight: two nonblocking allreduces of one shape
+// outstanding on one communicator. The second finds the shape's parked run
+// state checked out and must get staging of its own — sharing it would let
+// the two schedules reduce into each other's partial sums (and the race
+// detector would see the writes). Repeated, so later rounds start from a
+// parked state and one dropped spare.
+func TestIallreduceSameShapeInFlight(t *testing.T) {
+	const count = 512
+	withWorld(t, 2, 2, exCfg(), func(p *mpi.Process, world *mpi.Comm) error {
+		rank, size := int64(world.Rank()), int64(world.Size())
+		a, b := make([]int64, count), make([]int64, count)
+		for round := int64(0); round < 8; round++ {
+			for i := range a {
+				a[i] = rank + int64(i) + round
+				b[i] = -3 * (rank + int64(i))
+			}
+			outA, outB := make([]byte, 8*count), make([]byte, 8*count)
+			reqA, err := world.Iallreduce(mpi.PackInt64s(a), outA, count, mpi.Int64, mpi.OpSum)
+			if err != nil {
+				return err
+			}
+			reqB, err := world.Iallreduce(mpi.PackInt64s(b), outB, count, mpi.Int64, mpi.OpSum)
+			if err != nil {
+				return err
+			}
+			if _, err := reqB.Wait(); err != nil {
+				return err
+			}
+			if _, err := reqA.Wait(); err != nil {
+				return err
+			}
+			ranks := size * (size - 1) / 2 // 0+1+...+(size-1)
+			gotA, gotB := mpi.UnpackInt64s(outA), mpi.UnpackInt64s(outB)
+			for i := range gotA {
+				wantA := ranks + size*(int64(i)+round)
+				wantB := -3 * (ranks + size*int64(i))
+				if gotA[i] != wantA || gotB[i] != wantB {
+					return fmt.Errorf("rank %d round %d element %d: sums %d, %d; want %d, %d",
+						rank, round, i, gotA[i], gotB[i], wantA, wantB)
+				}
+			}
+		}
+		return nil
+	})
+}
+
 func TestSsendCompletesOnMatch(t *testing.T) {
 	withWorld(t, 1, 2, exCfg(), func(p *mpi.Process, world *mpi.Comm) error {
 		if world.Rank() == 0 {

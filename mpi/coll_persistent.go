@@ -188,6 +188,9 @@ func (c *Comm) ReduceInit(sendBuf, recvBuf []byte, count int, dt Datatype, op Op
 	if root < 0 || root >= c.Size() {
 		return nil, c.errh.invoke(fmt.Errorf("mpi: reduce root %d out of range", root))
 	}
+	if err := checkCount("reduce", count); err != nil {
+		return nil, c.errh.invoke(err)
+	}
 	nbytes := count * dt.Size()
 	if len(sendBuf) < nbytes {
 		return nil, c.errh.invoke(fmt.Errorf("mpi: reduce send buffer %d < %d bytes", len(sendBuf), nbytes))
@@ -202,6 +205,9 @@ func (c *Comm) ReduceInit(sendBuf, recvBuf []byte, count int, dt Datatype, op Op
 
 // AllreduceInit prepares a persistent allreduce (MPI_Allreduce_init).
 func (c *Comm) AllreduceInit(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) (*PersistentColl, error) {
+	if err := checkCount("allreduce", count); err != nil {
+		return nil, c.errh.invoke(err)
+	}
 	nbytes := count * dt.Size()
 	if len(sendBuf) < nbytes {
 		return nil, c.errh.invoke(fmt.Errorf("mpi: allreduce send buffer %d < %d bytes", len(sendBuf), nbytes))

@@ -501,6 +501,7 @@ func (c *Comm) Free() error {
 		return ErrCommFreed
 	}
 	c.freed = true
+	c.coll = nil // compiled schedules and their parked run states go with the communicator
 	c.mu.Unlock()
 	c.p.inst.Engine().RemoveChannel(c.ch)
 	if c.sess != nil {
@@ -517,6 +518,7 @@ func (c *Comm) freeLocal() {
 		return
 	}
 	c.freed = true
+	c.coll = nil
 	c.mu.Unlock()
 	if e := c.p.inst.Engine(); e != nil {
 		e.RemoveChannel(c.ch)

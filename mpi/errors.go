@@ -31,6 +31,12 @@ const (
 	ErrClassOther
 )
 
+// ErrBuffer is wrapped by errors that reject a buffer description before
+// any communication: a negative element count, or a vector-collective
+// block (count at displacement) that is negative or falls outside the
+// buffer. Its class is MPI_ERR_BUFFER.
+var ErrBuffer = errors.New("mpi: invalid buffer argument")
+
 // String returns the MPI-style name of the class.
 func (c ErrorClass) String() string {
 	switch c {
@@ -91,6 +97,8 @@ func ErrorClassOf(err error) ErrorClass {
 		return ErrClassSession
 	case errors.Is(err, ErrUnsupported):
 		return ErrClassUnsupported
+	case errors.Is(err, ErrBuffer):
+		return ErrClassBuffer
 	case errors.Is(err, pmix.ErrTimeout), errors.Is(err, prrte.ErrTimeout),
 		errors.Is(err, simnet.ErrTimeout):
 		return ErrClassTimedOut

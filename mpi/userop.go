@@ -26,15 +26,8 @@ func OpCreate(name string, fn func(inout, in []byte, count int, dt Datatype) err
 // Name returns the operation's name.
 func (o *UserOp) Name() string { return o.name }
 
-// builtinReducer and userReducer bind an operation and datatype into the
-// framework's element-wise combiner shape: inout = op(inout, in).
-
-func builtinReducer(op Op, dt Datatype) coll.ReduceFunc {
-	return func(inout, in []byte, count int) error {
-		return reduce(op, dt, inout, in, count)
-	}
-}
-
+// userReducer binds a user operation and datatype into the framework's
+// element-wise combiner shape: inout = op(inout, in).
 func userReducer(op *UserOp, dt Datatype) coll.ReduceFunc {
 	return func(inout, in []byte, count int) error {
 		return op.fn(inout, in, count, dt)
@@ -51,6 +44,9 @@ func (c *Comm) ReduceUser(sendBuf, recvBuf []byte, count int, dt Datatype, op *U
 	}
 	if root < 0 || root >= c.Size() {
 		return c.errh.invoke(fmt.Errorf("mpi: reduce root %d out of range", root))
+	}
+	if err := checkCount("reduce", count); err != nil {
+		return c.errh.invoke(err)
 	}
 	nbytes := count * dt.Size()
 	if len(sendBuf) < nbytes {
@@ -76,6 +72,9 @@ func (c *Comm) AllreduceUser(sendBuf, recvBuf []byte, count int, dt Datatype, op
 	}
 	if op == nil {
 		return c.errh.invoke(fmt.Errorf("mpi: nil user operation"))
+	}
+	if err := checkCount("allreduce", count); err != nil {
+		return c.errh.invoke(err)
 	}
 	nbytes := count * dt.Size()
 	if len(sendBuf) < nbytes || len(recvBuf) < nbytes {
