@@ -22,11 +22,12 @@ test-race:
 # chaos runs the seeded fault-injection matrix (DESIGN.md §7): simnet
 # fault-plan unit tests, control-plane retry under drops/partitions, PML
 # recovery from duplicated/reordered packets, MPI-level peer death, the
-# mid-job rank respawn path, and the end-to-end twomesh recovery demo
-# (rank killed mid-phase, survivors rebuild over gompi://alive).
+# mid-job rank respawn path, a QUO quiesce woken by a node-mate's death,
+# and the end-to-end twomesh recovery demo (rank killed mid-phase,
+# survivors rebuild over gompi://alive).
 # Deterministic seeds — a failure here is a bug, not flakiness.
 chaos:
-	$(GO) test -race -run Chaos ./internal/simnet ./internal/prrte ./internal/pmix ./internal/pml ./mpi ./internal/twomesh ./runtime
+	$(GO) test -race -run Chaos ./internal/simnet ./internal/prrte ./internal/pmix ./internal/pml ./mpi ./internal/quo ./internal/twomesh ./runtime
 
 # lint runs the project's own go/analysis suite (DESIGN.md §6a): request
 # leaks, pool ownership, lock order, handle lifecycle, discarded MPI errors,

@@ -250,10 +250,10 @@ func AblationColl(profile topo.Profile, nodes, ppn, iters, allreduceCount, bcast
 
 // QuiesceResult compares the two QUO_barrier mechanisms (§IV-E): the
 // native low-overhead blocking quiesce versus the sessions-aware
-// Ibarrier+nanosleep loop.
+// Ibarrier test-and-park loop.
 type QuiesceResult struct {
 	Native   time.Duration // mean per-barrier cost, QUO 1.3 mechanism
-	Sessions time.Duration // mean per-barrier cost, Ibarrier + nanosleep
+	Sessions time.Duration // mean per-barrier cost, Ibarrier test-and-park
 }
 
 // AblationQuiesce measures both quiescence mechanisms over iters barriers

@@ -124,7 +124,7 @@ func RenderAblations(fm FirstMessageResult, q QuiesceResult, g GroupConstructRes
 	fmt.Fprintln(&b, "Ablations (DESIGN.md §5)")
 	fmt.Fprintf(&b, "exCID first message:   %s us (handshake)  vs steady state %s us  [%d ext msgs]\n",
 		us(fm.FirstMessage), us(fm.SteadyState), fm.ExtMessages)
-	fmt.Fprintf(&b, "QUO quiesce barrier:   native %s us  vs sessions Ibarrier+sleep %s us\n",
+	fmt.Fprintf(&b, "QUO quiesce barrier:   native %s us  vs sessions Ibarrier+park %s us\n",
 		us(q.Native), us(q.Sessions))
 	fmt.Fprintf(&b, "PMIx group construct:  collective %s us  vs async invite/join %s us\n",
 		us(g.Collective), us(g.InviteJoin))

@@ -227,7 +227,8 @@ func BenchmarkAblationColl(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationQuiesce: QUO native barrier vs sessions Ibarrier+sleep.
+// BenchmarkAblationQuiesce: QUO native barrier vs sessions Ibarrier
+// test-and-park.
 func BenchmarkAblationQuiesce(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -11,9 +11,14 @@
 //   - BarrierNative: QUO 1.3's low-overhead mechanism — a blocking barrier
 //     over the node-local communicator (processes park without polling);
 //   - BarrierSessionsIbarrier: the prototype's replacement — a
-//     sessions-aware MPI_Barrier emulated by looping over MPI_Ibarrier and
-//     nanosleep until completion, exactly the low-perturbation emulation
-//     the paper describes.
+//     sessions-aware MPI_Barrier emulated by testing an MPI_Ibarrier and
+//     parking between tests, the low-perturbation emulation the paper
+//     describes. The park stands in for nanosleep but ends on whichever
+//     comes first, the barrier's completion or the poll interval, so a
+//     rank leaves the barrier when it completes rather than on the next
+//     clock tick. A plain sleep cannot do that in Go: with no goroutine
+//     spinning, the runtime's netpoller waits in whole milliseconds, so
+//     every sub-millisecond sleep lasts about 1 ms.
 package quo
 
 import (
@@ -31,7 +36,7 @@ const (
 	// BarrierNative is QUO 1.3's low-overhead blocking quiesce.
 	BarrierNative BarrierMode = iota
 	// BarrierSessionsIbarrier is the sessions-aware MPI_Ibarrier +
-	// nanosleep emulation used by the prototype (§IV-E).
+	// test-and-park emulation used by the prototype (§IV-E).
 	BarrierSessionsIbarrier
 )
 
@@ -42,9 +47,12 @@ func (m BarrierMode) String() string {
 	return "sessions-ibarrier"
 }
 
-// DefaultPollInterval is the nanosleep duration between Ibarrier tests. It
-// trades quiescence-exit latency (at most one interval per barrier) against
-// perturbation of the running thread team, the balance §IV-E discusses.
+// DefaultPollInterval bounds how long a quiescing rank parks between
+// Ibarrier tests: the nanosleep of §IV-E, and the knob that trades how often
+// an idle rank wakes against perturbation of the running thread team. It
+// does not delay the exit — a parked rank also wakes when the barrier
+// completes. Go's timers round sub-millisecond waits up to about 1 ms on an
+// otherwise idle runtime, so the wakes are in practice that far apart.
 const DefaultPollInterval = 200 * time.Microsecond
 
 // Policy selects which processes on a node participate in a threaded phase.
@@ -132,7 +140,9 @@ func nodeOf(p *mpi.Process) int {
 // Mode returns the context's quiescence mechanism.
 func (c *Context) Mode() BarrierMode { return c.mode }
 
-// SetPollInterval adjusts the Ibarrier poll sleep (testing/benchmarks).
+// SetPollInterval adjusts the longest park between Ibarrier tests
+// (testing/benchmarks). A non-positive d means no periodic wake: a
+// quiescing rank parks until the barrier completes.
 func (c *Context) SetPollInterval(d time.Duration) { c.poll = d }
 
 // NumQids returns the number of QUO processes on this node (QUO_nqids).
@@ -192,9 +202,10 @@ func (c *Context) BindDepth() int {
 }
 
 // Barrier is QUO_barrier: the node-scoped quiescence point. Under
-// BarrierNative it blocks directly; under BarrierSessionsIbarrier it loops
-// over MPI_Ibarrier and nanosleep until the barrier completes, trading a
-// little latency for low perturbation of the running thread team.
+// BarrierNative it blocks directly; under BarrierSessionsIbarrier it starts
+// an MPI_Ibarrier and loops test, count a poll, park — until a test finds
+// the barrier complete. Each park ends when the barrier completes or the
+// poll interval elapses, whichever is first.
 func (c *Context) Barrier() error {
 	c.mu.Lock()
 	c.barriers++
@@ -217,7 +228,22 @@ func (c *Context) Barrier() error {
 		c.mu.Lock()
 		c.polls++
 		c.mu.Unlock()
-		time.Sleep(c.poll)
+		c.park(req.Done())
+	}
+}
+
+// park blocks until done closes or, with a positive poll interval, until
+// the interval elapses.
+func (c *Context) park(done <-chan struct{}) {
+	if c.poll <= 0 {
+		<-done
+		return
+	}
+	t := time.NewTimer(c.poll)
+	defer t.Stop()
+	select {
+	case <-done:
+	case <-t.C:
 	}
 }
 

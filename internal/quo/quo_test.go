@@ -120,6 +120,69 @@ func TestSessionsBarrierQuiescesStragglers(t *testing.T) {
 	}
 }
 
+// stragglerPolls runs one sessions barrier on a 4-rank node whose leader
+// arrives 20 ms late, with the given poll interval, and returns each rank's
+// poll count. A job still running after 10 s fails the test.
+func stragglerPolls(t *testing.T, poll time.Duration) []int {
+	t.Helper()
+	polls := make([]int, 4)
+	done := make(chan error, 1)
+	go func() {
+		done <- runtime.Run(runtime.Options{
+			Cluster: topo.New(topo.Loopback(4), 1),
+			PPN:     4,
+			Config:  core.Config{CIDMode: core.CIDExtended},
+		}, func(p *mpi.Process) error {
+			if err := p.Init(); err != nil {
+				return err
+			}
+			defer p.Finalize()
+			ctx, err := quo.CreateWithSession(p)
+			if err != nil {
+				return err
+			}
+			ctx.SetPollInterval(poll)
+			if ctx.ID() == 0 {
+				time.Sleep(20 * time.Millisecond)
+			}
+			if err := ctx.Barrier(); err != nil {
+				return err
+			}
+			_, polls[ctx.ID()] = ctx.Stats()
+			return ctx.Free()
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("poll interval %v: sessions barrier still parked after 10 s", poll)
+	}
+	return polls
+}
+
+// A parked rank wakes when the barrier completes, not when the poll
+// interval runs out: with an hour between tests, every rank still leaves
+// right after the straggler arrives, having parked at most once.
+func TestSessionsBarrierWakesOnCompletion(t *testing.T) {
+	for id, n := range stragglerPolls(t, time.Hour) {
+		if n > 1 {
+			t.Errorf("rank %d: %d polls with an hour's interval, want at most 1", id, n)
+		}
+	}
+}
+
+// A non-positive interval means "no periodic wake", not a busy spin on Test.
+func TestSessionsBarrierZeroIntervalParks(t *testing.T) {
+	for id, n := range stragglerPolls(t, 0) {
+		if n > 1 {
+			t.Errorf("rank %d: %d polls with a zero interval, want at most 1", id, n)
+		}
+	}
+}
+
 func TestBindStack(t *testing.T) {
 	runJob(t, 1, 1, core.Config{CIDMode: core.CIDExtended}, func(p *mpi.Process) error {
 		if err := p.Init(); err != nil {

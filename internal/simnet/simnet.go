@@ -255,9 +255,11 @@ func (f *Fabric) reserveGlobalLink(srcNode int, p topo.Profile) time.Duration {
 // Delay charges the calling goroutine an arbitrary modeled cost. It is used
 // for software overheads that are not tied to a message (e.g. MCA component
 // loading). Delays up to spinThreshold busy-wait (yielding) to preserve
-// microsecond-scale accuracy — time.Sleep jitter on a loaded host is on
-// the order of a millisecond, which would swamp the modeled costs; longer
-// delays sleep for the bulk and spin out the remainder.
+// microsecond-scale accuracy — a sub-millisecond time.Sleep lasts about a
+// millisecond even on an idle host (with no goroutine spinning, the
+// runtime's netpoller waits in whole milliseconds), and a loaded host adds
+// jitter of the same order, either of which would swamp the modeled costs;
+// longer delays sleep for the bulk and spin out the remainder.
 func Delay(d time.Duration) {
 	if d <= 0 {
 		return

@@ -51,9 +51,9 @@ func (c *Comm) Barrier() error {
 
 // Ibarrier starts a nonblocking barrier (MPI_Ibarrier). The returned
 // request completes once every member has entered. The QUO quiescence
-// pattern polls it with Test while sleeping (paper §IV-E). It dispatches
-// through the same framework as Barrier, so both paths always agree on
-// the algorithm.
+// pattern tests it, then parks on its Done channel with a bounded wake
+// between tests (paper §IV-E). It dispatches through the same framework
+// as Barrier, so both paths always agree on the algorithm.
 func (c *Comm) Ibarrier() (Request, error) {
 	if err := c.checkLive(); err != nil {
 		return nil, c.errh.invoke(err)

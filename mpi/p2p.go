@@ -29,6 +29,9 @@ type Request interface {
 	Wait() (Status, error)
 	// Test polls for completion without blocking.
 	Test() (bool, Status, error)
+	// Done returns a channel closed once the operation has completed, for
+	// select-based waiting; Test reports the outcome.
+	Done() <-chan struct{}
 }
 
 // pmlRequest adapts a PML request.
@@ -43,6 +46,8 @@ func (q pmlRequest) Test() (bool, Status, error) {
 	ok, st, err := q.r.Test()
 	return ok, fromPML(st), err
 }
+
+func (q pmlRequest) Done() <-chan struct{} { return q.r.Done() }
 
 // goRequest runs an operation on a goroutine and completes like a request;
 // used for nonblocking collectives such as Ibarrier.
@@ -73,6 +78,8 @@ func (g *goRequest) Test() (bool, Status, error) {
 		return false, Status{}, nil
 	}
 }
+
+func (g *goRequest) Done() <-chan struct{} { return g.done }
 
 // WaitAll waits for every request, returning the first error.
 func WaitAll(reqs ...Request) error {

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 )
 
@@ -107,6 +108,26 @@ func (r *PersistentRequest) Test() (bool, Status, error) {
 	return active.Test()
 }
 
+// closedDone is what an unstarted persistent request reports as its
+// completion channel: already closed, so a waiter falls through to the Test
+// that reports "not started".
+var closedDone = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// Done returns the completion channel of the active operation.
+func (r *PersistentRequest) Done() <-chan struct{} {
+	r.mu.Lock()
+	active := r.active
+	r.mu.Unlock()
+	if active == nil {
+		return closedDone
+	}
+	return active.Done()
+}
+
 // Startable is anything MPI_Start applies to: persistent point-to-point
 // requests, persistent collectives, and partitioned requests.
 type Startable interface {
@@ -142,30 +163,25 @@ func WaitAllPersistent(reqs ...*PersistentRequest) error {
 
 // Waitany blocks until one of the requests completes and returns its index
 // (MPI_Waitany). Nil entries are skipped; if all entries are nil it returns
-// Undefined.
+// Undefined. It selects over the requests' completion channels, so the
+// requests that lose the race leave nothing behind.
 func Waitany(reqs []Request) (int, Status, error) {
-	type result struct {
-		i   int
-		st  Status
-		err error
-	}
-	live := 0
-	done := make(chan result, len(reqs))
+	// A case whose Chan is the zero Value (a nil entry) is never chosen.
+	cases := make([]reflect.SelectCase, len(reqs))
+	live := false
 	for i, r := range reqs {
-		if r == nil {
-			continue
+		cases[i].Dir = reflect.SelectRecv
+		if r != nil {
+			cases[i].Chan = reflect.ValueOf(r.Done())
+			live = true
 		}
-		live++
-		go func(i int, r Request) {
-			st, err := r.Wait()
-			done <- result{i, st, err}
-		}(i, r)
 	}
-	if live == 0 {
+	if !live {
 		return Undefined, Status{}, nil
 	}
-	first := <-done
-	return first.i, first.st, first.err
+	i, _, _ := reflect.Select(cases)
+	_, st, err := reqs[i].Test()
+	return i, st, err
 }
 
 // Testall reports whether every request has completed (MPI_Testall). Nil

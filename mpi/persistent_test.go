@@ -3,7 +3,9 @@ package mpi_test
 import (
 	"errors"
 	"fmt"
+	goruntime "runtime"
 	"testing"
+	"time"
 
 	"gompi/mpi"
 )
@@ -76,6 +78,11 @@ func TestPersistentWaitBeforeStartFails(t *testing.T) {
 		}
 		if _, err := req.Wait(); err == nil {
 			return fmt.Errorf("wait before start should fail")
+		}
+		// An unstarted request's Done is already closed, so a select-based
+		// waiter falls through to the Test that reports the misuse.
+		if _, _, err := mpi.Waitany([]mpi.Request{req}); err == nil {
+			return fmt.Errorf("waitany before start should fail")
 		}
 		return nil
 	})
@@ -153,6 +160,43 @@ func TestWaitanyAndTestall(t *testing.T) {
 			return fmt.Errorf("all-nil waitany = %d", i)
 		}
 		return nil
+	})
+}
+
+// Waitany selects over completion channels: the request that loses the race
+// (an Irecv nobody has matched yet) must not leave a goroutine parked on it.
+func TestWaitanyLeavesNoGoroutines(t *testing.T) {
+	withWorld(t, 1, 1, exCfg(), func(p *mpi.Process, world *mpi.Comm) error {
+		send := world.Isend([]byte{1}, 0, 1)
+		if _, err := send.Wait(); err != nil {
+			return err
+		}
+		in := make([]byte, 1)
+		recv := world.Irecv(in, 0, 2)
+		before := goruntime.NumGoroutine()
+		i, _, err := mpi.Waitany([]mpi.Request{send, recv})
+		if err != nil || i != 0 {
+			return fmt.Errorf("waitany = %d, %v; want the completed Isend", i, err)
+		}
+		// Other goroutines of the job may come and go; one parked on the
+		// unmatched Irecv never would.
+		after := goruntime.NumGoroutine()
+		for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			after = goruntime.NumGoroutine()
+		}
+		if after > before {
+			return fmt.Errorf("goroutines %d before Waitany, %d after", before, after)
+		}
+		// Match both messages so the job shuts down clean.
+		if err := world.Send([]byte{2}, 0, 2); err != nil {
+			return err
+		}
+		if _, err := recv.Wait(); err != nil {
+			return err
+		}
+		_, err = world.Recv(in, 0, 1)
+		return err
 	})
 }
 
