@@ -86,10 +86,17 @@ bench-harness:
 	$(GO) run ./cmd/bench -workload startup-proc -seed 1 -seconds 2
 
 # smoke-udp is the CI process-mode gate: a real multi-process job over
-# loopback UDP sockets, with prun's own watchdog bounding the run.
+# loopback UDP sockets, with prun's own watchdog bounding the run. The psets
+# pair proves the two launch modes agree: the same -pset line must give the
+# same members in the same group-rank order under goroutine ranks on simnet
+# (one rank per node, as in process mode) and under one process per rank.
 smoke-udp:
 	$(GO) run ./cmd/prun -np 2 -transport udp -timeout 60s -app ring
 	$(GO) run ./cmd/prun -np 4 -transport udp -timeout 60s -app ring
+	@mkdir -p .bench_build
+	$(GO) run ./cmd/prun -np 4 -ppn 1 -pset app://odd:3,1 -app psets > .bench_build/psets-sim.out
+	$(GO) run ./cmd/prun -np 4 -pset app://odd:3,1 -transport udp -timeout 60s -app psets > .bench_build/psets-udp.out
+	diff .bench_build/psets-sim.out .bench_build/psets-udp.out
 
 figures:
 	$(GO) run ./cmd/figures -table 1 -fig all

@@ -319,7 +319,9 @@ func ringApp(p *mpi.Process) error {
 	return comm.Send(token, (me+1)%n, 0)
 }
 
-// psetsApp: enumerate the process sets the runtime advertises.
+// psetsApp: enumerate the process sets the runtime advertises, each with
+// its members in group-rank order as GroupFromPset builds them — the line
+// two launch modes must print identically.
 func psetsApp(p *mpi.Process) error {
 	sess, err := p.SessionInit(nil, nil)
 	if err != nil {
@@ -347,7 +349,12 @@ func psetsApp(p *mpi.Process) error {
 				return err
 			}
 			size, _ := info.Get("mpi_size")
-			fmt.Printf("  %-20s size=%s\n", name, size)
+			grp, err := sess.GroupFromPset(name)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("  %-20s size=%s members=%v\n", name, size, grp.GlobalRanks())
+			grp.Free()
 		}
 	}
 	return nil

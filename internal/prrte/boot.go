@@ -16,10 +16,10 @@ import (
 // udp), there is no in-process DVM to carry out-of-band traffic. Instead the
 // parent runs a BootServer — a gob-over-TCP rendezvous service on loopback —
 // and each child connects a BootClient, which implements the same
-// pmix.Runtime surface as an in-process Daemon. The parent centralizes what
-// the simulated DVM distributes: modex data pushed by children, the global
-// name service, the pset registry, PGCID allocation, collective exchanges,
-// and event fan-out.
+// pmix.Runtime surface as an in-process Daemon. The parent holds the same
+// resource manager as the DVM's master (rm.go), reached over TCP instead of
+// simnet, and centralizes what the simulated DVM distributes: modex data
+// pushed by children, collective exchanges, and event fan-out.
 //
 // Correctness leans on TCP ordering plus serial per-connection processing at
 // the parent: a child's modex push is handled before any request the same
@@ -40,11 +40,9 @@ type bootMsg struct {
 	Key          string
 	Val          []byte
 	KV           map[string][]byte
-	Name         string
-	Members      []int
 	Participants []int
-	TimeoutMs    int64
-	Wait         bool
+	Timeout      time.Duration // the caller's deadline, for parked requests
+	RM           rmReq         // Kind bootRM
 }
 
 // bootReply is one parent-to-child message: a correlated reply (ID != 0) or
@@ -52,29 +50,21 @@ type bootMsg struct {
 type bootReply struct {
 	ID    uint64
 	Err   string
-	OK    bool
-	Val   []byte
+	Dead  bool   // a fetch of a terminated rank's modex data
+	Res   rmResp // RM replies; fetches answer in OK and Val
 	Map   map[int][]byte
-	Psets map[string][]int
-	N     uint64
 	Event []byte
 }
 
 // Request kinds.
 const (
-	bootHello     = "hello"
-	bootExchange  = "exchange"
-	bootPGCID     = "pgcid"
-	bootFetch     = "fetch"
-	bootQuery     = "query"
-	bootUpdatePs  = "updatePset"
-	bootDeregPs   = "deregPset"
-	bootPublish   = "publish"
-	bootLookup    = "lookup"
-	bootUnpublish = "unpublish"
-	bootBcast     = "bcast"
-	bootNotify    = "notify"
-	bootModex     = "modex"
+	bootHello    = "hello"
+	bootExchange = "exchange"
+	bootFetch    = "fetch"
+	bootRM       = "rm"
+	bootBcast    = "bcast"
+	bootNotify   = "notify"
+	bootModex    = "modex"
 )
 
 // bootConn is the parent's handle on one child connection.
@@ -93,37 +83,29 @@ func (c *bootConn) send(r bootReply) error {
 
 // bootOp is one in-flight collective exchange at the parent.
 type bootOp struct {
-	need     map[int]bool // participant nodes still outstanding
-	contribs map[int][]byte
+	contribs map[int][]byte // by participant node
 	waiters  []bootWaiter
 }
 
+// bootWaiter names one correlated call: an exchange waiter, and the
+// requester a parked fetch or lookup is keyed by.
 type bootWaiter struct {
 	conn *bootConn
 	id   uint64
 }
 
-// keyWaiter parks a fetch or lookup until the key arrives or its timer fires.
-type keyWaiter struct {
-	conn  *bootConn
-	id    uint64
-	timer *time.Timer
-}
-
 // BootServer is the launcher-side rendezvous service.
 type BootServer struct {
 	ln net.Listener
+	rm *resourceManager
 
-	mu            sync.Mutex //gompilint:lockorder rank=17
-	conns         map[int]*bootConn
-	modex         map[string][]byte // "modex/<rank>/<key>" -> value
-	published     map[string][]byte // global name service
-	psets         map[string][]int
-	nextPGCID     uint64
-	ops           map[string]*bootOp
-	fetchWaiters  map[string][]*keyWaiter
-	lookupWaiters map[string][]*keyWaiter
-	closed        bool
+	mu      sync.Mutex //gompilint:lockorder rank=13
+	conns   map[int]*bootConn
+	modex   map[string][]byte // "modex/<rank>/<key>" -> value
+	ops     map[string]*bootOp
+	fetches keyWaiters[bootReply]
+
+	closeOnce sync.Once
 }
 
 // NewBootServer starts the rendezvous service on addr ("127.0.0.1:0" picks a
@@ -134,15 +116,13 @@ func NewBootServer(addr string) (*BootServer, error) {
 		return nil, fmt.Errorf("prrte: boot listen %q: %w", addr, err)
 	}
 	s := &BootServer{
-		ln:            ln,
-		conns:         make(map[int]*bootConn),
-		modex:         make(map[string][]byte),
-		published:     make(map[string][]byte),
-		psets:         make(map[string][]int),
-		ops:           make(map[string]*bootOp),
-		fetchWaiters:  make(map[string][]*keyWaiter),
-		lookupWaiters: make(map[string][]*keyWaiter),
+		ln:    ln,
+		rm:    newResourceManager(),
+		conns: make(map[int]*bootConn),
+		modex: make(map[string][]byte),
+		ops:   make(map[string]*bootOp),
 	}
+	s.fetches = newKeyWaiters[bootReply](&s.mu)
 	go s.accept()
 	return s, nil
 }
@@ -152,30 +132,27 @@ func (s *BootServer) Addr() string { return s.ln.Addr().String() }
 
 // RegisterPset seeds a launch-time pset (mpi://WORLD etc.) before children
 // connect, mirroring DVM.RegisterPset.
-func (s *BootServer) RegisterPset(name string, members []int) {
-	cp := append([]int(nil), members...)
-	s.mu.Lock()
-	s.psets[name] = cp
-	s.mu.Unlock()
-}
+func (s *BootServer) RegisterPset(name string, members []int) { s.rm.register(name, members) }
 
 // Close shuts the listener and every child connection.
 func (s *BootServer) Close() {
+	s.closeOnce.Do(func() {
+		s.ln.Close()
+		for _, c := range s.children() {
+			c.conn.Close()
+		}
+	})
+}
+
+// children snapshots the registered child connections.
+func (s *BootServer) children() []*bootConn {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
+	defer s.mu.Unlock()
 	conns := make([]*bootConn, 0, len(s.conns))
 	for _, c := range s.conns {
 		conns = append(conns, c)
 	}
-	s.mu.Unlock()
-	s.ln.Close()
-	for _, c := range conns {
-		c.conn.Close()
-	}
+	return conns
 }
 
 func (s *BootServer) accept() {
@@ -220,49 +197,66 @@ func (s *BootServer) handle(bc *bootConn, msg bootMsg) {
 		bc.node = msg.Node
 		s.conns[msg.Node] = bc
 		s.mu.Unlock()
-		_ = bc.send(bootReply{ID: msg.ID, OK: true})
+		_ = bc.send(bootReply{ID: msg.ID})
+
+	case bootRM:
+		req := msg.RM
+		req.Timeout = msg.Timeout
+		s.rm.serve(req, bootWaiter{conn: bc, id: msg.ID}, func(r rmResp) {
+			_ = bc.send(bootReply{ID: msg.ID, Res: r})
+		})
+		if req.Op == rmNoteDead {
+			s.failFetches(req.Rank)
+		}
 
 	case bootModex:
 		// Store rank-committed modex data and wake any parked fetches.
 		s.mu.Lock()
-		var woken []wokenWaiter
+		var woken []func()
 		for k, v := range msg.KV {
 			full := fmt.Sprintf("modex/%d/%s", msg.Node, k)
 			s.modex[full] = v
-			woken = append(woken, s.takeWaitersLocked(s.fetchWaiters, full, v)...)
+			for _, reply := range s.fetches.takeLocked(func(k string) bool { return k == full }) {
+				woken = append(woken, func() { reply(bootReply{Res: rmResp{OK: true, Val: v}}) })
+			}
 		}
 		s.mu.Unlock()
-		replyWoken(woken)
+		for _, wake := range woken {
+			wake()
+		}
 
 	case bootFetch:
+		// The same rule as Daemon.Fetch: a terminated rank's data is
+		// hopeless, found or not. Checked under s.mu, so a fetch either
+		// sees the note here or is parked before failFetches runs.
+		rank, isModex := modexRank(msg.Key)
 		s.mu.Lock()
+		if isModex && s.rm.isDead(rank) {
+			s.mu.Unlock()
+			_ = bc.send(bootReply{ID: msg.ID, Dead: true})
+			return
+		}
 		if v, ok := s.modex[msg.Key]; ok {
 			s.mu.Unlock()
-			_ = bc.send(bootReply{ID: msg.ID, OK: true, Val: v})
+			_ = bc.send(bootReply{ID: msg.ID, Res: rmResp{OK: true, Val: v}})
 			return
 		}
-		if !msg.Wait {
-			s.mu.Unlock()
-			_ = bc.send(bootReply{ID: msg.ID, OK: false})
-			return
-		}
-		s.parkLocked(s.fetchWaiters, msg.Key, bc, msg.ID, time.Duration(msg.TimeoutMs)*time.Millisecond)
+		s.fetches.parkLocked(msg.Key, bootWaiter{conn: bc, id: msg.ID}, msg.Timeout, func(r bootReply) {
+			r.ID = msg.ID
+			_ = bc.send(r)
+		})
 		s.mu.Unlock()
 
 	case bootExchange:
 		s.mu.Lock()
 		op := s.ops[msg.Key]
 		if op == nil {
-			op = &bootOp{need: make(map[int]bool), contribs: make(map[int][]byte)}
-			for _, n := range msg.Participants {
-				op.need[n] = true
-			}
+			op = &bootOp{contribs: make(map[int][]byte)}
 			s.ops[msg.Key] = op
 		}
 		op.contribs[msg.Node] = msg.Val
-		delete(op.need, msg.Node)
 		op.waiters = append(op.waiters, bootWaiter{conn: bc, id: msg.ID})
-		if len(op.need) > 0 {
+		if len(op.contribs) < len(msg.Participants) {
 			s.mu.Unlock()
 			return
 		}
@@ -271,75 +265,13 @@ func (s *BootServer) handle(bc *bootConn, msg bootMsg) {
 		result := op.contribs
 		s.mu.Unlock()
 		for _, w := range waiters {
-			_ = w.conn.send(bootReply{ID: w.id, OK: true, Map: result})
+			_ = w.conn.send(bootReply{ID: w.id, Map: result})
 		}
-
-	case bootPGCID:
-		s.mu.Lock()
-		s.nextPGCID++
-		id := s.nextPGCID
-		if msg.Name != "" {
-			s.psets[msg.Name] = append([]int(nil), msg.Members...)
-		}
-		s.mu.Unlock()
-		_ = bc.send(bootReply{ID: msg.ID, OK: true, N: id})
-
-	case bootQuery:
-		s.mu.Lock()
-		snap := make(map[string][]int, len(s.psets))
-		for name, members := range s.psets {
-			snap[name] = append([]int(nil), members...)
-		}
-		s.mu.Unlock()
-		_ = bc.send(bootReply{ID: msg.ID, OK: true, Psets: snap})
-
-	case bootUpdatePs:
-		s.mu.Lock()
-		s.psets[msg.Name] = append([]int(nil), msg.Members...)
-		s.mu.Unlock()
-
-	case bootDeregPs:
-		s.mu.Lock()
-		delete(s.psets, msg.Name)
-		s.mu.Unlock()
-
-	case bootPublish:
-		s.mu.Lock()
-		s.published[msg.Key] = msg.Val
-		woken := s.takeWaitersLocked(s.lookupWaiters, msg.Key, msg.Val)
-		s.mu.Unlock()
-		replyWoken(woken)
-
-	case bootLookup:
-		s.mu.Lock()
-		if v, ok := s.published[msg.Key]; ok {
-			s.mu.Unlock()
-			_ = bc.send(bootReply{ID: msg.ID, OK: true, Val: v})
-			return
-		}
-		if !msg.Wait {
-			s.mu.Unlock()
-			_ = bc.send(bootReply{ID: msg.ID, OK: false})
-			return
-		}
-		s.parkLocked(s.lookupWaiters, msg.Key, bc, msg.ID, time.Duration(msg.TimeoutMs)*time.Millisecond)
-		s.mu.Unlock()
-
-	case bootUnpublish:
-		s.mu.Lock()
-		delete(s.published, msg.Key)
-		s.mu.Unlock()
 
 	case bootBcast:
 		// Fan the event out to every connected child, the sender included
 		// (the Daemon delivers broadcast events to its own handler too).
-		s.mu.Lock()
-		conns := make([]*bootConn, 0, len(s.conns))
-		for _, c := range s.conns {
-			conns = append(conns, c)
-		}
-		s.mu.Unlock()
-		for _, c := range conns {
+		for _, c := range s.children() {
 			_ = c.send(bootReply{Event: msg.Val})
 		}
 
@@ -353,67 +285,27 @@ func (s *BootServer) handle(bc *bootConn, msg bootMsg) {
 	}
 }
 
-// wokenWaiter pairs a parked waiter with the value that satisfied it.
-type wokenWaiter struct {
-	w   *keyWaiter
-	val []byte
-}
-
-// takeWaitersLocked detaches every waiter parked on key; callers reply after
-// releasing s.mu. Waiters whose timer already fired are skipped (Stop false
-// means the timeout reply was or is being sent).
-func (s *BootServer) takeWaitersLocked(table map[string][]*keyWaiter, key string, val []byte) []wokenWaiter {
-	ws := table[key]
-	if len(ws) == 0 {
-		return nil
-	}
-	delete(table, key)
-	out := make([]wokenWaiter, 0, len(ws))
-	for _, w := range ws {
-		if w.timer.Stop() {
-			out = append(out, wokenWaiter{w: w, val: val})
-		}
-	}
-	return out
-}
-
-func replyWoken(woken []wokenWaiter) {
-	for _, ww := range woken {
-		_ = ww.w.conn.send(bootReply{ID: ww.w.id, OK: true, Val: ww.val})
-	}
-}
-
-// parkLocked registers a waiter for key with a timeout that answers
-// "not found" if nothing arrives in time. Called with s.mu held.
-func (s *BootServer) parkLocked(table map[string][]*keyWaiter, key string, bc *bootConn, id uint64, timeout time.Duration) {
-	if timeout <= 0 {
-		timeout = defaultBootTimeout
-	}
-	w := &keyWaiter{conn: bc, id: id}
-	w.timer = time.AfterFunc(timeout, func() {
-		s.mu.Lock()
-		ws := table[key]
-		for i, cand := range ws {
-			if cand == w {
-				table[key] = append(ws[:i], ws[i+1:]...)
-				if len(table[key]) == 0 {
-					delete(table, key)
-				}
-				break
-			}
-		}
-		s.mu.Unlock()
-		_ = bc.send(bootReply{ID: id, OK: false})
+// failFetches answers every fetch parked on rank's modex data with
+// ErrDeadParticipant: that data can no longer arrive.
+func (s *BootServer) failFetches(rank int) {
+	s.mu.Lock()
+	woken := s.fetches.takeLocked(func(k string) bool {
+		r, ok := modexRank(k)
+		return ok && r == rank
 	})
-	table[key] = append(table[key], w)
+	s.mu.Unlock()
+	for _, reply := range woken {
+		reply(bootReply{Dead: true})
+	}
 }
 
 // BootClient is a child process's connection to the BootServer. It
 // implements pmix.Runtime, so a pmix.Server runs on it unchanged.
 type BootClient struct {
+	rmClient // the resource-manager calls, over call/post below
+
 	conn net.Conn
 	node int
-	np   int
 
 	handler   ServerHandler
 	handlerMu sync.RWMutex //gompilint:lockorder rank=15
@@ -429,7 +321,7 @@ type BootClient struct {
 }
 
 // DialBoot connects to the parent's rendezvous service and registers this
-// process as node (with PPN=1, node == rank).
+// process as node (with PPN=1, node == rank) of an np-rank job.
 func DialBoot(addr string, node, np int) (*BootClient, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -438,14 +330,14 @@ func DialBoot(addr string, node, np int) (*BootClient, error) {
 	c := &BootClient{
 		conn:    conn,
 		node:    node,
-		np:      np,
 		pending: make(map[uint64]chan bootReply),
 		enc:     gob.NewEncoder(conn),
 	}
+	c.rmClient = rmClient{c}
 	go c.read()
 	// The hello reply doubles as the registration barrier: once it returns,
 	// broadcasts and notifies reach this process.
-	if _, err := c.call(bootMsg{Kind: bootHello, Node: node}, defaultBootTimeout); err != nil {
+	if _, err := c.roundTrip(bootMsg{Kind: bootHello, Node: node}, defaultBootTimeout); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("prrte: boot hello: %w", err)
 	}
@@ -498,8 +390,8 @@ func (c *BootClient) fail(err error) {
 	}
 }
 
-// post sends a fire-and-forget message.
-func (c *BootClient) post(msg bootMsg) error {
+// push sends a fire-and-forget message.
+func (c *BootClient) push(msg bootMsg) error {
 	c.mu.Lock()
 	dead := c.dead
 	c.mu.Unlock()
@@ -511,31 +403,23 @@ func (c *BootClient) post(msg bootMsg) error {
 	return c.enc.Encode(msg)
 }
 
-// call sends a correlated request and waits for its reply.
-func (c *BootClient) call(msg bootMsg, timeout time.Duration) (bootReply, error) {
+// roundTrip sends a correlated request and waits for its reply.
+func (c *BootClient) roundTrip(msg bootMsg, timeout time.Duration) (bootReply, error) {
 	if timeout <= 0 {
 		timeout = defaultBootTimeout
 	}
 	msg.ID = c.nextID.Add(1)
-	msg.TimeoutMs = int64(timeout / time.Millisecond)
+	msg.Timeout = timeout
 	ch := make(chan bootReply, 1)
-
 	c.mu.Lock()
-	if c.dead != nil {
-		err := c.dead
-		c.mu.Unlock()
-		return bootReply{}, err
-	}
 	c.pending[msg.ID] = ch
 	c.mu.Unlock()
-
-	c.encMu.Lock()
-	err := c.enc.Encode(msg)
-	c.encMu.Unlock()
-	if err != nil {
+	defer func() {
 		c.mu.Lock()
 		delete(c.pending, msg.ID)
 		c.mu.Unlock()
+	}()
+	if err := c.push(msg); err != nil {
 		return bootReply{}, err
 	}
 
@@ -550,12 +434,18 @@ func (c *BootClient) call(msg bootMsg, timeout time.Duration) (bootReply, error)
 		}
 		return r, nil
 	case <-timer.C:
-		c.mu.Lock()
-		delete(c.pending, msg.ID)
-		c.mu.Unlock()
 		return bootReply{}, fmt.Errorf("%w: boot %s", ErrTimeout, msg.Kind)
 	}
 }
+
+// call is the client's replied RM transport: one correlated gob call.
+func (c *BootClient) call(req rmReq, timeout time.Duration) (rmResp, error) {
+	r, err := c.roundTrip(bootMsg{Kind: bootRM, RM: req}, timeout)
+	return r.Res, err
+}
+
+// post is the client's fire-and-forget RM transport.
+func (c *BootClient) post(req rmReq) error { return c.push(bootMsg{Kind: bootRM, RM: req}) }
 
 // --- pmix.Runtime ---
 
@@ -578,13 +468,17 @@ func (c *BootClient) Profile() topo.Profile { return topo.Loopback(1) }
 
 // Fetch performs a direct-modex read via the parent. Unlike the simulated
 // daemon, the parent parks unresolved fetches until the owning child's
-// modex push arrives, absorbing cross-child publish/fetch races.
+// modex push arrives, absorbing cross-child publish/fetch races; a fetch of
+// a rank the RM knows is dead fails with ErrDeadParticipant, parked or not.
 func (c *BootClient) Fetch(node int, key string, timeout time.Duration) ([]byte, bool, error) {
-	r, err := c.call(bootMsg{Kind: bootFetch, Node: c.node, Key: key, Wait: true}, timeout)
+	r, err := c.roundTrip(bootMsg{Kind: bootFetch, Key: key}, timeout)
 	if err != nil {
 		return nil, false, err
 	}
-	return r.Val, r.OK, nil
+	if r.Dead {
+		return nil, false, fmt.Errorf("prrte: fetch %q: %w", key, ErrDeadParticipant)
+	}
+	return r.Res.Val, r.Res.OK, nil
 }
 
 // Exchange contributes to a collective and blocks until every participant
@@ -592,80 +486,21 @@ func (c *BootClient) Fetch(node int, key string, timeout time.Duration) ([]byte,
 // launcher-side exchange relies on its timeout, and respawn re-admission is
 // a simulator-mode feature for now.
 func (c *BootClient) Exchange(opKey string, participants []int, local []byte, timeout time.Duration, abort <-chan struct{}) (map[int][]byte, error) {
-	r, err := c.call(bootMsg{Kind: bootExchange, Node: c.node, Key: opKey, Val: local, Participants: participants}, timeout)
+	r, err := c.roundTrip(bootMsg{Kind: bootExchange, Node: c.node, Key: opKey, Val: local, Participants: participants}, timeout)
 	if err != nil {
 		return nil, err
 	}
 	return r.Map, nil
 }
 
-// AllocPGCID obtains a fresh group context ID from the parent.
-func (c *BootClient) AllocPGCID(groupName string, members []int, timeout time.Duration) (uint64, error) {
-	r, err := c.call(bootMsg{Kind: bootPGCID, Node: c.node, Name: groupName, Members: members}, timeout)
-	if err != nil {
-		return 0, err
-	}
-	return r.N, nil
-}
-
-// QueryPsets returns the parent's pset registry.
-func (c *BootClient) QueryPsets(timeout time.Duration) (map[string][]int, error) {
-	r, err := c.call(bootMsg{Kind: bootQuery, Node: c.node}, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return r.Psets, nil
-}
-
-// UpdatePset replaces a pset's membership.
-func (c *BootClient) UpdatePset(name string, members []int) error {
-	return c.post(bootMsg{Kind: bootUpdatePs, Node: c.node, Name: name, Members: members})
-}
-
-// DeregisterPset removes a pset.
-func (c *BootClient) DeregisterPset(name string) error {
-	return c.post(bootMsg{Kind: bootDeregPs, Node: c.node, Name: name})
-}
-
 // BroadcastEvent delivers an event to every process, this one included.
 func (c *BootClient) BroadcastEvent(data []byte) {
-	_ = c.post(bootMsg{Kind: bootBcast, Node: c.node, Val: data})
+	_ = c.push(bootMsg{Kind: bootBcast, Val: data})
 }
 
 // NotifyNode delivers an event to one process.
 func (c *BootClient) NotifyNode(node int, data []byte) error {
-	return c.post(bootMsg{Kind: bootNotify, Node: node, Val: data})
-}
-
-// NoteDeadRank is a no-op in process mode: the launcher's watchdog learns of
-// child deaths directly from wait status, not from peer reports.
-func (c *BootClient) NoteDeadRank(rank int) {}
-
-// NoteRevivedRank is a no-op in process mode (respawn is simulator-only).
-func (c *BootClient) NoteRevivedRank(rank int) {}
-
-// PublishGlobal stores a key in the parent's name service.
-func (c *BootClient) PublishGlobal(key string, value []byte) error {
-	return c.post(bootMsg{Kind: bootPublish, Node: c.node, Key: key, Val: value})
-}
-
-// LookupGlobal retrieves a published key; with timeout > 0 it waits at the
-// parent for the key to appear, mirroring Daemon.LookupGlobal. A deadline
-// miss returns (nil, false, nil), matching the daemon's contract.
-func (c *BootClient) LookupGlobal(key string, timeout time.Duration) ([]byte, bool, error) {
-	r, err := c.call(bootMsg{Kind: bootLookup, Node: c.node, Key: key, Wait: timeout > 0}, timeout)
-	if err != nil {
-		if errors.Is(err, ErrTimeout) {
-			return nil, false, nil
-		}
-		return nil, false, err
-	}
-	return r.Val, r.OK, nil
-}
-
-// UnpublishGlobal removes a published key.
-func (c *BootClient) UnpublishGlobal(key string) error {
-	return c.post(bootMsg{Kind: bootUnpublish, Node: c.node, Key: key})
+	return c.push(bootMsg{Kind: bootNotify, Node: node, Val: data})
 }
 
 // PublishModex pushes a rank's committed modex data to the parent, where
@@ -676,5 +511,5 @@ func (c *BootClient) PublishModex(rank int, kv map[string][]byte) {
 	if len(kv) == 0 {
 		return
 	}
-	_ = c.post(bootMsg{Kind: bootModex, Node: rank, KV: kv})
+	_ = c.push(bootMsg{Kind: bootModex, Node: rank, KV: kv})
 }

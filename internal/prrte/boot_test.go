@@ -2,6 +2,7 @@ package prrte
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -263,5 +264,45 @@ func TestBootConnectionLossFailsPendingCalls(t *testing.T) {
 	// And subsequent calls fail fast.
 	if _, err := cs[0].QueryPsets(time.Second); err == nil {
 		t.Fatal("call on dead client succeeded")
+	}
+}
+
+// A fetch parked on a rank's modex data fails as soon as any process notes
+// that rank dead, the same rule as Daemon.Fetch's; it does not wait out its
+// deadline for data that can no longer arrive.
+func TestBootFetchOfDeadRankFailsFast(t *testing.T) {
+	_, cs := bootPair(t, 3)
+	start := time.Now()
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := cs[0].Fetch(1, "modex/1/x", 10*time.Second)
+		errc <- err
+	}()
+	time.Sleep(50 * time.Millisecond) // let the fetch park
+	cs[2].NoteDeadRank(1)
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrDeadParticipant) {
+			t.Fatalf("parked fetch err = %v, want ErrDeadParticipant", err)
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Fatalf("parked fetch failed after %v", el)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked fetch of a dead rank still waiting")
+	}
+	if _, _, err := cs[0].Fetch(1, "modex/1/y", 10*time.Second); !errors.Is(err, ErrDeadParticipant) {
+		t.Fatalf("fetch after the note err = %v, want ErrDeadParticipant", err)
+	}
+
+	// Revived, the rank's data is fetchable again. The query orders the
+	// post before the fetch.
+	cs[2].NoteRevivedRank(1)
+	if _, err := cs[2].QueryPsets(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	cs[1].PublishModex(1, map[string][]byte{"x": []byte("addr")})
+	if v, ok, err := cs[0].Fetch(1, "modex/1/x", 5*time.Second); err != nil || !ok || string(v) != "addr" {
+		t.Fatalf("fetch after revival = %q, %v, %v", v, ok, err)
 	}
 }

@@ -115,3 +115,25 @@ func TestBroadcastsFromOneDaemonKeepOneOrder(t *testing.T) {
 		}
 	}
 }
+
+// A notify to the daemon's own node is enqueued before NotifyNode returns,
+// in send order, like BroadcastEvent's local delivery.
+func TestNotifyNodeSelfDeliveryKeepsOrder(t *testing.T) {
+	dvm := testDVM(t, 1)
+	h := &countingHandler{}
+	dvm.Daemon(0).AttachServer(h)
+	const n = 1000
+	for i := 0; i < n; i++ {
+		if err := dvm.Daemon(0).NotifyNode(0, []byte{byte(i >> 8), byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := h.count(); got != n {
+		t.Fatalf("handler saw %d of %d self-notifies when NotifyNode returned", got, n)
+	}
+	for i, ev := range h.events {
+		if got := int(ev[0])<<8 | int(ev[1]); got != i {
+			t.Fatalf("position %d holds notify %d", i, got)
+		}
+	}
+}

@@ -8,10 +8,10 @@
 //   - a generalized all-to-all data exchange between the daemons of the
 //     nodes participating in an operation (used by PMIx fences and the
 //     three-stage hierarchical group construct/destruct);
-//   - allocation of Process Group Context IDs (PGCIDs) — unique, non-zero
-//     64-bit IDs handed out by the resource manager (the master daemon);
-//   - a registry of named process sets (static, from the launch, and
-//     dynamic, from PMIx group construction) answering pset queries;
+//   - the resource manager at the master daemon (rm.go): unique, non-zero
+//     Process Group Context IDs (PGCIDs), the registry of named process
+//     sets (static from the launch, dynamic from PMIx group construction),
+//     the global name service, and the set of terminated ranks;
 //   - direct fetch of published data from a remote node's server ("direct
 //     modex", used when a process is discovered on first communication);
 //   - broadcast of runtime events (e.g. process-failure notifications).
@@ -20,8 +20,9 @@ package prrte
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gompi/internal/simnet"
@@ -70,16 +71,8 @@ func (m JobMap) Nodes() int { return (m.NP + m.PPN - 1) / m.PPN }
 
 // RanksOn lists the ranks hosted on one node, in ascending order.
 func (m JobMap) RanksOn(node int) []int {
-	lo := node * m.PPN
-	hi := lo + m.PPN
-	if hi > m.NP {
-		hi = m.NP
-	}
-	if lo >= hi {
-		return nil
-	}
-	out := make([]int, 0, hi-lo)
-	for r := lo; r < hi; r++ {
+	var out []int
+	for r := node * m.PPN; r < min((node+1)*m.PPN, m.NP); r++ {
 		out = append(out, r)
 	}
 	return out
@@ -99,27 +92,6 @@ type (
 		// either from the pending op or from the completed-op cache.
 		Want bool
 	}
-	pgcidReq struct {
-		ReplyTo simnet.Addr
-		Name    string // group name to register alongside the ID ("" = none)
-		Members []int
-	}
-	pgcidResp struct {
-		ID uint64
-	}
-	psetDeregister struct {
-		Name string
-	}
-	psetUpdate struct {
-		Name    string
-		Members []int
-	}
-	queryReq struct {
-		ReplyTo simnet.Addr
-	}
-	queryResp struct {
-		Names map[string][]int
-	}
 	fetchReq struct {
 		ReplyTo simnet.Addr
 		Key     string
@@ -129,21 +101,11 @@ type (
 		Data []byte
 		OK   bool
 	}
-	publishMsg struct {
-		Key   string
-		Value []byte
-	}
-	unpublishMsg struct {
-		Key string
-	}
-	lookupReq struct {
+	// rmMsg carries one resource-manager request to the master daemon;
+	// replied kinds are answered with an rmResp to ReplyTo.
+	rmMsg struct {
 		ReplyTo simnet.Addr
-		Key     string
-		Wait    bool
-	}
-	lookupResp struct {
-		Value []byte
-		OK    bool
+		Req     rmReq
 	}
 	eventMsg struct {
 		Data []byte
@@ -163,6 +125,8 @@ type pendingOp struct {
 
 // Daemon is one prted: the runtime agent on a single node.
 type Daemon struct {
+	rmClient // the resource-manager calls, over call/post below
+
 	dvm  *DVM
 	node int
 	ep   *simnet.Endpoint
@@ -203,17 +167,8 @@ func (d *Daemon) PublishModex(rank int, kv map[string][]byte) {}
 // Addr returns the daemon's fabric address.
 func (d *Daemon) Addr() simnet.Addr { return d.ep.Addr() }
 
-// NoteDeadRank records a terminated rank with the resource manager
-// (pmix.Runtime). In simulator mode the DVM state is shared memory, so the
-// note is visible to every daemon immediately.
-func (d *Daemon) NoteDeadRank(rank int) { d.dvm.noteDeadRank(rank) }
-
-// NoteRevivedRank clears a rank from the terminated set after a respawn
-// re-admitted it (pmix.Runtime).
-func (d *Daemon) NoteRevivedRank(rank int) { d.dvm.noteRevivedRank(rank) }
-
 // RankDead reports whether the resource manager knows rank has terminated.
-func (d *Daemon) RankDead(rank int) bool { return d.dvm.rankDead(rank) }
+func (d *Daemon) RankDead(rank int) bool { return d.dvm.rm.isDead(rank) }
 
 // AttachServer registers the PMIx server handler for inbound requests.
 func (d *Daemon) AttachServer(h ServerHandler) {
@@ -221,6 +176,19 @@ func (d *Daemon) AttachServer(h ServerHandler) {
 	d.handler = h
 	d.handlerMu.Unlock()
 }
+
+func (d *Daemon) server() ServerHandler {
+	d.handlerMu.RLock()
+	defer d.handlerMu.RUnlock()
+	return d.handler
+}
+
+// noServer stands in until a PMIx server attaches: nothing to fetch, and
+// events are dropped.
+type noServer struct{}
+
+func (noServer) HandleFetch(string) ([]byte, bool) { return nil, false }
+func (noServer) HandleEvent([]byte)                {}
 
 func (d *Daemon) run() {
 	for {
@@ -231,43 +199,13 @@ func (d *Daemon) run() {
 		switch msg := m.Ctrl.(type) {
 		case xchgMsg:
 			d.handleXchg(msg)
-		case pgcidReq:
+		case rmMsg:
 			// Only the master daemon receives these.
-			id := d.dvm.allocPGCID()
-			if msg.Name != "" {
-				d.dvm.registerPset(msg.Name, msg.Members)
-			}
-			_ = d.ep.Send(msg.ReplyTo, simnet.Message{Ctrl: pgcidResp{ID: id}, Size: ctrlMsgOverhead})
-		case psetDeregister:
-			d.dvm.deregisterPset(msg.Name)
-		case psetUpdate:
-			d.dvm.registerPset(msg.Name, msg.Members)
-		case publishMsg:
-			d.dvm.publish(msg.Key, msg.Value)
-		case unpublishMsg:
-			d.dvm.unpublish(msg.Key)
-		case lookupReq:
-			if v, ok := d.dvm.lookup(msg.Key); ok {
-				_ = d.ep.Send(msg.ReplyTo, simnet.Message{Ctrl: lookupResp{Value: v, OK: true}, Size: ctrlMsgOverhead + len(v)})
-			} else if msg.Wait {
-				d.dvm.addLookupWaiter(msg.Key, msg.ReplyTo, d)
-			} else {
-				_ = d.ep.Send(msg.ReplyTo, simnet.Message{Ctrl: lookupResp{}, Size: ctrlMsgOverhead})
-			}
-		case queryReq:
-			names := d.dvm.psetSnapshot()
-			_ = d.ep.Send(msg.ReplyTo, simnet.Message{Ctrl: queryResp{Names: names}, Size: ctrlMsgOverhead + 16*len(names)})
+			d.dvm.rm.serve(msg.Req, msg.ReplyTo, func(r rmResp) {
+				_ = d.ep.Send(msg.ReplyTo, simnet.Message{Ctrl: r, Size: r.size()})
+			})
 		case fetchReq:
-			var (
-				data []byte
-				ok   bool
-			)
-			d.handlerMu.RLock()
-			h := d.handler
-			d.handlerMu.RUnlock()
-			if h != nil {
-				data, ok = h.HandleFetch(msg.Key)
-			}
+			data, ok := d.server().HandleFetch(msg.Key)
 			_ = d.ep.Send(msg.ReplyTo, simnet.Message{
 				Ctrl: fetchResp{Key: msg.Key, Data: data, OK: ok},
 				Size: ctrlMsgOverhead + len(data),
@@ -276,14 +214,52 @@ func (d *Daemon) run() {
 			if msg.Relay {
 				d.relayEvent(msg)
 			}
-			d.handlerMu.RLock()
-			h := d.handler
-			d.handlerMu.RUnlock()
-			if h != nil {
-				h.HandleEvent(msg.Data)
-			}
+			d.server().HandleEvent(msg.Data)
 		}
 	}
+}
+
+// call is the daemon's replied RM transport. On the master it is served in
+// place for the modeled RPC overhead (a name-service poll never charged
+// one); elsewhere, and for a blocking lookup, it is a retried round trip to
+// the master daemon. Each resend carries what is left of the deadline, and
+// the master keys a parked lookup by the reply endpoint the resends share.
+func (d *Daemon) call(req rmReq, timeout time.Duration) (rmResp, error) {
+	if d.dvm.shutdown.Load() {
+		return rmResp{}, ErrShutdown
+	}
+	if d.node == d.dvm.masterNode && !req.Wait {
+		if req.Op != rmLookup {
+			d.dvm.fabric.RPCDelay()
+		}
+		var resp rmResp
+		d.dvm.rm.serve(req, nil, func(r rmResp) { resp = r })
+		return resp, nil
+	}
+	master := d.dvm.daemonAddr(d.dvm.masterNode)
+	m, err := d.rpcRetry(timeout, req.Wait, nil, func(replyTo simnet.Addr, remaining time.Duration) error {
+		req.Timeout = remaining
+		return d.ep.Send(master, simnet.Message{Ctrl: rmMsg{ReplyTo: replyTo, Req: req}, Size: req.size()})
+	})
+	if err != nil {
+		return rmResp{}, err
+	}
+	return m.Ctrl.(rmResp), nil
+}
+
+// post is the daemon's fire-and-forget RM transport: applied in place on the
+// master, sent to it from anywhere else. Liveness notes never cross the
+// wire: every node's server raises them for the same event, and the DVM's
+// resource manager is shared memory.
+func (d *Daemon) post(req rmReq) error {
+	if d.dvm.shutdown.Load() {
+		return ErrShutdown
+	}
+	if d.node == d.dvm.masterNode || req.Op == rmNoteDead || req.Op == rmNoteRevived {
+		d.dvm.rm.serve(req, nil, nil)
+		return nil
+	}
+	return d.ep.Send(d.dvm.daemonAddr(d.dvm.masterNode), simnet.Message{Ctrl: rmMsg{Req: req}, Size: req.size()})
 }
 
 // handleXchg processes an inbound all-to-all message: record the peer's
@@ -292,11 +268,16 @@ func (d *Daemon) run() {
 func (d *Daemon) handleXchg(msg xchgMsg) {
 	own, resend := d.recordContribution(msg)
 	if resend && msg.Node != d.node {
-		_ = d.ep.Send(d.dvm.daemonAddr(msg.Node), simnet.Message{
-			Ctrl: xchgMsg{OpKey: msg.OpKey, Node: d.node, Data: own},
-			Size: ctrlMsgOverhead + len(own),
-		})
+		_ = d.offer(msg.Node, msg.OpKey, own, false)
 	}
+}
+
+// offer sends this daemon's contribution to opKey to a peer daemon.
+func (d *Daemon) offer(node int, opKey string, data []byte, want bool) error {
+	return d.ep.Send(d.dvm.daemonAddr(node), simnet.Message{
+		Ctrl: xchgMsg{OpKey: opKey, Node: d.node, Data: data, Want: want},
+		Size: ctrlMsgOverhead + len(data),
+	})
 }
 
 // recordContribution stores one peer contribution and reports whether this
@@ -334,9 +315,6 @@ func (d *Daemon) recordContribution(msg xchgMsg) (own []byte, resend bool) {
 // rememberCompletedLocked moves a finished exchange into the completed ring,
 // evicting the oldest entry beyond completedOpCache. Caller holds d.mu.
 func (d *Daemon) rememberCompletedLocked(opKey string, result map[int][]byte) {
-	if d.completed == nil {
-		d.completed = make(map[string]map[int][]byte)
-	}
 	if _, ok := d.completed[opKey]; !ok {
 		d.completedOrder = append(d.completedOrder, opKey)
 		for len(d.completedOrder) > completedOpCache {
@@ -345,13 +323,6 @@ func (d *Daemon) rememberCompletedLocked(opKey string, result map[int][]byte) {
 		}
 	}
 	d.completed[opKey] = result
-}
-
-// replyEndpoint allocates a transient endpoint for one request/response
-// round-trip. Using a fresh endpoint keeps responses from interleaving with
-// the daemon's main loop traffic.
-func (d *Daemon) replyEndpoint() *simnet.Endpoint {
-	return d.dvm.fabric.NewEndpoint(d.node)
 }
 
 // Exchange performs an all-to-all among the daemons of the participant
@@ -367,7 +338,7 @@ func (d *Daemon) replyEndpoint() *simnet.Endpoint {
 // opKey must be unique per logical collective instance; PMIx layers a
 // sequence number into it.
 func (d *Daemon) Exchange(opKey string, participants []int, local []byte, timeout time.Duration, abort <-chan struct{}) (map[int][]byte, error) {
-	if d.dvm.isShutdown() {
+	if d.dvm.shutdown.Load() {
 		return nil, ErrShutdown
 	}
 	// A re-run of an operation this daemon already completed (e.g. a PMIx
@@ -375,26 +346,18 @@ func (d *Daemon) Exchange(opKey string, participants []int, local []byte, timeou
 	// the pending state is gone and the other participants may have moved
 	// on, so re-exchanging could never converge.
 	d.mu.Lock()
-	if res, done := d.completed[opKey]; done {
-		out := make(map[int][]byte, len(res))
-		for k, v := range res {
-			out[k] = v
-		}
-		d.mu.Unlock()
-		return out, nil
-	}
+	res, done := d.completed[opKey]
 	d.mu.Unlock()
+	if done {
+		return maps.Clone(res), nil
+	}
 
 	// Send our contribution to every other participant daemon.
 	for _, n := range participants {
 		if n == d.node {
 			continue
 		}
-		msg := simnet.Message{
-			Ctrl: xchgMsg{OpKey: opKey, Node: d.node, Data: local},
-			Size: ctrlMsgOverhead + len(local),
-		}
-		if err := d.ep.Send(d.dvm.daemonAddr(n), msg); err != nil {
+		if err := d.offer(n, opKey, local, false); err != nil {
 			return nil, fmt.Errorf("prrte: exchange %q: daemon %d unreachable: %w", opKey, n, err)
 		}
 	}
@@ -418,10 +381,7 @@ func (d *Daemon) Exchange(opKey string, participants []int, local []byte, timeou
 			d.ops[opKey] = op
 		}
 		if len(op.contribs) >= len(participants) {
-			out := make(map[int][]byte, len(op.contribs))
-			for k, v := range op.contribs {
-				out[k] = v
-			}
+			out := maps.Clone(op.contribs)
 			delete(d.ops, opKey)
 			d.rememberCompletedLocked(opKey, op.contribs)
 			d.mu.Unlock()
@@ -462,10 +422,7 @@ func (d *Daemon) Exchange(opKey string, participants []int, local []byte, timeou
 				// A re-offer failing to send means the peer daemon's endpoint
 				// is gone (node killed or DVM shut down) — permanent, so fail
 				// now rather than resending until the deadline.
-				if err := d.ep.Send(d.dvm.daemonAddr(n), simnet.Message{
-					Ctrl: xchgMsg{OpKey: opKey, Node: d.node, Data: local, Want: true},
-					Size: ctrlMsgOverhead + len(local),
-				}); err != nil {
+				if err := d.offer(n, opKey, local, true); err != nil {
 					return nil, fmt.Errorf("prrte: exchange %q: daemon %d unreachable: %w", opKey, n, err)
 				}
 			}
@@ -473,103 +430,27 @@ func (d *Daemon) Exchange(opKey string, participants []int, local []byte, timeou
 	}
 }
 
-// AllocPGCID obtains a fresh process-group context ID from the resource
-// manager (master daemon), optionally registering a named pset for the
-// group at the same time. The round-trip to the master is charged on the
-// fabric, matching the paper's observation that acquiring a PGCID involves
-// inter-node messaging. The round-trip is retried on reply timeout within
-// the given deadline (<= 0 applies the default); a reissued request at
-// worst burns an extra ID, which only needs to be unique, not dense.
-func (d *Daemon) AllocPGCID(groupName string, members []int, timeout time.Duration) (uint64, error) {
-	if d.dvm.isShutdown() {
-		return 0, ErrShutdown
-	}
-	if d.node == d.dvm.masterNode {
-		// Local to the RM: no wire round-trip, just the RPC overhead.
-		d.dvm.fabric.RPCDelay()
-		id := d.dvm.allocPGCID()
-		if groupName != "" {
-			d.dvm.registerPset(groupName, members)
-		}
-		return id, nil
-	}
-	m, err := d.rpcRetry(timeout, false, nil, func(replyTo simnet.Addr) error {
-		req := pgcidReq{ReplyTo: replyTo, Name: groupName, Members: members}
-		return d.ep.Send(d.dvm.daemonAddr(d.dvm.masterNode), simnet.Message{Ctrl: req, Size: ctrlMsgOverhead + 8*len(members)})
-	})
-	if err != nil {
-		return 0, fmt.Errorf("prrte: PGCID request: %w", err)
-	}
-	return m.Ctrl.(pgcidResp).ID, nil
-}
-
-// UpdatePset replaces a pset's membership at the resource manager, used
-// when a process departs a group asynchronously.
-func (d *Daemon) UpdatePset(name string, members []int) error {
-	if d.node == d.dvm.masterNode {
-		d.dvm.registerPset(name, members)
-		return nil
-	}
-	return d.ep.Send(d.dvm.daemonAddr(d.dvm.masterNode), simnet.Message{Ctrl: psetUpdate{Name: name, Members: members}, Size: ctrlMsgOverhead + 8*len(members)})
-}
-
-// DeregisterPset removes a dynamic pset (group destruct).
-func (d *Daemon) DeregisterPset(name string) error {
-	if d.node == d.dvm.masterNode {
-		d.dvm.deregisterPset(name)
-		return nil
-	}
-	return d.ep.Send(d.dvm.daemonAddr(d.dvm.masterNode), simnet.Message{Ctrl: psetDeregister{Name: name}, Size: ctrlMsgOverhead})
-}
-
-// QueryPsets returns the authoritative pset registry (name -> member ranks)
-// from the resource manager. The query is an idempotent read, retried on
-// reply timeout within the given deadline (<= 0 applies the default).
-func (d *Daemon) QueryPsets(timeout time.Duration) (map[string][]int, error) {
-	if d.dvm.isShutdown() {
-		return nil, ErrShutdown
-	}
-	if d.node == d.dvm.masterNode {
-		d.dvm.fabric.RPCDelay()
-		return d.dvm.psetSnapshot(), nil
-	}
-	m, err := d.rpcRetry(timeout, false, nil, func(replyTo simnet.Addr) error {
-		return d.ep.Send(d.dvm.daemonAddr(d.dvm.masterNode), simnet.Message{Ctrl: queryReq{ReplyTo: replyTo}, Size: ctrlMsgOverhead})
-	})
-	if err != nil {
-		return nil, fmt.Errorf("prrte: pset query: %w", err)
-	}
-	return m.Ctrl.(queryResp).Names, nil
-}
-
 // Fetch retrieves data published under key on another node's server.
 func (d *Daemon) Fetch(node int, key string, timeout time.Duration) ([]byte, bool, error) {
-	if d.dvm.isShutdown() {
+	if d.dvm.shutdown.Load() {
 		return nil, false, ErrShutdown
 	}
 	if node == d.node {
-		d.handlerMu.RLock()
-		h := d.handler
-		d.handlerMu.RUnlock()
-		if h == nil {
-			return nil, false, nil
-		}
-		data, ok := h.HandleFetch(key)
+		data, ok := d.server().HandleFetch(key)
 		return data, ok, nil
 	}
 	// A modex fetch names the rank that published the data; once that rank
 	// is known dead, retrying against its (possibly gone) node is hopeless.
 	var hopeless func() error
-	var keyRank int
-	if _, err := fmt.Sscanf(key, "modex/%d/", &keyRank); err == nil {
+	if keyRank, ok := modexRank(key); ok {
 		hopeless = func() error {
-			if d.dvm.rankDead(keyRank) {
+			if d.dvm.rm.isDead(keyRank) {
 				return fmt.Errorf("prrte: fetch %q: rank %d: %w", key, keyRank, ErrDeadParticipant)
 			}
 			return nil
 		}
 	}
-	m, err := d.rpcRetry(timeout, false, hopeless, func(replyTo simnet.Addr) error {
+	m, err := d.rpcRetry(timeout, false, hopeless, func(replyTo simnet.Addr, _ time.Duration) error {
 		return d.ep.Send(d.dvm.daemonAddr(node), simnet.Message{Ctrl: fetchReq{ReplyTo: replyTo, Key: key}, Size: ctrlMsgOverhead + len(key)})
 	})
 	if err != nil {
@@ -585,7 +466,7 @@ func (d *Daemon) Fetch(node int, key string, timeout time.Duration) ([]byte, boo
 // PRRTE's grpcomm uses — so no single daemon sends more than log2(N)
 // messages.
 func (d *Daemon) BroadcastEvent(data []byte) {
-	if d.dvm.isShutdown() {
+	if d.dvm.shutdown.Load() {
 		return
 	}
 	// One broadcast at a time, local handler and relay under the same lock:
@@ -597,18 +478,13 @@ func (d *Daemon) BroadcastEvent(data []byte) {
 	d.bcastMu.Lock()
 	defer d.bcastMu.Unlock()
 	d.relayEvent(eventMsg{Data: data, Root: d.node, Relay: true})
-	d.handlerMu.RLock()
-	h := d.handler
-	d.handlerMu.RUnlock()
-	if h != nil {
-		h.HandleEvent(data)
-	}
+	d.server().HandleEvent(data)
 }
 
 // relayEvent forwards a routed event to this daemon's children in the
 // binomial tree rooted at msg.Root.
 func (d *Daemon) relayEvent(msg eventMsg) {
-	n := d.dvm.numNodes()
+	n := len(d.dvm.daemons)
 	vrank := (d.node - msg.Root + n) % n
 	for mask := 1; mask < n; mask <<= 1 {
 		if vrank&mask != 0 {
@@ -623,75 +499,18 @@ func (d *Daemon) relayEvent(msg eventMsg) {
 	}
 }
 
-// PublishGlobal stores a key/value pair in the resource manager's global
-// name service.
-func (d *Daemon) PublishGlobal(key string, value []byte) error {
-	if d.dvm.isShutdown() {
-		return ErrShutdown
-	}
-	if d.node == d.dvm.masterNode {
-		d.dvm.publish(key, value)
-		return nil
-	}
-	return d.ep.Send(d.dvm.daemonAddr(d.dvm.masterNode),
-		simnet.Message{Ctrl: publishMsg{Key: key, Value: value}, Size: ctrlMsgOverhead + len(key) + len(value)})
-}
-
-// LookupGlobal retrieves a globally published value. With timeout > 0 it
-// blocks until the key is published or the deadline passes; with
-// timeout <= 0 it polls once.
-func (d *Daemon) LookupGlobal(key string, timeout time.Duration) ([]byte, bool, error) {
-	if d.dvm.isShutdown() {
-		return nil, false, ErrShutdown
-	}
-	wait := timeout > 0
-	if d.node == d.dvm.masterNode && !wait {
-		v, ok := d.dvm.lookup(key)
-		return v, ok, nil
-	}
-	// A blocking lookup's reply is intentionally withheld until the key is
-	// published, so the retried sends only guard against a dropped request;
-	// waitFull keeps the reply endpoint listening out to the deadline.
-	m, err := d.rpcRetry(timeout, wait, nil, func(replyTo simnet.Addr) error {
-		req := lookupReq{ReplyTo: replyTo, Key: key, Wait: wait}
-		return d.ep.Send(d.dvm.daemonAddr(d.dvm.masterNode), simnet.Message{Ctrl: req, Size: ctrlMsgOverhead + len(key)})
-	})
-	if retryable(err) || errors.Is(err, ErrTimeout) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("prrte: lookup %q: %w", key, err)
-	}
-	lr := m.Ctrl.(lookupResp)
-	return lr.Value, lr.OK, nil
-}
-
-// UnpublishGlobal removes a key from the global name service.
-func (d *Daemon) UnpublishGlobal(key string) error {
-	if d.dvm.isShutdown() {
-		return ErrShutdown
-	}
-	if d.node == d.dvm.masterNode {
-		d.dvm.unpublish(key)
-		return nil
-	}
-	return d.ep.Send(d.dvm.daemonAddr(d.dvm.masterNode),
-		simnet.Message{Ctrl: unpublishMsg{Key: key}, Size: ctrlMsgOverhead + len(key)})
-}
-
 // NotifyNode delivers an event blob to the server handler on a single node,
 // used for targeted notifications (e.g. asynchronous group invitations).
 func (d *Daemon) NotifyNode(node int, data []byte) error {
-	if d.dvm.isShutdown() {
+	if d.dvm.shutdown.Load() {
 		return ErrShutdown
 	}
 	if node == d.node {
-		d.handlerMu.RLock()
-		h := d.handler
-		d.handlerMu.RUnlock()
-		if h != nil {
-			go h.HandleEvent(data)
-		}
+		// Enqueued in place and under bcastMu, like BroadcastEvent's own
+		// delivery, so self-notifies keep their send order.
+		d.bcastMu.Lock()
+		defer d.bcastMu.Unlock()
+		d.server().HandleEvent(data)
 		return nil
 	}
 	return d.ep.Send(d.dvm.daemonAddr(node), simnet.Message{Ctrl: eventMsg{Data: data}, Size: ctrlMsgOverhead + len(data)})
@@ -707,19 +526,13 @@ func BroadcastDepth(n int) int {
 }
 
 // DVM is the distributed virtual machine: one daemon per node plus the
-// resource-manager state held at the master daemon (node 0).
+// resource manager held at the master daemon (node 0).
 type DVM struct {
 	fabric     *simnet.Fabric
 	daemons    []*Daemon
 	masterNode int
-
-	mu            sync.Mutex //gompilint:lockorder rank=14
-	nextPGCID     uint64
-	psets         map[string][]int
-	published     map[string][]byte
-	lookupWaiters map[string][]simnet.Addr
-	deadRanks     map[int]bool // ranks the RM knows have terminated
-	shutdown      bool
+	rm         *resourceManager
+	shutdown   atomic.Bool
 }
 
 // NewDVM starts one daemon per node of the fabric's cluster. The caller
@@ -727,14 +540,10 @@ type DVM struct {
 func NewDVM(fabric *simnet.Fabric) *DVM {
 	n := fabric.Cluster().Nodes
 	dvm := &DVM{
-		fabric:        fabric,
-		daemons:       make([]*Daemon, n),
-		masterNode:    0,
-		nextPGCID:     1, // PGCIDs are guaranteed non-zero
-		psets:         make(map[string][]int),
-		published:     make(map[string][]byte),
-		lookupWaiters: make(map[string][]simnet.Addr),
-		deadRanks:     make(map[int]bool),
+		fabric:     fabric,
+		daemons:    make([]*Daemon, n),
+		masterNode: 0,
+		rm:         newResourceManager(),
 	}
 	for i := 0; i < n; i++ {
 		d := &Daemon{
@@ -742,7 +551,11 @@ func NewDVM(fabric *simnet.Fabric) *DVM {
 			node: i,
 			ep:   fabric.NewEndpoint(i),
 			ops:  make(map[string]*pendingOp),
+
+			completed: make(map[string]map[int][]byte),
+			handler:   noServer{},
 		}
+		d.rmClient = rmClient{d}
 		dvm.daemons[i] = d
 		go d.run()
 	}
@@ -757,122 +570,14 @@ func (v *DVM) Daemon(node int) *Daemon { return v.daemons[node] }
 
 // Shutdown stops all daemons. Outstanding operations fail.
 func (v *DVM) Shutdown() {
-	v.mu.Lock()
-	v.shutdown = true
-	v.mu.Unlock()
+	v.shutdown.Store(true)
 	for _, d := range v.daemons {
 		d.ep.Close()
 	}
 }
 
-func (v *DVM) isShutdown() bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.shutdown
-}
-
-func (v *DVM) numNodes() int { return len(v.daemons) }
-
 func (v *DVM) daemonAddr(node int) simnet.Addr { return v.daemons[node].ep.Addr() }
-
-// noteDeadRank / noteRevivedRank maintain the RM's terminated-rank view.
-// Every node's PMIx server reports deaths it learns about; the set is the
-// ground truth retry loops consult to stop waiting on dead processes.
-func (v *DVM) noteDeadRank(rank int) {
-	v.mu.Lock()
-	v.deadRanks[rank] = true
-	v.mu.Unlock()
-}
-
-func (v *DVM) noteRevivedRank(rank int) {
-	v.mu.Lock()
-	delete(v.deadRanks, rank)
-	v.mu.Unlock()
-}
-
-func (v *DVM) rankDead(rank int) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.deadRanks[rank]
-}
-
-func (v *DVM) allocPGCID() uint64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	id := v.nextPGCID
-	v.nextPGCID++
-	return id
-}
 
 // RegisterPset installs a static process set (from the launch command line,
 // e.g. prun --pset ocean:0-15).
-func (v *DVM) RegisterPset(name string, members []int) {
-	v.registerPset(name, members)
-}
-
-func (v *DVM) registerPset(name string, members []int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	cp := make([]int, len(members))
-	copy(cp, members)
-	sort.Ints(cp)
-	v.psets[name] = cp
-}
-
-func (v *DVM) deregisterPset(name string) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	delete(v.psets, name)
-}
-
-// publish stores a global key at the master and releases blocked lookups.
-func (v *DVM) publish(key string, value []byte) {
-	v.mu.Lock()
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	v.published[key] = cp
-	waiters := v.lookupWaiters[key]
-	delete(v.lookupWaiters, key)
-	master := v.daemons[v.masterNode]
-	v.mu.Unlock()
-	for _, addr := range waiters {
-		_ = master.ep.Send(addr, simnet.Message{Ctrl: lookupResp{Value: cp, OK: true}, Size: ctrlMsgOverhead + len(cp)})
-	}
-}
-
-func (v *DVM) unpublish(key string) {
-	v.mu.Lock()
-	delete(v.published, key)
-	v.mu.Unlock()
-}
-
-func (v *DVM) lookup(key string) ([]byte, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	val, ok := v.published[key]
-	return val, ok
-}
-
-func (v *DVM) addLookupWaiter(key string, addr simnet.Addr, d *Daemon) {
-	v.mu.Lock()
-	// Re-check under the lock: the publish may have raced in.
-	if val, ok := v.published[key]; ok {
-		v.mu.Unlock()
-		_ = d.ep.Send(addr, simnet.Message{Ctrl: lookupResp{Value: val, OK: true}, Size: ctrlMsgOverhead + len(val)})
-		return
-	}
-	v.lookupWaiters[key] = append(v.lookupWaiters[key], addr)
-	v.mu.Unlock()
-}
-
-func (v *DVM) psetSnapshot() map[string][]int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make(map[string][]int, len(v.psets))
-	for k, mv := range v.psets {
-		cp := make([]int, len(mv))
-		copy(cp, mv)
-		out[k] = cp
-	}
-	return out
-}
+func (v *DVM) RegisterPset(name string, members []int) { v.rm.register(name, members) }

@@ -16,13 +16,11 @@ package prrte
 //     timeout the PMIx layer asked for.
 //
 // Request/response RPCs (PGCID allocation, pset queries, fetches, lookups)
-// are idempotent reads or at-most-once allocations where a duplicated
-// request is harmless, so they are simply reissued. The all-to-all
-// Exchange is different: a daemon that already completed the operation has
-// deleted its pending state, so late askers could never recover a dropped
-// contribution. Each daemon therefore keeps a small ring of completed
-// operations (its own contribution retained) and answers re-requests from
-// that cache — see the Want flag on xchgMsg.
+// are simply reissued: a duplicate is a harmless read, a burnt PGCID, or the
+// refresh of a parked lookup, which the RM keys by the shared reply
+// endpoint. A daemon that completed an all-to-all Exchange has deleted its
+// pending state, so it answers late re-requests (the Want flag on xchgMsg)
+// from a small ring of completed operations.
 
 import (
 	"errors"
@@ -79,9 +77,9 @@ func retryable(err error) bool { return errors.Is(err, simnet.ErrTimeout) }
 
 // rpcRetry performs one logical request/response round-trip against another
 // daemon with bounded retries. send must (re)issue the request addressed to
-// the supplied transient reply endpoint; rpcRetry waits for the reply with
-// growing per-attempt windows and reissues on timeout. timeout <= 0 applies
-// rpcDefaultTimeout. The reply endpoint is shared by all attempts, so a
+// the supplied transient reply endpoint, given what is left of the
+// deadline; rpcRetry waits for the reply with growing per-attempt windows
+// and reissues on timeout. timeout <= 0 applies rpcDefaultTimeout. The reply endpoint is shared by all attempts, so a
 // late reply from an earlier attempt is indistinguishable from the current
 // one and equally valid: all attempts carry the same logical request.
 //
@@ -96,8 +94,10 @@ func retryable(err error) bool { return errors.Is(err, simnet.ErrTimeout) }
 // rank the RM knows is dead) and the loop short-circuits with that error
 // instead of burning the remaining attempts against a peer that will never
 // answer usefully.
-func (d *Daemon) rpcRetry(timeout time.Duration, waitFull bool, hopeless func() error, send func(replyTo simnet.Addr) error) (simnet.Message, error) {
-	rep := d.replyEndpoint()
+func (d *Daemon) rpcRetry(timeout time.Duration, waitFull bool, hopeless func() error, send func(replyTo simnet.Addr, remaining time.Duration) error) (simnet.Message, error) {
+	// A fresh reply endpoint keeps responses from interleaving with the
+	// daemon's main loop traffic.
+	rep := d.dvm.fabric.NewEndpoint(d.node)
 	defer rep.Close()
 
 	if timeout <= 0 {
@@ -119,7 +119,7 @@ func (d *Daemon) rpcRetry(timeout time.Duration, waitFull bool, hopeless func() 
 		if remaining <= 0 {
 			break
 		}
-		if err := send(rep.Addr()); err != nil {
+		if err := send(rep.Addr(), remaining); err != nil {
 			return simnet.Message{}, err
 		}
 		to := attemptTO
