@@ -42,14 +42,16 @@ lint:
 pool-guard:
 	$(GO) test -race -tags debug -run TestPoolGuard ./internal/pml
 
-# fuzz-smoke runs the packet-decoder fuzz targets and the reduction-kernel
-# differential fuzzer for a short fixed budget on top of the committed seed
-# corpora (internal/pml/testdata/fuzz, internal/btl/udp/testdata/fuzz,
+# fuzz-smoke runs the packet-decoder fuzz targets, the control-plane codec
+# fuzzer and the reduction-kernel differential fuzzer for a short fixed budget
+# on top of the committed seed corpora (internal/pml/testdata/fuzz,
+# internal/btl/udp/testdata/fuzz, internal/opal/testdata/fuzz,
 # mpi/testdata/fuzz).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime 5s ./internal/pml
 	$(GO) test -run '^$$' -fuzz '^FuzzMatchHeaderRoundTrip$$' -fuzztime 5s ./internal/pml
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/btl/udp
+	$(GO) test -run '^$$' -fuzz '^FuzzControlCodec$$' -fuzztime 5s ./internal/opal
 	$(GO) test -run '^$$' -fuzz '^FuzzReduceKernel$$' -fuzztime 5s ./mpi
 
 bench:

@@ -9,11 +9,12 @@ import (
 // Trace is a lightweight fixed-size ring buffer for middleware diagnostics,
 // the analogue of Open MPI's per-framework verbosity streams. It is cheap
 // enough to leave compiled in: a disabled tracer is a single atomic-free
-// boolean check.
+// boolean check, and it holds no ring until it is first enabled.
 type Trace struct {
 	mu      sync.Mutex
 	enabled bool
-	ring    []TraceEvent
+	size    int
+	ring    []TraceEvent // allocated by the first Enable(true)
 	next    int
 	wrapped bool
 	seq     uint64
@@ -32,13 +33,16 @@ func NewTrace(capacity int) *Trace {
 	if capacity < 16 {
 		capacity = 16
 	}
-	return &Trace{ring: make([]TraceEvent, capacity)}
+	return &Trace{size: capacity}
 }
 
 // Enable turns event recording on or off. Events logged while disabled are
 // dropped.
 func (t *Trace) Enable(on bool) {
 	t.mu.Lock()
+	if on && t.ring == nil {
+		t.ring = make([]TraceEvent, t.size)
+	}
 	t.enabled = on
 	t.mu.Unlock()
 }

@@ -76,3 +76,23 @@ func TestTraceMinimumCapacity(t *testing.T) {
 		t.Fatalf("minimum capacity not enforced: %d", len(tr.Events()))
 	}
 }
+
+// TestTraceRingAllocatedOnFirstEnable: a tracer that is never enabled —
+// every rank's, when tracing is off — costs its header, not its ring.
+func TestTraceRingAllocatedOnFirstEnable(t *testing.T) {
+	var tr *Trace
+	if allocs := testing.AllocsPerRun(20, func() { tr = NewTrace(512) }); allocs > 1 {
+		t.Fatalf("NewTrace made %v allocations, want just the tracer", allocs)
+	}
+	if tr.ring != nil {
+		t.Fatal("ring allocated before Enable(true)")
+	}
+	tr.Enable(false)
+	if tr.ring != nil {
+		t.Fatal("ring allocated by Enable(false)")
+	}
+	tr.Enable(true)
+	if len(tr.ring) != 512 {
+		t.Fatalf("ring holds %d events after Enable(true), want 512", len(tr.ring))
+	}
+}

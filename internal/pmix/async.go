@@ -59,7 +59,7 @@ func (c *Client) GroupInvite(name string, invitees []int, timeout time.Duration)
 			Group:   name,
 			Members: members,
 		}
-		if err := c.server.daemon.NotifyNode(c.server.job.NodeOf(r), encodeEvent(ev)); err != nil {
+		if err := c.server.daemon.NotifyNode(c.server.job.NodeOf(r), EventCodec.Encode(ev)); err != nil {
 			return GroupResult{}, nil, fmt.Errorf("pmix: invite rank %d: %w", r, err)
 		}
 	}
@@ -110,7 +110,7 @@ collect:
 			PGCID:   pgcid,
 			Members: final,
 		}
-		_ = c.server.daemon.NotifyNode(c.server.job.NodeOf(r), encodeEvent(ev))
+		_ = c.server.daemon.NotifyNode(c.server.job.NodeOf(r), EventCodec.Encode(ev))
 	}
 
 	outs := make([]InviteOutcome, 0, len(outcomes))
@@ -157,7 +157,7 @@ func (c *Client) GroupJoin(name string, initiator int, accept bool, timeout time
 		Group:  name,
 		Accept: accept,
 	}
-	if err := c.server.daemon.NotifyNode(c.server.job.NodeOf(initiator), encodeEvent(resp)); err != nil {
+	if err := c.server.daemon.NotifyNode(c.server.job.NodeOf(initiator), EventCodec.Encode(resp)); err != nil {
 		return GroupResult{}, fmt.Errorf("pmix: join response to rank %d: %w", initiator, err)
 	}
 	if !accept {
@@ -233,7 +233,7 @@ func (c *Client) GroupLeave(name string, members []int) error {
 			continue
 		}
 		seen[n] = true
-		if err := c.server.daemon.NotifyNode(n, encodeEvent(ev)); err != nil {
+		if err := c.server.daemon.NotifyNode(n, EventCodec.Encode(ev)); err != nil {
 			return err
 		}
 	}

@@ -15,7 +15,6 @@ package pmix
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
@@ -99,20 +98,6 @@ type Event struct {
 	Accept  bool
 	Members []int
 	Payload []byte
-}
-
-func encodeEvent(ev Event) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ev); err != nil {
-		panic(fmt.Sprintf("pmix: event encode: %v", err)) // events are plain data; cannot fail
-	}
-	return buf.Bytes()
-}
-
-func decodeEvent(data []byte) (Event, error) {
-	var ev Event
-	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ev)
-	return ev, err
 }
 
 // Info is an ordered list of key/value directives, the PMIx (and MPI)

@@ -1,8 +1,6 @@
 package pmix
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -31,7 +29,12 @@ type Server struct {
 	terminated  map[int]bool
 	pendingEvs  map[int][]Event // targeted events for not-yet-connected ranks
 
-	evq    chan Event
+	// Broadcast events wait here for the dispatcher: a FIFO under a leaf
+	// mutex, so HandleEvent never blocks on a busy dispatcher, plus a
+	// one-slot wake channel.
+	evMu   sync.Mutex //gompilint:lockorder rank=26
+	evs    []Event
+	evWake chan struct{}
 	closed chan struct{}
 
 	// workMu serializes modeled server-side processing: real PMIx servers
@@ -96,7 +99,7 @@ func NewServer(daemon Runtime, job prrte.JobMap, nspace string) *Server {
 		seqs:        make(map[string]uint64),
 		terminated:  make(map[int]bool),
 		pendingEvs:  make(map[int][]Event),
-		evq:         make(chan Event, 1024),
+		evWake:      make(chan struct{}, 1),
 		closed:      make(chan struct{}),
 	}
 	daemon.AttachServer(s)
@@ -152,7 +155,7 @@ func (s *Server) Connect(rank int) *Client {
 	s.mu.Unlock()
 	if revived {
 		s.daemon.NoteRevivedRank(rank)
-		s.daemon.BroadcastEvent(encodeEvent(Event{
+		s.daemon.BroadcastEvent(EventCodec.Encode(Event{
 			Code:   EventProcRestarted,
 			Source: Proc{Nspace: s.nspace, Rank: rank},
 		}))
@@ -185,70 +188,89 @@ func (s *Server) HandleFetch(key string) ([]byte, bool) {
 }
 
 // HandleEvent implements prrte.ServerHandler: broadcast events are queued
-// for asynchronous dispatch to local clients' handlers.
+// for asynchronous dispatch to local clients' handlers. It never blocks,
+// however far behind the dispatcher is.
 func (s *Server) HandleEvent(data []byte) {
-	ev, err := decodeEvent(data)
+	ev, err := EventCodec.Decode(data)
 	if err != nil {
 		return
 	}
 	select {
-	case s.evq <- ev:
 	case <-s.closed:
+		return
+	default:
+	}
+	s.evMu.Lock()
+	s.evs = append(s.evs, ev)
+	s.evMu.Unlock()
+	select {
+	case s.evWake <- struct{}{}:
+	default:
 	}
 }
 
 func (s *Server) dispatchEvents() {
 	for {
 		select {
-		case ev := <-s.evq:
-			s.mu.Lock()
-			// A rank's own server is the authority on its liveness: abort
-			// and Connect already updated this server's state, and the
-			// runtime's, when they raised the event. Applying it again here
-			// would let a termination notice still in the queue re-mark a
-			// rank that has reconnected in the meantime. The broadcast is
-			// for every other node.
-			remote := s.job.NodeOf(ev.Source.Rank) != s.Node()
-			if remote && ev.Code == EventProcTerminated {
-				s.terminated[ev.Source.Rank] = true
-				// Fail pending collectives that expect the dead rank on THIS
-				// node too — before this pass only the dying rank's own
-				// server failed them, and everyone else waited out the full
-				// operation timeout.
-				s.failCollsForLocked(ev.Source.Rank)
-			}
-			if remote && ev.Code == EventProcRestarted {
-				delete(s.terminated, ev.Source.Rank)
-				s.dropRemoteCacheLocked(ev.Source.Rank)
-			}
-			// A targeted event for a local rank that has not connected yet
-			// is held until it does (it may still be initializing).
-			if t := ev.Target; t != (Proc{}) && s.job.NodeOf(t.Rank) == s.Node() {
-				if _, connected := s.clients[t.Rank]; !connected && !s.terminated[t.Rank] {
-					s.pendingEvs[t.Rank] = append(s.pendingEvs[t.Rank], ev)
-					s.mu.Unlock()
-					continue
-				}
-			}
-			clients := make([]*Client, 0, len(s.clients))
-			for _, c := range s.clients {
-				clients = append(clients, c)
-			}
-			s.mu.Unlock()
-			if remote {
-				switch ev.Code {
-				case EventProcTerminated:
-					s.daemon.NoteDeadRank(ev.Source.Rank)
-				case EventProcRestarted:
-					s.daemon.NoteRevivedRank(ev.Source.Rank)
-				}
-			}
-			for _, c := range clients {
-				c.deliverEvent(ev)
-			}
+		case <-s.evWake:
 		case <-s.closed:
 			return
 		}
+		s.evMu.Lock()
+		batch := s.evs
+		s.evs = nil
+		s.evMu.Unlock()
+		for _, ev := range batch {
+			s.dispatch(ev)
+		}
+	}
+}
+
+// dispatch applies one broadcast event to this server's state and delivers
+// it to the local clients.
+func (s *Server) dispatch(ev Event) {
+	s.mu.Lock()
+	// A rank's own server is the authority on its liveness: abort and
+	// Connect already updated this server's state, and the runtime's, when
+	// they raised the event. Applying it again here would let a termination
+	// notice still in the queue re-mark a rank that has reconnected in the
+	// meantime. The broadcast is for every other node.
+	remote := s.job.NodeOf(ev.Source.Rank) != s.Node()
+	if remote && ev.Code == EventProcTerminated {
+		s.terminated[ev.Source.Rank] = true
+		// Fail pending collectives that expect the dead rank on THIS node
+		// too — before this pass only the dying rank's own server failed
+		// them, and everyone else waited out the full operation timeout.
+		s.failCollsForLocked(ev.Source.Rank)
+	}
+	if remote && ev.Code == EventProcRestarted {
+		delete(s.terminated, ev.Source.Rank)
+		s.dropRemoteCacheLocked(ev.Source.Rank)
+	}
+	// A targeted event for a local rank that has not connected yet is held
+	// until it does (it may still be initializing).
+	if t := ev.Target; t != (Proc{}) && s.job.NodeOf(t.Rank) == s.Node() {
+		if _, connected := s.clients[t.Rank]; !connected && !s.terminated[t.Rank] {
+			s.pendingEvs[t.Rank] = append(s.pendingEvs[t.Rank], ev)
+			s.mu.Unlock()
+			return
+		}
+	}
+	clients := make([]*Client, 0, len(s.clients))
+	for _, c := range s.clients {
+		clients = append(clients, c)
+	}
+	s.mu.Unlock()
+	if remote {
+		switch ev.Code {
+		case EventProcTerminated:
+			s.daemon.NoteDeadRank(ev.Source.Rank)
+		case EventProcRestarted:
+			s.daemon.NoteRevivedRank(ev.Source.Rank)
+		}
+	}
+	for _, c := range clients {
+		c.deliverEvent(ev)
 	}
 }
 
@@ -445,7 +467,7 @@ func (s *Server) executeCollective(opKey string, op *collOp, nodes []int, leader
 	s.executing[opKey] = op
 	s.mu.Unlock()
 
-	contribution := encodeNodeBlob(local)
+	contribution := NodeBlobCodec.Encode(local)
 	results, err := s.daemon.Exchange(opKey, nodes, contribution, timeout, op.abort)
 	s.mu.Lock()
 	delete(s.executing, opKey)
@@ -466,7 +488,7 @@ func (s *Server) executeCollective(opKey string, op *collOp, nodes []int, leader
 	merged := make(map[int][]byte)
 	var gotPGCID uint64
 	for _, blob := range results {
-		nb, err := decodeNodeBlob(blob)
+		nb, err := NodeBlobCodec.Decode(blob)
 		if err != nil {
 			op.err = fmt.Errorf("pmix: collective %q: corrupt contribution: %w", opKey, err)
 			return
@@ -482,26 +504,6 @@ func (s *Server) executeCollective(opKey string, op *collOp, nodes []int, leader
 	op.pgcid = gotPGCID
 }
 
-// nodeBlob is the per-node contribution to an inter-server exchange.
-type nodeBlob struct {
-	PGCID uint64
-	Data  map[int][]byte
-}
-
-func encodeNodeBlob(nb nodeBlob) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(nb); err != nil {
-		panic(fmt.Sprintf("pmix: node blob encode: %v", err))
-	}
-	return buf.Bytes()
-}
-
-func decodeNodeBlob(data []byte) (nodeBlob, error) {
-	var nb nodeBlob
-	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&nb)
-	return nb, err
-}
-
 // fence implements PMIx_Fence for one local participant. With collect set,
 // every participant's committed data is exchanged and cached so later Gets
 // are local.
@@ -509,50 +511,35 @@ func (s *Server) fence(rank int, ranks []int, opKey, seqKey string, collect bool
 	var contrib []byte
 	if collect {
 		s.mu.Lock()
-		kv := s.published[rank]
-		cp := make(map[string][]byte, len(kv))
-		for k, v := range kv {
-			cp[k] = v
-		}
+		contrib = ModexCodec.Encode(s.published[rank])
 		s.mu.Unlock()
-		contrib = encodeKV(cp)
 	}
 	prof := s.profile()
 	result, _, err := s.collective(opKey, seqKey, rank, ranks, contrib, "", prof.FenceClientWork, prof.FenceNodeWork, timeout)
-	if err != nil {
+	if err != nil || !collect {
 		return err
 	}
-	if collect {
-		s.mu.Lock()
-		for r, blob := range result {
-			if len(blob) == 0 || s.job.NodeOf(r) == s.Node() {
-				continue
-			}
-			kv, err := decodeKV(blob)
-			if err != nil {
-				continue
-			}
-			for k, v := range kv {
-				s.remoteCache[fmt.Sprintf("modex/%d/%s", r, k)] = v
-			}
+	// A contribution that does not decode fails the fence: dropping it
+	// would surface later as that rank's keys going missing.
+	remote := make(map[int]map[string][]byte, len(result))
+	for r, blob := range result {
+		if len(blob) == 0 || s.job.NodeOf(r) == s.Node() {
+			continue
 		}
-		s.mu.Unlock()
+		kv, err := ModexCodec.Decode(blob)
+		if err != nil {
+			return fmt.Errorf("pmix: fence %q: corrupt contribution from rank %d: %w", opKey, r, err)
+		}
+		remote[r] = kv
 	}
+	s.mu.Lock()
+	for r, kv := range remote {
+		for k, v := range kv {
+			s.remoteCache[fmt.Sprintf("modex/%d/%s", r, k)] = v
+		}
+	}
+	s.mu.Unlock()
 	return nil
-}
-
-func encodeKV(kv map[string][]byte) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(kv); err != nil {
-		panic(fmt.Sprintf("pmix: kv encode: %v", err))
-	}
-	return buf.Bytes()
-}
-
-func decodeKV(data []byte) (map[string][]byte, error) {
-	var kv map[string][]byte
-	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&kv)
-	return kv, err
 }
 
 // failCollsForLocked fails every pending collective that expects a rank now
@@ -604,7 +591,7 @@ func (s *Server) abort(rank int) {
 	s.failCollsForLocked(rank)
 	s.mu.Unlock()
 	s.daemon.NoteDeadRank(rank)
-	s.daemon.BroadcastEvent(encodeEvent(Event{
+	s.daemon.BroadcastEvent(EventCodec.Encode(Event{
 		Code:   EventProcTerminated,
 		Source: Proc{Nspace: s.nspace, Rank: rank},
 	}))

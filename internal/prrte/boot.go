@@ -1,7 +1,7 @@
 package prrte
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -14,8 +14,9 @@ import (
 
 // Process-mode bootstrap: when prun launches real OS processes (-transport
 // udp), there is no in-process DVM to carry out-of-band traffic. Instead the
-// parent runs a BootServer — a gob-over-TCP rendezvous service on loopback —
-// and each child connects a BootClient, which implements the same
+// parent runs a BootServer — a rendezvous service on loopback TCP, speaking
+// length-prefixed frames of the opal control-plane codec (wire.go) — and
+// each child connects a BootClient, which implements the same
 // pmix.Runtime surface as an in-process Daemon. The parent holds the same
 // resource manager as the DVM's master (rm.go), reached over TCP instead of
 // simnet, and centralizes what the simulated DVM distributes: modex data
@@ -71,14 +72,15 @@ const (
 type bootConn struct {
 	conn net.Conn
 	wmu  sync.Mutex //gompilint:lockorder rank=19
-	enc  *gob.Encoder
 	node int
 }
 
 func (c *bootConn) send(r bootReply) error {
+	frame := BootReplyCodec.AppendFrame(nil, r)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return c.enc.Encode(r)
+	_, err := c.conn.Write(frame)
+	return err
 }
 
 // bootOp is one in-flight collective exchange at the parent.
@@ -167,13 +169,14 @@ func (s *BootServer) accept() {
 
 // serve processes one child's requests serially — the ordering guarantee the
 // fire-and-forget kinds rely on. Kinds that must wait for other children
-// never block this loop; they park a waiter and are answered later.
+// never block this loop; they park a waiter and are answered later. A frame
+// that is oversized or does not decode closes the connection.
 func (s *BootServer) serve(conn net.Conn) {
-	bc := &bootConn{conn: conn, enc: gob.NewEncoder(conn), node: -1}
-	dec := gob.NewDecoder(conn)
+	bc := &bootConn{conn: conn, node: -1}
+	r := bufio.NewReader(conn)
 	for {
-		var msg bootMsg
-		if err := dec.Decode(&msg); err != nil {
+		msg, err := BootMsgCodec.ReadFrame(r, maxBootFrame)
+		if err != nil {
 			s.dropConn(bc)
 			return
 		}
@@ -314,8 +317,7 @@ type BootClient struct {
 	pending map[uint64]chan bootReply
 	dead    error
 
-	encMu sync.Mutex //gompilint:lockorder rank=18
-	enc   *gob.Encoder
+	writeMu sync.Mutex //gompilint:lockorder rank=18
 
 	nextID atomic.Uint64
 }
@@ -331,7 +333,6 @@ func DialBoot(addr string, node, np int) (*BootClient, error) {
 		conn:    conn,
 		node:    node,
 		pending: make(map[uint64]chan bootReply),
-		enc:     gob.NewEncoder(conn),
 	}
 	c.rmClient = rmClient{c}
 	go c.read()
@@ -350,10 +351,10 @@ func (c *BootClient) Close() { c.conn.Close() }
 // read is the single receiver: correlated replies route to their waiters,
 // ID-0 pushes are events for the attached server.
 func (c *BootClient) read() {
-	dec := gob.NewDecoder(c.conn)
+	br := bufio.NewReader(c.conn)
 	for {
-		var r bootReply
-		if err := dec.Decode(&r); err != nil {
+		r, err := BootReplyCodec.ReadFrame(br, maxBootFrame)
+		if err != nil {
 			c.fail(fmt.Errorf("prrte: boot connection lost: %w", err))
 			return
 		}
@@ -398,9 +399,11 @@ func (c *BootClient) push(msg bootMsg) error {
 	if dead != nil {
 		return dead
 	}
-	c.encMu.Lock()
-	defer c.encMu.Unlock()
-	return c.enc.Encode(msg)
+	frame := BootMsgCodec.AppendFrame(nil, msg)
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	_, err := c.conn.Write(frame)
+	return err
 }
 
 // roundTrip sends a correlated request and waits for its reply.
@@ -438,7 +441,7 @@ func (c *BootClient) roundTrip(msg bootMsg, timeout time.Duration) (bootReply, e
 	}
 }
 
-// call is the client's replied RM transport: one correlated gob call.
+// call is the client's replied RM transport: one correlated boot frame.
 func (c *BootClient) call(req rmReq, timeout time.Duration) (rmResp, error) {
 	r, err := c.roundTrip(bootMsg{Kind: bootRM, RM: req}, timeout)
 	return r.Res, err

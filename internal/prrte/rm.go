@@ -17,7 +17,7 @@ import (
 // reaches it over TCP. The runtimes differ only in how a request arrives.
 
 // rmOp names one resource-manager request.
-type rmOp uint8
+type rmOp int
 
 const (
 	rmPGCID       rmOp = iota + 1 // replied: a fresh PGCID, optionally registering Name

@@ -173,7 +173,7 @@ func (p *Process) BTLStatsSnapshot() map[string]TransportStats {
 // FaultStats is a snapshot of the simulated fabric's fault-injection
 // counters: what the chaos plan actually did to this job's wire. Killed and
 // Revived count the process deaths and respawns the plan triggered — the
-// pair the recovery soak metrics (ROADMAP item 4) track against completed
+// pair the recovery soak metrics (ROADMAP item 3(d)) track against completed
 // rebuilds.
 type FaultStats struct {
 	Dropped     uint64
