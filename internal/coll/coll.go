@@ -21,7 +21,9 @@
 // per-call collective allocates nothing; shapes whose layout is no
 // comparable key (vector counts, a neighbour list) compile per call and
 // run through the same engine. Prepare* returns an Exec that owns its run
-// state outright — the substrate of the mpi persistent collectives.
+// state outright — the substrate of the mpi persistent collectives — and
+// Ibarrier, Ibcast and Iallreduce return one-shot Execs; both move on their
+// callers and on their steps' completions (progress.go).
 //
 // The package is transport-agnostic: schedules move bytes through the
 // NBTransport interface (implemented by mpi.Comm over the PML), so they can
@@ -291,11 +293,13 @@ func (f *Framework) counter(op Op, algo string) *atomic.Uint64 {
 }
 
 // record counts one call of a compiled schedule (per-call dispatch or a
-// persistent prepare) and, when tracing is on, logs the decision.
+// persistent prepare) and, when tracing is on, logs the decision. Enabled
+// is checked first: Logf's arguments are boxed at the call, so a disabled
+// trace would otherwise cost allocations on every collective.
 func (f *Framework) record(key schedKey, e *compiled, comp, comm string, size, bytes int) {
 	e.calls.Add(1)
 	f.stepsRun[key.op].Add(uint64(e.s.Steps()))
-	if f.trace != nil {
+	if f.trace.Enabled() {
 		f.trace.Logf("coll", "%s on %s (size=%d bytes=%d) -> %s/%s (%d steps)",
 			key.op, comm, size, bytes, comp, key.algo, e.s.Steps())
 	}
@@ -518,6 +522,58 @@ func (m *Module) park(e *compiled, st *runState) {
 	m.mu.Unlock()
 }
 
+// call is one collective invocation: its cache key, the component that
+// decided it, its payload in bytes, and the caller's buffers and tag base.
+// One builder per decided operation makes it, so the blocking, the
+// nonblocking and the persistent form of an operation always run the same
+// algorithm.
+type call struct {
+	key   schedKey
+	comp  string
+	bytes int
+	bind  binding
+}
+
+func (m *Module) barrierCall(tag int) call {
+	comp, algo := m.pick(Barrier, 0, true)
+	return call{schedKey{op: Barrier, algo: algo}, comp, 0, binding{baseTag: tag}}
+}
+
+func (m *Module) bcastCall(buf []byte, root, tag int) call {
+	comp, algo := m.pick(Bcast, len(buf), true)
+	return call{schedKey{op: Bcast, algo: algo, bytes: len(buf), root: root}, comp, len(buf),
+		binding{recv: buf, baseTag: tag}}
+}
+
+func (m *Module) reduceCall(sendBuf, recvBuf []byte, count, elt int, rf ReduceFunc, commutative bool, root, tag int) call {
+	comp, algo := m.pick(Reduce, count*elt, commutative)
+	return call{schedKey{op: Reduce, algo: algo, count: count, elt: elt, root: root}, comp, count * elt,
+		binding{send: sendBuf, recv: recvBuf, rf: rf, baseTag: tag}}
+}
+
+func (m *Module) allreduceCall(sendBuf, recvBuf []byte, count, elt int, rf ReduceFunc, commutative bool, tag int) call {
+	comp, algo := m.pick(Allreduce, count*elt, commutative)
+	return call{schedKey{op: Allreduce, algo: algo, count: count, elt: elt}, comp, count * elt,
+		binding{send: sendBuf, recv: recvBuf, rf: rf, baseTag: tag}}
+}
+
+func (m *Module) allgatherCall(sendBuf, recvBuf []byte, tag int) call {
+	comp, algo := m.pick(Allgather, len(sendBuf), true)
+	return call{schedKey{op: Allgather, algo: algo, bytes: len(sendBuf)}, comp, len(sendBuf),
+		binding{send: sendBuf, recv: recvBuf, baseTag: tag}}
+}
+
+func (m *Module) alltoallCall(sendBuf, recvBuf []byte, tag int) call {
+	size := m.env.T.Size()
+	blk := 0
+	if size > 0 {
+		blk = len(sendBuf) / size
+	}
+	comp, algo := m.pick(Alltoall, blk, true)
+	return call{schedKey{op: Alltoall, algo: algo, bytes: blk}, comp, blk,
+		binding{send: sendBuf, recv: recvBuf, baseTag: tag}}
+}
+
 // dispatch runs one per-call collective: check out the shape's schedule
 // and run state, bind the caller's buffers, execute, park the state again.
 // A warm call allocates nothing (TestPerCallCollAllocs). A run that errors
@@ -525,13 +581,11 @@ func (m *Module) park(e *compiled, st *runState) {
 // and those may still write into that staging arena.
 //
 //gompilint:noalloc
-func (m *Module) dispatch(key schedKey, comp string, bytes int, bind binding) error {
-	e, st, err := m.checkout(key)
+func (m *Module) dispatch(c call) error {
+	e, st, err := m.bind(c)
 	if err != nil {
 		return err
 	}
-	m.f.record(key, e, comp, m.comm, m.env.T.Size(), bytes)
-	st.rebind(bind)
 	if err := run(m.env.T, e.s, st); err != nil {
 		return err
 	}
@@ -540,49 +594,31 @@ func (m *Module) dispatch(key schedKey, comp string, bytes int, bind binding) er
 }
 
 // Barrier runs the selected barrier algorithm.
-func (m *Module) Barrier(tag int) error {
-	comp, algo := m.pick(Barrier, 0, true)
-	return m.dispatch(schedKey{op: Barrier, algo: algo}, comp, 0, binding{baseTag: tag})
-}
+func (m *Module) Barrier(tag int) error { return m.dispatch(m.barrierCall(tag)) }
 
 // Bcast broadcasts buf from root.
 func (m *Module) Bcast(buf []byte, root, tag int) error {
-	comp, algo := m.pick(Bcast, len(buf), true)
-	return m.dispatch(schedKey{op: Bcast, algo: algo, bytes: len(buf), root: root}, comp, len(buf),
-		binding{recv: buf, baseTag: tag})
+	return m.dispatch(m.bcastCall(buf, root, tag))
 }
 
 // Reduce combines count elements of elt bytes into recvBuf at root.
 func (m *Module) Reduce(sendBuf, recvBuf []byte, count, elt int, rf ReduceFunc, commutative bool, root, tag int) error {
-	comp, algo := m.pick(Reduce, count*elt, commutative)
-	return m.dispatch(schedKey{op: Reduce, algo: algo, count: count, elt: elt, root: root}, comp, count*elt,
-		binding{send: sendBuf, recv: recvBuf, rf: rf, baseTag: tag})
+	return m.dispatch(m.reduceCall(sendBuf, recvBuf, count, elt, rf, commutative, root, tag))
 }
 
 // Allreduce combines count elements of elt bytes into recvBuf everywhere.
 func (m *Module) Allreduce(sendBuf, recvBuf []byte, count, elt int, rf ReduceFunc, commutative bool, tag int) error {
-	comp, algo := m.pick(Allreduce, count*elt, commutative)
-	return m.dispatch(schedKey{op: Allreduce, algo: algo, count: count, elt: elt}, comp, count*elt,
-		binding{send: sendBuf, recv: recvBuf, rf: rf, baseTag: tag})
+	return m.dispatch(m.allreduceCall(sendBuf, recvBuf, count, elt, rf, commutative, tag))
 }
 
 // Allgather concatenates each member's sendBuf into recvBuf everywhere.
 func (m *Module) Allgather(sendBuf, recvBuf []byte, tag int) error {
-	comp, algo := m.pick(Allgather, len(sendBuf), true)
-	return m.dispatch(schedKey{op: Allgather, algo: algo, bytes: len(sendBuf)}, comp, len(sendBuf),
-		binding{send: sendBuf, recv: recvBuf, baseTag: tag})
+	return m.dispatch(m.allgatherCall(sendBuf, recvBuf, tag))
 }
 
 // Alltoall exchanges block i of sendBuf with member i.
 func (m *Module) Alltoall(sendBuf, recvBuf []byte, tag int) error {
-	size := m.env.T.Size()
-	blk := 0
-	if size > 0 {
-		blk = len(sendBuf) / size
-	}
-	comp, algo := m.pick(Alltoall, blk, true)
-	return m.dispatch(schedKey{op: Alltoall, algo: algo, bytes: blk}, comp, blk,
-		binding{send: sendBuf, recv: recvBuf, baseTag: tag})
+	return m.dispatch(m.alltoallCall(sendBuf, recvBuf, tag))
 }
 
 // fixed runs one call of a fixed-shape operation through the schedule
@@ -590,7 +626,7 @@ func (m *Module) Alltoall(sendBuf, recvBuf []byte, tag int) error {
 // key sets one of bytes and count, so their sum is the payload.
 func (m *Module) fixed(key schedKey, bind binding) error {
 	key.algo = fixedAlgo[key.op]
-	return m.dispatch(key, "fixed", key.bytes+key.count*key.elt, bind)
+	return m.dispatch(call{key, "fixed", key.bytes + key.count*key.elt, bind})
 }
 
 // Gather concentrates each member's sendBuf in recvBuf at root, member i's
@@ -686,76 +722,101 @@ func (m *Module) NeighborAlltoall(sendBuf, recvBuf []byte, nbrs []int, tag int) 
 	})
 }
 
-// Exec is a prepared (persistent) collective: a compiled schedule plus a
-// checked-out run state that is never parked again — bound to fixed
-// buffers and a reserved tag base for as long as the Exec lives. Run
-// executes it synchronously through the same engine entry point as the
-// per-call path; every Run performs zero allocations and zero
-// decision-table work. The mpi layer wraps Exec in the startable
-// persistent-request surface.
+// Exec is a started-collective handle (progress.go): a compiled schedule
+// plus a run state. A prepared (persistent) Exec owns its run state for
+// life — bound to fixed buffers and a reserved tag base — and replays it
+// on every Start with zero allocations and zero decision-table work. A
+// nonblocking per-call collective (Ibarrier, Ibcast, Iallreduce) is a
+// one-shot Exec over a checked-out run state, which goes back to its cache
+// entry when the run finishes cleanly. The mpi layer wraps both in its
+// request surfaces.
 type Exec struct {
 	m    *Module
 	s    *Schedule
 	op   Op
 	algo string
 	st   *runState
+	// entry is set on a one-shot Exec: the cache entry its run state is
+	// parked with again when the run finishes cleanly.
+	entry *compiled
+	progress
+}
+
+// bind checks out the schedule and run state of one call shape, counts
+// the call, and binds the caller's buffers and tag base.
+//
+//gompilint:noalloc
+func (m *Module) bind(c call) (*compiled, *runState, error) {
+	e, st, err := m.checkout(c.key)
+	if err != nil {
+		return nil, nil, err
+	}
+	m.f.record(c.key, e, c.comp, m.comm, m.env.T.Size(), c.bytes)
+	st.rebind(c.bind)
+	return e, st, nil
 }
 
 // prepare compiles, records, and binds one persistent call shape.
-func (m *Module) prepare(key schedKey, comp string, bind binding) (*Exec, error) {
-	e, st, err := m.checkout(key)
+func (m *Module) prepare(c call) (*Exec, error) {
+	e, st, err := m.bind(c)
 	if err != nil {
 		return nil, err
 	}
-	m.f.record(key, e, comp, m.comm, m.env.T.Size(), key.bytes)
-	st.rebind(bind)
-	return &Exec{m: m, s: e.s, op: key.op, algo: key.algo, st: st}, nil
+	return newExec(m, e.s, c.key, st, nil), nil
+}
+
+// start binds one nonblocking per-call collective and starts it on the
+// caller's goroutine.
+func (m *Module) start(c call) (*Exec, error) {
+	e, st, err := m.bind(c)
+	if err != nil {
+		return nil, err
+	}
+	ex := newExec(m, e.s, c.key, st, e)
+	ex.start()
+	return ex, nil
+}
+
+// Ibarrier starts the barrier Barrier would run and returns without
+// waiting for it.
+func (m *Module) Ibarrier(tag int) (*Exec, error) { return m.start(m.barrierCall(tag)) }
+
+// Ibcast starts the broadcast Bcast would run.
+func (m *Module) Ibcast(buf []byte, root, tag int) (*Exec, error) {
+	return m.start(m.bcastCall(buf, root, tag))
+}
+
+// Iallreduce starts the allreduce Allreduce would run.
+func (m *Module) Iallreduce(sendBuf, recvBuf []byte, count, elt int, rf ReduceFunc, commutative bool, tag int) (*Exec, error) {
+	return m.start(m.allreduceCall(sendBuf, recvBuf, count, elt, rf, commutative, tag))
 }
 
 // PrepareBarrier binds a persistent barrier on the given tag window.
-func (m *Module) PrepareBarrier(tag int) (*Exec, error) {
-	comp, algo := m.pick(Barrier, 0, true)
-	return m.prepare(schedKey{op: Barrier, algo: algo}, comp, binding{baseTag: tag})
-}
+func (m *Module) PrepareBarrier(tag int) (*Exec, error) { return m.prepare(m.barrierCall(tag)) }
 
 // PrepareBcast binds a persistent broadcast of buf from root.
 func (m *Module) PrepareBcast(buf []byte, root, tag int) (*Exec, error) {
-	comp, algo := m.pick(Bcast, len(buf), true)
-	return m.prepare(schedKey{op: Bcast, algo: algo, bytes: len(buf), root: root}, comp,
-		binding{recv: buf, baseTag: tag})
+	return m.prepare(m.bcastCall(buf, root, tag))
 }
 
 // PrepareReduce binds a persistent reduction into recvBuf at root.
 func (m *Module) PrepareReduce(sendBuf, recvBuf []byte, count, elt int, rf ReduceFunc, commutative bool, root, tag int) (*Exec, error) {
-	comp, algo := m.pick(Reduce, count*elt, commutative)
-	return m.prepare(schedKey{op: Reduce, algo: algo, count: count, elt: elt, root: root}, comp,
-		binding{send: sendBuf, recv: recvBuf, rf: rf, baseTag: tag})
+	return m.prepare(m.reduceCall(sendBuf, recvBuf, count, elt, rf, commutative, root, tag))
 }
 
 // PrepareAllreduce binds a persistent allreduce.
 func (m *Module) PrepareAllreduce(sendBuf, recvBuf []byte, count, elt int, rf ReduceFunc, commutative bool, tag int) (*Exec, error) {
-	comp, algo := m.pick(Allreduce, count*elt, commutative)
-	return m.prepare(schedKey{op: Allreduce, algo: algo, count: count, elt: elt}, comp,
-		binding{send: sendBuf, recv: recvBuf, rf: rf, baseTag: tag})
+	return m.prepare(m.allreduceCall(sendBuf, recvBuf, count, elt, rf, commutative, tag))
 }
 
 // PrepareAllgather binds a persistent allgather.
 func (m *Module) PrepareAllgather(sendBuf, recvBuf []byte, tag int) (*Exec, error) {
-	comp, algo := m.pick(Allgather, len(sendBuf), true)
-	return m.prepare(schedKey{op: Allgather, algo: algo, bytes: len(sendBuf)}, comp,
-		binding{send: sendBuf, recv: recvBuf, baseTag: tag})
+	return m.prepare(m.allgatherCall(sendBuf, recvBuf, tag))
 }
 
 // PrepareAlltoall binds a persistent alltoall.
 func (m *Module) PrepareAlltoall(sendBuf, recvBuf []byte, tag int) (*Exec, error) {
-	size := m.env.T.Size()
-	blk := 0
-	if size > 0 {
-		blk = len(sendBuf) / size
-	}
-	comp, algo := m.pick(Alltoall, blk, true)
-	return m.prepare(schedKey{op: Alltoall, algo: algo, bytes: blk}, comp,
-		binding{send: sendBuf, recv: recvBuf, baseTag: tag})
+	return m.prepare(m.alltoallCall(sendBuf, recvBuf, tag))
 }
 
 // Op returns the prepared operation.
@@ -766,12 +827,3 @@ func (e *Exec) Algorithm() string { return e.algo }
 
 // Steps returns the number of steps in the bound schedule.
 func (e *Exec) Steps() int { return e.s.Steps() }
-
-// Run executes the prepared schedule once, blocking until it completes.
-// Safe to call repeatedly (but not concurrently); each call is one
-// triggered instance of the persistent collective.
-func (e *Exec) Run() error {
-	e.m.f.persistentStarts.Add(1)
-	e.m.f.stepsRun[e.op].Add(uint64(len(e.s.steps)))
-	return run(e.m.env.T, e.s, e.st)
-}

@@ -12,7 +12,7 @@ import (
 // per-(src, dst) FIFO ordering and blocking recv, and it rejects a message
 // whose tag or length is not exactly what the receive asked for. It has no
 // nonblocking seam: it carries the sequential reference executor
-// (runDirect); the NBMesh in mesh_test.go carries the engine.
+// (runDirect); the NBMesh (colltest.Mesh, mesh_test.go) carries the engine.
 type memMsg struct {
 	tag  int
 	data []byte

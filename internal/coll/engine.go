@@ -1,15 +1,17 @@
 package coll
 
-import "runtime"
-
-// The schedule executor. run (the engine) executes a compiled schedule's DAG
-// over a nonblocking transport: every step whose dependencies have completed
-// is issued immediately, so independent exchanges overlap. Per-call
-// collectives run it on the run state parked with their cached schedule,
-// persistent collectives on the one their Exec owns. (The tests keep a
-// second, sequential executor —
-// runDirect in direct_test.go — as the reference the engine's output is
-// compared against.)
+// The schedule executor. advance (the engine) makes a compiled schedule's
+// DAG progress as far as it can without waiting: every step whose
+// dependencies have completed is issued immediately, so independent
+// exchanges overlap, and every step whose requests have completed is
+// folded. run drives advance to the end on the calling goroutine, blocking
+// on one request whenever nothing else can move: that is every blocking
+// per-call collective. A started run (Exec, progress.go: the persistent
+// and the nonblocking collectives) is driven by advance from its caller's
+// Start, Progress and Finish and from its steps' completion hooks in
+// between. (The tests keep a second, sequential executor — runDirect in
+// direct_test.go — as the reference the engine's output is compared
+// against.)
 
 // Req is the completion handle of a nonblocking transport operation. Once
 // Wait returns or Test reports done, the handle is spent: the engine drops
@@ -51,7 +53,8 @@ type execState struct {
 	sreq    []Req   // outstanding send/recv request per step
 	rreq    []Req   // second request of a sendrecv step
 	ready   []int32 // steps whose dependencies are all met, not yet issued
-	pending []int32 // steps with outstanding requests
+	pending []int32 // steps with outstanding requests, oldest first
+	done    int     // steps completed
 }
 
 // newRunState sizes a run state, staging arena included, for one schedule.
@@ -87,47 +90,63 @@ func (x *execState) reset(s *Schedule) {
 	}
 	x.ready = append(x.ready[:0], s.roots...)
 	x.pending = x.pending[:0]
+	x.done = 0
 }
 
-// run executes the DAG over a nonblocking transport. Strategy: issue every
-// ready step; local steps (reduce, copy) complete inline, communication
-// steps go to the pending set. When nothing is ready, poll the pending
-// requests; if a full poll makes no progress, block on the oldest pending
-// request — safe, because a posted request completes without further
-// action from this member, so blocking can never add a cycle the schedule
-// did not already have.
+// run executes the DAG over a nonblocking transport, start to finish, on
+// the calling goroutine.
 //
-// run is the inner loop of every collective, per-call and persistent:
-// every slice it touches was sized in newRunState, so steady-state rounds
-// allocate nothing (the self-appends below reuse the preallocated backing
-// arrays; growth there is a capacity bug TestPersistentCollStartAllocs and
-// TestPerCallCollAllocs would catch).
+// run and advance are the inner loop of every collective: every slice they
+// touch was sized in newRunState, so steady-state rounds allocate nothing
+// (the self-appends reuse the preallocated backing arrays; growth there is
+// a capacity bug TestPersistentCollStartAllocs and TestPerCallCollAllocs
+// would catch).
 //
 //gompilint:noalloc
 func run(t NBTransport, s *Schedule, st *runState) error {
-	bind, x := &st.bind, &st.x
-	x.reset(s)
-	completed := 0
-	total := len(s.steps)
+	st.x.reset(s)
+	return drain(t, s, st)
+}
 
-	complete := func(i int32) {
-		completed++
-		for _, nxt := range s.succ[i] {
-			x.ndep[nxt]--
-			if x.ndep[nxt] == 0 {
-				x.ready = append(x.ready, nxt)
-			}
+// drain drives a started run to its end: advance, and whenever nothing can
+// move, block on the oldest pending step. Blocking is safe because a posted
+// request completes without further action from this member, so it can
+// never add a cycle the schedule did not already have.
+//
+// On error it returns at once — the exact semantics of the blocking path.
+// Outstanding requests are abandoned rather than drained: after a peer
+// failure a matching message may never arrive, so draining could hang, and
+// the PML completes poisoned requests on its own. A schedule that errored
+// must be reset (run again) or freed, never trusted to have written its
+// buffers.
+//
+//gompilint:noalloc
+func drain(t NBTransport, s *Schedule, st *runState) error {
+	for {
+		done, err := advance(t, s, st, nil)
+		if done || err != nil {
+			return err
+		}
+		if err := st.x.block(s); err != nil {
+			return err
 		}
 	}
+}
 
-	// On error, return immediately — the exact semantics of the blocking
-	// path. Outstanding requests are abandoned rather than drained: after a
-	// peer failure a matching message may never arrive, so draining could
-	// hang, and the PML completes poisoned requests on its own. A schedule
-	// that errored must be reset (run again) or freed, never trusted to have
-	// written its buffers.
-	for completed < total {
-		// Issue everything that is ready.
+// advance moves the run as far as it goes without waiting and reports
+// whether the schedule is done. It issues every ready step — local steps
+// (reduce, copy) complete inline, communication steps join the pending set
+// — then polls the pending set, folding completed steps, and repeats while
+// that makes more steps ready.
+//
+// When ex is not nil, every request issued gets ex's completion hook
+// (Notifier), so a step that completes while no goroutine is driving the
+// run drives it (stepDone). The caller holds ex's driver token.
+//
+//gompilint:noalloc
+func advance(t NBTransport, s *Schedule, st *runState, ex *Exec) (bool, error) {
+	bind, x := &st.bind, &st.x
+	for {
 		for len(x.ready) > 0 {
 			i := x.ready[len(x.ready)-1]
 			x.ready = x.ready[:len(x.ready)-1]
@@ -135,42 +154,46 @@ func run(t NBTransport, s *Schedule, st *runState) error {
 			switch st.kind {
 			case stepReduce:
 				if err := bind.rf(bind.resolve(st.a), bind.resolve(st.b), st.count); err != nil {
-					return err
+					return false, err
 				}
-				complete(i)
+				x.fold(s, i)
 			case stepCopy:
 				copy(bind.resolve(st.a), bind.resolve(st.b))
-				complete(i)
+				x.fold(s, i)
 			case stepSend:
 				r, err := t.Isend(bind.resolve(st.a), st.peer, bind.baseTag-st.tagOff)
 				if err != nil {
-					return err
+					return false, err
 				}
 				x.sreq[i] = r
+				ex.watch(r)
 				x.pending = append(x.pending, i)
 			case stepRecv:
 				r, err := t.Irecv(bind.resolve(st.a), st.peer, bind.baseTag-st.tagOff)
 				if err != nil {
-					return err
+					return false, err
 				}
 				x.sreq[i] = r
+				ex.watch(r)
 				x.pending = append(x.pending, i)
 			case stepSendrecv:
 				rr, err := t.Irecv(bind.resolve(st.b), st.peer2, bind.baseTag-st.tagOff)
 				if err != nil {
-					return err
+					return false, err
 				}
 				x.rreq[i] = rr
+				ex.watch(rr)
 				sr, err := t.Isend(bind.resolve(st.a), st.peer, bind.baseTag-st.tagOff)
 				if err != nil {
-					return err
+					return false, err
 				}
 				x.sreq[i] = sr
+				ex.watch(sr)
 				x.pending = append(x.pending, i)
 			}
 		}
-		if completed == total {
-			break
+		if x.done == len(s.steps) {
+			return true, nil
 		}
 
 		// Poll the pending requests, compacting completed ones away.
@@ -180,29 +203,48 @@ func run(t NBTransport, s *Schedule, st *runState) error {
 			done, err := testStep(x, i)
 			if err != nil {
 				x.pending = kept
-				return err
+				return false, err
 			}
 			if done {
-				complete(i)
+				x.fold(s, i)
 				progress = true
 			} else {
 				kept = append(kept, i)
 			}
 		}
 		x.pending = kept
-
-		if !progress && len(x.ready) == 0 && len(x.pending) > 0 {
-			// Nothing local to do: block on the oldest pending step.
-			i := x.pending[0]
-			x.pending = append(x.pending[:0], x.pending[1:]...)
-			if err := waitStep(x, i); err != nil {
-				return err
-			}
-			complete(i)
-		} else if !progress {
-			runtime.Gosched()
+		if !progress {
+			return false, nil
 		}
 	}
+}
+
+// fold records step i as completed and readies every successor whose last
+// dependency it was.
+//
+//gompilint:noalloc
+func (x *execState) fold(s *Schedule, i int32) {
+	x.done++
+	for _, nxt := range s.succ[i] {
+		x.ndep[nxt]--
+		if x.ndep[nxt] == 0 {
+			x.ready = append(x.ready, nxt)
+		}
+	}
+}
+
+// block waits for the oldest pending step and folds it. A run advance left
+// unfinished always has one: no step is ready, so a well-formed DAG with
+// unfinished steps has requests outstanding.
+//
+//gompilint:noalloc
+func (x *execState) block(s *Schedule) error {
+	i := x.pending[0]
+	x.pending = append(x.pending[:0], x.pending[1:]...)
+	if err := waitStep(x, i); err != nil {
+		return err
+	}
+	x.fold(s, i)
 	return nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+
+	"gompi/internal/opal"
 )
 
 // lockstep drives one collective across every rank of an NBMesh: worker
@@ -77,7 +79,14 @@ func requireNoAllocs(t *testing.T, ls *lockstep, what string) {
 
 func newModules(t *testing.T, ranks int) []*Module {
 	t.Helper()
-	fw, err := NewFramework([]string{"tuned", "basic"}, nil)
+	return newTracedModules(t, ranks, nil)
+}
+
+// newTracedModules is newModules with a trace attached to the framework,
+// as core.Instance always attaches one (disabled unless Config.Trace).
+func newTracedModules(t *testing.T, ranks int, trace *opal.Trace) []*Module {
+	t.Helper()
+	fw, err := NewFramework([]string{"tuned", "basic"}, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +206,8 @@ func TestPerCallCollAllocs(t *testing.T) {
 			return m.ReduceScatterBlock(input(r), out[:blk], count/ranks, 8, sumI64, -16)
 		}, func(r int) []byte { return sum[r*blk : (r+1)*blk] }},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			mods := newModules(t, ranks)
+		check := func(t *testing.T, trace *opal.Trace) {
+			mods := newTracedModules(t, ranks, trace)
 			outs := make([][]byte, ranks)
 			for r := range outs {
 				outs[r] = make([]byte, ranks*count*8)
@@ -210,6 +219,13 @@ func TestPerCallCollAllocs(t *testing.T) {
 					t.Errorf("rank %d: wrong %s result after repeated warm calls", r, tc.name)
 				}
 			}
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			check(t, nil)
+			// A production framework always carries a trace, disabled
+			// unless tracing was asked for; a disabled one must cost
+			// nothing either.
+			t.Run("trace-off", func(t *testing.T) { check(t, opal.NewTrace(16)) })
 		})
 	}
 }

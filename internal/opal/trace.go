@@ -3,16 +3,19 @@ package opal
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Trace is a lightweight fixed-size ring buffer for middleware diagnostics,
 // the analogue of Open MPI's per-framework verbosity streams. It is cheap
-// enough to leave compiled in: a disabled tracer is a single atomic-free
-// boolean check, and it holds no ring until it is first enabled.
+// enough to leave compiled in: a disabled tracer is one atomic load, and it
+// holds no ring until it is first enabled. Callers on hot paths check
+// Enabled before they build Logf's arguments, since boxing them into
+// ...any allocates whether or not the event is recorded.
 type Trace struct {
+	enabled atomic.Bool
 	mu      sync.Mutex
-	enabled bool
 	size    int
 	ring    []TraceEvent // allocated by the first Enable(true)
 	next    int
@@ -43,21 +46,23 @@ func (t *Trace) Enable(on bool) {
 	if on && t.ring == nil {
 		t.ring = make([]TraceEvent, t.size)
 	}
-	t.enabled = on
+	t.enabled.Store(on)
 	t.mu.Unlock()
 }
 
-// Enabled reports whether recording is on.
+// Enabled reports whether recording is on. It takes no lock, and a nil
+// tracer reports false.
 func (t *Trace) Enabled() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.enabled
+	return t != nil && t.enabled.Load()
 }
 
 // Logf records one event if tracing is enabled.
 func (t *Trace) Logf(layer, format string, args ...any) {
+	if !t.enabled.Load() {
+		return
+	}
 	t.mu.Lock()
-	if !t.enabled {
+	if t.ring == nil {
 		t.mu.Unlock()
 		return
 	}

@@ -4,6 +4,22 @@ import "fmt"
 
 // Failure handling: peer death (FailPeer/RevivePeer) and communicator
 // revocation (Revoke and the hdrRevoke notice).
+//
+// Both mark first and sweep second: FailPeer records the dead rank and
+// poisons its channels, Revoke poisons the channel, and only then does
+// either sweep the posted queues and the rendezvous maps. Every operation
+// that queues itself does the mirror image: it registers first (posted
+// queue, pendSend, pendRecv) and checks liveness under the channel lock
+// second. Whichever order the two land in, one of them sees the other, so
+// no operation is queued behind a failure that already swept.
+
+// raceYield, when set, runs at the named points of Isend and Irecv that
+// lie between an operation's registration and its liveness check, so a
+// test can land a FailPeer or Revoke exactly there, and at the point of
+// Request.complete between publishing the outcome and running the hook,
+// so a test can land a Notify there. It is nil in production, which
+// costs one predictable branch.
+var raceYield func(point string)
 
 // FailPeer reacts to a runtime process-failure notification: every posted
 // receive naming the dead process as its specific source fails with

@@ -15,15 +15,17 @@ func (ch *Channel) Irecv(src, tag int, buf []byte) *Request {
 	if e.closed.Load() {
 		return completedRequest(Status{}, ErrClosed)
 	}
-	// If the runtime already declared the source dead, any message it sent
-	// before dying may still be in the unexpected queue, so drain that
-	// first, but never block waiting for a new one.
-	srcFailed := src != AnySource && e.peerFailed(ch.ranks[src])
-
 	req := newRequest()
 	pr := e.newPostedRecv()
 	pr.ch, pr.src, pr.tag, pr.buf, pr.req = ch, src, tag, buf, req
 
+	if raceYield != nil {
+		raceYield("irecv")
+	}
+	// Every liveness check runs under the channel lock that also guards the
+	// posted queue. FailPeer marks the peer dead before it sweeps that
+	// queue under the same lock, so a receive is either rejected here or
+	// posted in time for the sweep.
 	ch.lock.Lock()
 	if e.closed.Load() || ch.removed {
 		ch.lock.Unlock()
@@ -40,7 +42,10 @@ func (ch *Channel) Irecv(src, tag int, buf []byte) *Request {
 	}
 	msg := ch.m.takeUnexpected(src, tag)
 	if msg == nil {
-		if srcFailed {
+		// A source the runtime already declared dead may have sent this
+		// message before dying, so the unexpected queue is drained first;
+		// but the receive never waits for a new one.
+		if src != AnySource && e.peerFailed(ch.ranks[src]) {
 			ch.lock.Unlock()
 			e.freePostedRecv(pr)
 			return completedRequest(Status{}, fmt.Errorf("%w: rank %d", ErrPeerFailed, ch.ranks[src]))
@@ -97,7 +102,7 @@ func (e *Engine) consume(pr *postedRecv, msg *inbound) {
 	recvID := e.nextReq.Add(1)
 	pr.resSrc, pr.resTag = msg.src, msg.tag
 	sendReqID, senderGlobal := msg.sendReqID, msg.senderGlobal
-	ch := pr.ch
+	ch, internal := pr.ch, msg.tag < 0
 	e.freeInbound(msg)
 	e.pendMu.Lock()
 	if e.closed.Load() {
@@ -108,7 +113,39 @@ func (e *Engine) consume(pr *postedRecv, msg *inbound) {
 	}
 	e.pendRecv[recvID] = pr
 	e.pendMu.Unlock()
+	// Registered first, checked second, as in isend: a FailPeer or Revoke
+	// sweep of pendRecv that ran before the registration is seen here. A
+	// sweep after it may already have failed and recycled pr, so pr is not
+	// touched again.
+	ch.lock.Lock()
+	var refuse error
+	switch {
+	case ch.revoked:
+		refuse = ErrRevoked
+	case e.peerFailed(senderGlobal):
+		refuse = fmt.Errorf("%w: rank %d", ErrPeerFailed, senderGlobal)
+	case internal && ch.deadMember:
+		refuse = fmt.Errorf("%w: communicator has a failed member", ErrPeerFailed)
+	}
+	ch.lock.Unlock()
+	if refuse != nil {
+		e.failPendingRecv(recvID, refuse)
+		return
+	}
 	e.sendCTS(ch, senderGlobal, sendReqID, recvID)
+}
+
+// failPendingRecv withdraws a registered rendezvous receive and fails it,
+// unless a sweep already took it.
+func (e *Engine) failPendingRecv(recvID uint64, err error) {
+	e.pendMu.Lock()
+	pr := e.pendRecv[recvID]
+	delete(e.pendRecv, recvID)
+	e.pendMu.Unlock()
+	if pr != nil {
+		pr.req.complete(Status{}, err)
+		e.freePostedRecv(pr)
+	}
 }
 
 func (e *Engine) sendCTS(ch *Channel, senderGlobal int, sendReqID, recvID uint64) {
@@ -120,14 +157,7 @@ func (e *Engine) sendCTS(ch *Channel, senderGlobal int, sendReqID, recvID uint64
 		err = rt.ep.Send(pkt)
 	}
 	if err != nil {
-		e.pendMu.Lock()
-		pr := e.pendRecv[recvID]
-		delete(e.pendRecv, recvID)
-		e.pendMu.Unlock()
-		if pr != nil {
-			pr.req.complete(Status{}, e.wrapSendErr(senderGlobal, err))
-			e.freePostedRecv(pr)
-		}
+		e.failPendingRecv(recvID, e.wrapSendErr(senderGlobal, err))
 	}
 }
 

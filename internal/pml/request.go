@@ -3,6 +3,8 @@ package pml
 import (
 	"errors"
 	"sync"
+
+	"gompi/internal/opal"
 )
 
 // ErrTruncate is reported when an incoming message is longer than the
@@ -42,12 +44,18 @@ type Status struct {
 
 // Request is the completion handle for a nonblocking operation.
 type Request struct {
-	mu        sync.Mutex
-	done      chan struct{}
-	completed bool
-	err       error
-	status    Status
+	mu     sync.Mutex
+	done   chan struct{}
+	hook   *opal.Hook // nil or Notify's hook while pending; &fired once complete
+	err    error
+	status Status
 }
+
+// fired marks a completed request in its hook field. One field for both
+// keeps a request at 64 bytes: a completed flag beside the hook pointer
+// would move every request, two per eager message, into the next size
+// class.
+var fired opal.Hook
 
 func newRequest() *Request {
 	return &Request{done: make(chan struct{})}
@@ -63,20 +71,57 @@ var closedChan = func() chan struct{} {
 
 // completedRequest returns an already-finished request (eager sends).
 func completedRequest(st Status, err error) *Request {
-	return &Request{done: closedChan, completed: true, status: st, err: err}
+	return &Request{done: closedChan, hook: &fired, status: st, err: err}
 }
 
+// complete publishes the outcome, wakes every waiter, and then runs the
+// completion hook, if one is installed. Every caller holds no PML lock, so
+// the hook runs with none held too.
+//
+// The fired mark and the closed done channel are one event under r.mu: a
+// Notify that reports false (already complete) is always followed by a
+// Test or Done that sees the completion. Were done closed after the
+// unlock, a Notify landing in between would install no hook while the
+// caller's Test still read pending, and no one would drive the caller's
+// schedule again.
+//
+//gompilint:noalloc
 func (r *Request) complete(st Status, err error) {
 	r.mu.Lock()
-	if r.completed {
+	h := r.hook
+	if h == &fired {
 		r.mu.Unlock()
 		return
 	}
-	r.completed = true
+	r.hook = &fired
 	r.status = st
 	r.err = err
-	r.mu.Unlock()
 	close(r.done)
+	r.mu.Unlock()
+	if raceYield != nil {
+		raceYield("complete")
+	}
+	if h != nil {
+		h.Fn(h.Arg)
+	}
+}
+
+// Notify installs h as the request's completion hook and reports true. If
+// the request has already completed it installs nothing and reports false:
+// the caller handles the completion itself. So a completion is seen
+// exactly once, by the hook or by the caller. The hook runs once, on
+// whichever goroutine completes the request, after the outcome is
+// published and with no PML lock held. It may therefore run on another
+// rank's goroutine (the sm BTL delivers inline on the sender's), and it
+// must not block.
+func (r *Request) Notify(h *opal.Hook) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.hook == &fired {
+		return false
+	}
+	r.hook = h
+	return true
 }
 
 // Wait blocks until the operation completes and returns its status.

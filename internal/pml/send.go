@@ -50,16 +50,47 @@ func (ch *Channel) isend(dest, tag int, buf []byte, synchronous bool) *Request {
 	}
 
 	eager := len(buf) <= rt.eager && !synchronous
-	ch.lock.Lock()
-	if ch.revoked {
-		ch.lock.Unlock()
-		return completedRequest(Status{}, ErrRevoked)
+	// A rendezvous send is registered in pendSend before the liveness
+	// check, and the check runs under the channel lock. FailPeer and Revoke
+	// mark the peer or poison the channel before they sweep pendSend, so a
+	// failure that lands after the registration finds the entry, and one
+	// that lands before it fails the check: no send waits for a CTS that a
+	// dead or revoked peer will never send.
+	var reqID uint64
+	var req *Request
+	if !eager {
+		reqID = e.nextReq.Add(1)
+		req = newRequest()
+		e.pendMu.Lock()
+		if e.closed.Load() {
+			e.pendMu.Unlock()
+			return completedRequest(Status{}, ErrClosed)
+		}
+		e.pendSend[reqID] = &pendingSend{req: req, payload: buf, destGlobal: destGlobal, ch: ch, internal: tag < 0}
+		e.pendMu.Unlock()
+		if raceYield != nil {
+			raceYield("isend")
+		}
 	}
-	if ch.deadMember && tag < 0 && !eager {
+	ch.lock.Lock()
+	var refuse error
+	switch {
+	case ch.revoked:
+		refuse = ErrRevoked
+	case ch.deadMember && tag < 0 && !eager:
 		// The mirror of Irecv's rule: a collective's rendezvous send to a
 		// live member that already bailed out would wait for a CTS forever.
+		refuse = fmt.Errorf("%w: communicator has a failed member", ErrPeerFailed)
+	case !eager && e.peerFailed(destGlobal):
+		refuse = fmt.Errorf("%w: rank %d", ErrPeerFailed, destGlobal)
+	}
+	if refuse != nil {
 		ch.lock.Unlock()
-		return completedRequest(Status{}, fmt.Errorf("%w: communicator has a failed member", ErrPeerFailed))
+		if eager {
+			return completedRequest(Status{}, refuse)
+		}
+		e.dropPendingSend(reqID, req, refuse)
+		return req
 	}
 	ps := &ch.peers[dest]
 	seq := ps.sendSeq
@@ -75,18 +106,7 @@ func (ch *Channel) isend(dest, tag int, buf []byte, synchronous bool) *Request {
 	}
 	ch.lock.Unlock()
 
-	var reqID uint64
-	var req *Request
 	if !eager {
-		reqID = e.nextReq.Add(1)
-		req = newRequest()
-		e.pendMu.Lock()
-		if e.closed.Load() {
-			e.pendMu.Unlock()
-			return completedRequest(Status{}, ErrClosed)
-		}
-		e.pendSend[reqID] = &pendingSend{req: req, payload: buf, destGlobal: destGlobal, ch: ch, internal: tag < 0}
-		e.pendMu.Unlock()
 		e.st.rendezvous.Add(1)
 	}
 	if ext {
@@ -117,10 +137,7 @@ func (ch *Channel) isend(dest, tag int, buf []byte, synchronous bool) *Request {
 	if err := rt.ep.Send(pkt); err != nil {
 		err = e.wrapSendErr(destGlobal, err)
 		if !eager {
-			e.pendMu.Lock()
-			delete(e.pendSend, reqID)
-			e.pendMu.Unlock()
-			req.complete(Status{}, err)
+			e.dropPendingSend(reqID, req, err)
 			return req
 		}
 		return completedRequest(Status{}, err)
@@ -129,6 +146,16 @@ func (ch *Channel) isend(dest, tag int, buf []byte, synchronous bool) *Request {
 		return completedRequest(Status{Source: ch.myRank, Tag: tag, Count: len(buf)}, nil)
 	}
 	return req
+}
+
+// dropPendingSend withdraws a registered rendezvous send and fails it. A
+// sweep by FailPeer or Revoke may have got there first; then the entry is
+// already gone and the request keeps the sweep's error.
+func (e *Engine) dropPendingSend(reqID uint64, req *Request, err error) {
+	e.pendMu.Lock()
+	delete(e.pendSend, reqID)
+	e.pendMu.Unlock()
+	req.complete(Status{}, err)
 }
 
 // buildPacket assembles header(s) + body (+extra appended after body) into

@@ -457,6 +457,100 @@ func TestChaosPeerDeathMidPersistentColl(t *testing.T) {
 	unblocked.Wait()
 }
 
+// TestChaosPersistentRoundPeerDeath: a member dies while the survivors'
+// persistent allreduce round is in flight and they are outside Wait. The
+// round has no goroutine of its own, so it is the PML's failure sweep,
+// completing the round's stranded steps, that must carry it to its end:
+// each survivor's Done closes without a Test or Wait, the Wait that
+// follows returns MPI_ERR_PROC_FAILED at once, and the request then
+// restarts (failing fast) and frees cleanly.
+func TestChaosPersistentRoundPeerDeath(t *testing.T) {
+	job, err := runtime.NewJob(runtime.Options{
+		Cluster: topo.New(topo.Loopback(2), 2),
+		PPN:     2,
+		Config:  core.Config{CIDMode: core.CIDExtended},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer job.Shutdown()
+
+	var survived sync.WaitGroup
+	survived.Add(3)
+	err = job.Launch(func(p *mpi.Process) error {
+		sess, err := p.SessionInit(nil, mpi.ErrorsReturn())
+		if err != nil {
+			return err
+		}
+		grp, err := sess.GroupFromPset(mpi.PsetWorld)
+		if err != nil {
+			return err
+		}
+		comm, err := sess.CommCreateFromGroup(grp, "chaos-pround", nil, mpi.ErrorsReturn())
+		if err != nil {
+			return err
+		}
+		const count = 256
+		send := make([]byte, count*8)
+		recv := make([]byte, count*8)
+		req, err := comm.AllreduceInit(send, recv, count, mpi.Int64, mpi.OpSum)
+		if err != nil {
+			return err
+		}
+		if err := req.Start(); err != nil {
+			return err
+		}
+		if err := req.Wait(); err != nil {
+			return err
+		}
+
+		if p.JobRank() == 3 {
+			// Die without entering the next round, which the survivors
+			// have started by now.
+			time.Sleep(30 * time.Millisecond)
+			panic("rank 3 dies while the survivors' round is in flight")
+		}
+		defer survived.Done()
+		defer func() {
+			_ = comm.Free()
+			_ = sess.Finalize()
+		}()
+
+		if err := req.Start(); err != nil {
+			return err
+		}
+		select {
+		case <-req.Done():
+		case <-time.After(10 * time.Second):
+			return fmt.Errorf("rank %d: the round's Done never closed after the peer died", p.JobRank())
+		}
+		t0 := time.Now()
+		err = req.Wait()
+		if took := time.Since(t0); took > 100*time.Millisecond {
+			return fmt.Errorf("rank %d: Wait on a round that had already failed took %v", p.JobRank(), took)
+		}
+		if cls := mpi.ErrorClassOf(err); cls != mpi.ErrClassProcFailed {
+			return fmt.Errorf("rank %d: Wait = %v (class %v), want MPI_ERR_PROC_FAILED", p.JobRank(), err, cls)
+		}
+		if err := req.Start(); err != nil {
+			return err
+		}
+		t0 = time.Now()
+		err = req.Wait()
+		if took := time.Since(t0); took > time.Second {
+			return fmt.Errorf("rank %d: restarted round took %v to fail", p.JobRank(), took)
+		}
+		if cls := mpi.ErrorClassOf(err); cls != mpi.ErrClassProcFailed {
+			return fmt.Errorf("rank %d: restarted Wait = %v, want MPI_ERR_PROC_FAILED", p.JobRank(), err)
+		}
+		return req.Free()
+	})
+	if err == nil {
+		t.Fatal("expected the injected rank death to be reported by Launch")
+	}
+	survived.Wait()
+}
+
 // TestChaosPeerDeathMidAllreduceDropsRunState: per-call collectives borrow
 // the run state (staging arena + engine bookkeeping) parked with their
 // cached schedule. A rank dies while the survivors are inside a 32 KiB

@@ -175,15 +175,36 @@ func (c *Comm) runColl(check error, do func(m *coll.Module, tag int) error) erro
 	return c.errh.invoke(err)
 }
 
-// startColl is runColl for the nonblocking forms: the schedule runs on its
-// own goroutine behind the returned request.
-func (c *Comm) startColl(check error, do func(m *coll.Module, tag int) error) (Request, error) {
+// startColl is runColl for the nonblocking forms: start returns the
+// schedule's Exec after running its first steps on the caller's goroutine,
+// and the request is that Exec. No goroutine backs it: the schedule moves
+// on as its steps complete (the PML runs each step's completion hook) and
+// when the caller tests or waits, and its Done channel closes when the
+// last step completes. A failure the schedule meets is reported by Wait
+// or Test.
+func (c *Comm) startColl(check error, start func(m *coll.Module, tag int) (*coll.Exec, error)) (Request, error) {
 	m, tag, err := c.collBegin(check)
 	if err != nil {
 		return nil, c.errh.invoke(err)
 	}
-	return startGoRequest(func() error { return do(m, tag) }), nil
+	ex, err := start(m, tag)
+	if err != nil {
+		return nil, c.errh.invoke(err)
+	}
+	return collRequest{ex}, nil
 }
+
+// collRequest is the Request of a nonblocking collective.
+type collRequest struct{ ex *coll.Exec }
+
+func (q collRequest) Wait() (Status, error) { return Status{}, q.ex.Finish() }
+
+func (q collRequest) Test() (bool, Status, error) {
+	done, err := q.ex.Progress()
+	return done, Status{}, err
+}
+
+func (q collRequest) Done() <-chan struct{} { return q.ex.Done() }
 
 // Barrier blocks until every member has entered (MPI_Barrier).
 func (c *Comm) Barrier() error {
@@ -193,10 +214,12 @@ func (c *Comm) Barrier() error {
 // Ibarrier starts a nonblocking barrier (MPI_Ibarrier). The returned
 // request completes once every member has entered. The QUO quiescence
 // pattern tests it, then parks on its Done channel with a bounded wake
-// between tests (paper §IV-E). It dispatches through the same framework
-// as Barrier, so both paths always agree on the algorithm.
+// between tests (paper §IV-E); the channel closes when the barrier's last
+// step completes, whether or not anyone is testing. It dispatches through
+// the same framework as Barrier, so both paths always agree on the
+// algorithm, and it spawns no goroutine.
 func (c *Comm) Ibarrier() (Request, error) {
-	return c.startColl(c.checkLive(), func(m *coll.Module, tag int) error { return m.Barrier(tag) })
+	return c.startColl(c.checkLive(), func(m *coll.Module, tag int) (*coll.Exec, error) { return m.Ibarrier(tag) })
 }
 
 // Bcast broadcasts buf from root to every member (MPI_Bcast).

@@ -68,13 +68,13 @@ func (c *Comm) Scatterv(sendBuf []byte, counts, displs []int, recvBuf []byte, ro
 // nonblocking path cannot diverge from the algorithm the blocking path
 // would select.
 func (c *Comm) Iallreduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) (Request, error) {
-	return c.startColl(c.checkElementwise("allreduce", sendBuf, recvBuf, count, dt), func(m *coll.Module, tag int) error {
-		return m.Allreduce(sendBuf, recvBuf, count, dt.Size(), builtinReducer(op, dt), true, tag)
+	return c.startColl(c.checkElementwise("allreduce", sendBuf, recvBuf, count, dt), func(m *coll.Module, tag int) (*coll.Exec, error) {
+		return m.Iallreduce(sendBuf, recvBuf, count, dt.Size(), builtinReducer(op, dt), true, tag)
 	})
 }
 
 // Ibcast is the nonblocking form of Bcast (MPI_Ibcast), dispatched through
 // the same framework module as Bcast.
 func (c *Comm) Ibcast(buf []byte, root int) (Request, error) {
-	return c.startColl(c.checkBcast(root), func(m *coll.Module, tag int) error { return m.Bcast(buf, root, tag) })
+	return c.startColl(c.checkBcast(root), func(m *coll.Module, tag int) (*coll.Exec, error) { return m.Ibcast(buf, root, tag) })
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gompi/internal/coll"
+	"gompi/internal/opal"
 	"gompi/internal/pml"
 )
 
@@ -36,6 +37,10 @@ func (q collReq) Test() (bool, error) {
 	done, _, err := q.r.Test()
 	return done, err
 }
+
+// Notify passes a started round's completion hook to the PML request
+// (coll.Notifier).
+func (q collReq) Notify(h *opal.Hook) bool { return q.r.Notify(h) }
 
 // Isend and Irecv start one schedule step on the PML; the engine issues
 // every dependency-free step at once.

@@ -29,23 +29,23 @@ var ErrCollFreed = errors.New("mpi: persistent collective already freed")
 
 // PersistentColl is a startable, reusable collective operation. It
 // satisfies Startable, so StartAll composes it with persistent
-// point-to-point requests.
+// point-to-point requests. It has no goroutine: Start runs the round's
+// first steps on the caller, and the round moves on from there as its
+// steps complete (completion-driven progress, internal/coll) and on Test
+// and Wait.
 type PersistentColl struct {
 	c       *Comm
 	ex      *coll.Exec
 	baseTag int
 
-	mu      sync.Mutex
-	active  bool
-	freed   bool
-	trigger chan struct{}
-	done    chan error
+	mu     sync.Mutex
+	active bool
+	freed  bool
 }
 
 // collInit is the shared construction path: after the operation's checks
-// (the ones its blocking form runs), reserve a tag window, compile and bind
-// the schedule, and hand the Exec to a dedicated worker goroutine (one per
-// request, living until Free) so Start never spawns.
+// (the ones its blocking form runs), reserve a tag window, then compile
+// and bind the schedule into an Exec that owns its run state until Free.
 func (c *Comm) collInit(check error, prep func(m *coll.Module, baseTag int) (*coll.Exec, error)) (*PersistentColl, error) {
 	if check != nil {
 		return nil, c.errh.invoke(check)
@@ -63,27 +63,14 @@ func (c *Comm) collInit(check error, prep func(m *coll.Module, baseTag int) (*co
 		c.ch.ReleasePersistentWindow(base)
 		return nil, c.errh.invoke(err)
 	}
-	p := &PersistentColl{
-		c:       c,
-		ex:      ex,
-		baseTag: base,
-		trigger: make(chan struct{}, 1),
-		done:    make(chan error, 1),
-	}
-	go p.worker()
-	return p, nil
-}
-
-func (p *PersistentColl) worker() {
-	for range p.trigger {
-		p.done <- p.ex.Run()
-	}
+	return &PersistentColl{c: c, ex: ex, baseTag: base}, nil
 }
 
 // Start begins one round (MPI_Start). The request must be inactive. Start
-// is the persistent-collective hot path — all setup happened at *Init time,
-// so arming a round allocates nothing (the trigger value is the zero-sized
-// struct{}{}); TestPersistentCollStartAllocs corroborates the annotation.
+// is the persistent-collective hot path: all setup happened at *Init time,
+// so it issues the round's first steps on the caller's goroutine and
+// allocates nothing (TestPersistentCollStartAllocs). A failure the round
+// meets is reported by Wait or Test.
 //
 //gompilint:noalloc
 func (p *PersistentColl) Start() error {
@@ -96,14 +83,17 @@ func (p *PersistentColl) Start() error {
 		return p.c.errh.invoke(ErrActive)
 	}
 	p.active = true
-	p.trigger <- struct{}{}
+	p.ex.Start()
 	return nil
 }
 
-// Wait blocks until the active round completes and rearms the request.
-// After an error (for example ErrClassProcFailed when a member died
-// mid-round) the request is back in the inactive state: it may be started
-// again or freed, and never leaves outstanding internal receives behind.
+// Wait drives the active round to completion on the caller's goroutine and
+// rearms the request. After an error (for example ErrClassProcFailed when
+// a member died mid-round) the request is back in the inactive state: it
+// may be started again or freed, and never leaves outstanding internal
+// receives behind.
+//
+//gompilint:noalloc
 func (p *PersistentColl) Wait() error {
 	p.mu.Lock()
 	if p.freed {
@@ -115,14 +105,15 @@ func (p *PersistentColl) Wait() error {
 		return p.c.errh.invoke(ErrCollNotStarted)
 	}
 	p.mu.Unlock()
-	err := <-p.done
+	err := p.ex.Finish()
 	p.mu.Lock()
 	p.active = false
 	p.mu.Unlock()
 	return p.c.errh.invoke(err)
 }
 
-// Test polls the active round, rearming the request on completion.
+// Test drives the active round once and, if it has finished, rearms the
+// request and reports the outcome.
 func (p *PersistentColl) Test() (bool, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -132,13 +123,25 @@ func (p *PersistentColl) Test() (bool, error) {
 	if !p.active {
 		return false, p.c.errh.invoke(ErrCollNotStarted)
 	}
-	select {
-	case err := <-p.done:
-		p.active = false
-		return true, p.c.errh.invoke(err)
-	default:
+	done, err := p.ex.Progress()
+	if !done {
 		return false, nil
 	}
+	p.active = false
+	return true, p.c.errh.invoke(err)
+}
+
+// Done returns a channel closed once the active round has finished, on
+// whichever goroutine finished it; an inactive request returns a closed
+// channel. The round still has to be completed with Wait or Test, which
+// then return at once.
+func (p *PersistentColl) Done() <-chan struct{} {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.active {
+		return closedDone
+	}
+	return p.ex.Done()
 }
 
 // Free releases the request and its tag window (MPI_Request_free). Freeing
@@ -154,7 +157,6 @@ func (p *PersistentColl) Free() error {
 		return p.c.errh.invoke(ErrActive)
 	}
 	p.freed = true
-	close(p.trigger)
 	p.c.ch.ReleasePersistentWindow(p.baseTag)
 	return nil
 }

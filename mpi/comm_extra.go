@@ -105,7 +105,9 @@ func (g *Group) RangeExcl(ranges [][3]int) (*Group, error) {
 
 // Idup is the nonblocking communicator duplication (MPI_Comm_idup). The
 // duplicate is delivered through the returned channel when the request
-// completes.
+// completes. Its request is the one backed by a goroutine: a dup's group
+// construct is a blocking call into the runtime, not a schedule of steps
+// whose completions could carry it.
 func (c *Comm) Idup() (Request, <-chan *Comm, error) {
 	if err := c.checkLive(); err != nil {
 		return nil, nil, c.errh.invoke(err)
@@ -128,3 +130,36 @@ func (c *Comm) Idup() (Request, <-chan *Comm, error) {
 func CommCreateFromGroup(s *Session, group *Group, tag string, info *Info, errh *Errhandler) (*Comm, error) {
 	return s.CommCreateFromGroup(group, tag, info, errh)
 }
+
+// goRequest runs an operation on a goroutine and completes like a request.
+// Idup is its only user; every other nonblocking operation completes
+// through the PML or the collective engine.
+type goRequest struct {
+	done chan struct{}
+	err  error
+}
+
+func startGoRequest(fn func() error) *goRequest {
+	g := &goRequest{done: make(chan struct{})}
+	go func() {
+		g.err = fn()
+		close(g.done)
+	}()
+	return g
+}
+
+func (g *goRequest) Wait() (Status, error) {
+	<-g.done
+	return Status{}, g.err
+}
+
+func (g *goRequest) Test() (bool, Status, error) {
+	select {
+	case <-g.done:
+		return true, Status{}, g.err
+	default:
+		return false, Status{}, nil
+	}
+}
+
+func (g *goRequest) Done() <-chan struct{} { return g.done }

@@ -152,7 +152,7 @@ func (ic *InterComm) Recv(buf []byte, remoteRank, tag int) (Status, error) {
 // Isend starts a nonblocking send to a remote rank.
 func (ic *InterComm) Isend(buf []byte, remoteRank, tag int) Request {
 	if err := ic.checkRemote(remoteRank, tag, false); err != nil {
-		return startGoRequest(func() error { return ic.comm.errh.invoke(err) })
+		return &failedRequest{ic.comm.errh.invoke(err)}
 	}
 	return pmlRequest{ic.comm.ch.Isend(ic.remoteStart+remoteRank, tag, buf)}
 }

@@ -49,37 +49,14 @@ func (q pmlRequest) Test() (bool, Status, error) {
 
 func (q pmlRequest) Done() <-chan struct{} { return q.r.Done() }
 
-// goRequest runs an operation on a goroutine and completes like a request;
-// used for nonblocking collectives such as Ibarrier.
-type goRequest struct {
-	done chan struct{}
-	err  error
-}
+// failedRequest is the request a nonblocking call returns when its
+// arguments are rejected: already complete, carrying the error the
+// communicator's handler was invoked with.
+type failedRequest struct{ err error }
 
-func startGoRequest(fn func() error) *goRequest {
-	g := &goRequest{done: make(chan struct{})}
-	go func() {
-		g.err = fn()
-		close(g.done)
-	}()
-	return g
-}
-
-func (g *goRequest) Wait() (Status, error) {
-	<-g.done
-	return Status{}, g.err
-}
-
-func (g *goRequest) Test() (bool, Status, error) {
-	select {
-	case <-g.done:
-		return true, Status{}, g.err
-	default:
-		return false, Status{}, nil
-	}
-}
-
-func (g *goRequest) Done() <-chan struct{} { return g.done }
+func (f *failedRequest) Wait() (Status, error)       { return Status{}, f.err }
+func (f *failedRequest) Test() (bool, Status, error) { return true, Status{}, f.err }
+func (f *failedRequest) Done() <-chan struct{}       { return closedDone }
 
 // WaitAll waits for every request, returning the first error.
 func WaitAll(reqs ...Request) error {
@@ -132,7 +109,7 @@ func (c *Comm) Send(buf []byte, dest, tag int) error {
 // Isend starts a nonblocking send (MPI_Isend).
 func (c *Comm) Isend(buf []byte, dest, tag int) Request {
 	if err := c.checkP2P(dest, tag, false); err != nil {
-		return startGoRequest(func() error { return c.errh.invoke(err) })
+		return &failedRequest{c.errh.invoke(err)}
 	}
 	return pmlRequest{c.ch.Isend(dest, tag, buf)}
 }
@@ -149,7 +126,7 @@ func (c *Comm) Ssend(buf []byte, dest, tag int) error {
 // Issend starts a nonblocking synchronous-mode send (MPI_Issend).
 func (c *Comm) Issend(buf []byte, dest, tag int) Request {
 	if err := c.checkP2P(dest, tag, false); err != nil {
-		return startGoRequest(func() error { return c.errh.invoke(err) })
+		return &failedRequest{c.errh.invoke(err)}
 	}
 	return pmlRequest{c.ch.Issend(dest, tag, buf)}
 }
@@ -167,7 +144,7 @@ func (c *Comm) Recv(buf []byte, src, tag int) (Status, error) {
 // Irecv posts a nonblocking receive (MPI_Irecv).
 func (c *Comm) Irecv(buf []byte, src, tag int) Request {
 	if err := c.checkP2P(src, tag, true); err != nil {
-		return startGoRequest(func() error { return c.errh.invoke(err) })
+		return &failedRequest{c.errh.invoke(err)}
 	}
 	return pmlRequest{c.ch.Irecv(src, tag, buf)}
 }
