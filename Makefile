@@ -57,11 +57,12 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-smoke runs every ablation benchmark, the udp frame codec benchmark
-# and the reduction-kernel benchmark once — a fast plumbing check that the
-# measurement harnesses still execute end to end.
+# bench-smoke runs the wall-clock quiesce ablation, the udp frame codec
+# benchmark and the reduction-kernel benchmark once — a fast plumbing check
+# that the measurement harnesses still execute end to end. (The other
+# ablations are modeled protocol costs and render in `make figures`.)
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkAblation' -benchtime=1x ./...
+	$(GO) test -run '^$$' -bench '^BenchmarkAblationQuiesce$$' -benchtime=1x ./bench
 	$(GO) test -run '^$$' -bench '^BenchmarkFrameCodec$$' -benchtime=1x ./internal/btl/udp
 	$(GO) test -run '^$$' -bench '^BenchmarkReduceKernel$$' -benchtime=1x ./mpi
 
@@ -100,5 +101,12 @@ smoke-udp:
 	$(GO) run ./cmd/prun -np 4 -pset app://odd:3,1 -transport udp -timeout 60s -app psets > .bench_build/psets-udp.out
 	diff .bench_build/psets-sim.out .bench_build/psets-udp.out
 
+# figures regenerates figures_output.txt: every table and figure of the
+# paper's evaluation, run once in model time inside a testing/synctest
+# bubble (bench/figures_test.go), with one verdict line per figure.
+# TestFigures rewrites a drifted file and fails, so the second run checks
+# the regenerated file and the verdicts; `git diff figures_output.txt`
+# shows what moved.
 figures:
-	$(GO) run ./cmd/figures -table 1 -fig all
+	GOEXPERIMENT=synctest $(GO) test -count=1 -run '^TestFigures$$' ./bench || \
+		GOEXPERIMENT=synctest $(GO) test -count=1 -run '^TestFigures$$' ./bench

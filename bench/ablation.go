@@ -2,21 +2,43 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"gompi/internal/pmix"
 	"gompi/internal/quo"
 	"gompi/internal/topo"
 	"gompi/mpi"
-	"gompi/runtime"
 )
 
-func groupConstructOpts() pmix.GroupOpts {
-	return pmix.GroupOpts{AssignContextID: true, Timeout: 30 * time.Second}
+// Ablation benchmarks for the design choices called out in DESIGN.md §5.
+
+// pingPong runs n round trips of buf between ranks 0 and 1 of comm.
+func pingPong(comm *mpi.Comm, buf []byte, n int) error {
+	peer := 1 - comm.Rank()
+	for i := 0; i < n; i++ {
+		if comm.Rank() == 0 {
+			if err := comm.Send(buf, peer, 1); err != nil {
+				return err
+			}
+		}
+		if _, err := comm.Recv(buf, peer, 1); err != nil {
+			return err
+		}
+		if comm.Rank() == 1 {
+			if err := comm.Send(buf, peer, 1); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
-// Ablation benchmarks for the design choices called out in DESIGN.md §5.
+// timed runs f and returns its duration divided by per.
+func timed(per int, f func() error) (time.Duration, error) {
+	start := time.Now()
+	err := f()
+	return time.Since(start) / time.Duration(per), err
+}
 
 // FirstMessageResult compares the first message on an exCID communicator
 // (which carries the extended header and triggers the CID handshake) with
@@ -30,68 +52,34 @@ type FirstMessageResult struct {
 // AblationFirstMessage measures the exCID first-message overhead with two
 // processes on one node.
 func AblationFirstMessage(profile topo.Profile, steadyIters int) (FirstMessageResult, error) {
-	var res FirstMessageResult
-	var mu sync.Mutex
-	err := runtime.Run(jobOpts(profile, 1, 2, excidCfg()), func(p *mpi.Process) error {
+	var ext uint64
+	ds, err := jobMax(profile, 1, 2, excidCfg(), func(p *mpi.Process) ([]time.Duration, error) {
 		comm, cleanup, err := worldEquivalentComm(p, true, "abl.first")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer cleanup()
-		me := comm.Rank()
 		buf := make([]byte, 8)
-
 		// First exchange: extended header + handshake.
-		start := time.Now()
-		if me == 0 {
-			if err := comm.Send(buf, 1, 1); err != nil {
-				return err
-			}
-			if _, err := comm.Recv(buf, 1, 1); err != nil {
-				return err
-			}
-		} else {
-			if _, err := comm.Recv(buf, 0, 1); err != nil {
-				return err
-			}
-			if err := comm.Send(buf, 0, 1); err != nil {
-				return err
-			}
+		first, err := timed(2, func() error { return pingPong(comm, buf, 1) })
+		if err != nil {
+			return nil, err
 		}
-		first := time.Since(start) / 2
-
 		// Steady state after the ACKs have landed.
 		if err := comm.Barrier(); err != nil {
-			return err
+			return nil, err
 		}
-		start = time.Now()
-		for i := 0; i < steadyIters; i++ {
-			if me == 0 {
-				if err := comm.Send(buf, 1, 1); err != nil {
-					return err
-				}
-				if _, err := comm.Recv(buf, 1, 1); err != nil {
-					return err
-				}
-			} else {
-				if _, err := comm.Recv(buf, 0, 1); err != nil {
-					return err
-				}
-				if err := comm.Send(buf, 0, 1); err != nil {
-					return err
-				}
-			}
+		steady, err := timed(2*steadyIters, func() error { return pingPong(comm, buf, steadyIters) })
+		if err != nil || comm.Rank() != 0 {
+			return nil, err
 		}
-		steady := time.Since(start) / time.Duration(2*steadyIters)
-		ext := p.Instance().Engine().Stats().ExtSent
-		if me == 0 {
-			mu.Lock()
-			res = FirstMessageResult{FirstMessage: first, SteadyState: steady, ExtMessages: ext}
-			mu.Unlock()
-		}
-		return nil
+		ext = p.Instance().Engine().Stats().ExtSent
+		return []time.Duration{first, steady}, nil
 	})
-	return res, err
+	if err != nil {
+		return FirstMessageResult{}, err
+	}
+	return FirstMessageResult{FirstMessage: ds[0], SteadyState: ds[1], ExtMessages: ext}, nil
 }
 
 // BTLResult compares intra-node small-message latency over the
@@ -108,72 +96,43 @@ type BTLResult struct {
 // selections.
 func AblationBTL(profile topo.Profile, iters, size int) (BTLResult, error) {
 	res := BTLResult{Size: size}
-	measure := func(btlSpec string, acc *time.Duration) error {
-		var m maxDuration
+	for _, v := range []struct {
+		spec string
+		d    *time.Duration
+	}{{"", &res.SM}, {"^sm", &res.Net}} {
 		cfg := excidCfg()
-		cfg.BTL = btlSpec
-		err := runtime.Run(jobOpts(profile, 1, 2, cfg), func(p *mpi.Process) error {
+		cfg.BTL = v.spec
+		ds, err := jobMax(profile, 1, 2, cfg, func(p *mpi.Process) ([]time.Duration, error) {
 			comm, cleanup, err := worldEquivalentComm(p, true, "abl.btl")
 			if err != nil {
-				return err
+				return nil, err
 			}
 			defer cleanup()
-			me := comm.Rank()
 			buf := make([]byte, size)
-			pingPong := func(n int) error {
-				for i := 0; i < n; i++ {
-					if me == 0 {
-						if err := comm.Send(buf, 1, 1); err != nil {
-							return err
-						}
-						if _, err := comm.Recv(buf, 1, 1); err != nil {
-							return err
-						}
-					} else {
-						if _, err := comm.Recv(buf, 0, 1); err != nil {
-							return err
-						}
-						if err := comm.Send(buf, 0, 1); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			}
 			// Warm up past the exCID handshake and route selection.
-			if err := pingPong(10); err != nil {
-				return err
+			if err := pingPong(comm, buf, 10); err != nil {
+				return nil, err
 			}
 			if err := comm.Barrier(); err != nil {
-				return err
+				return nil, err
 			}
-			start := time.Now()
-			if err := pingPong(iters); err != nil {
-				return err
+			d, err := timed(2*iters, func() error { return pingPong(comm, buf, iters) })
+			if err != nil || comm.Rank() != 0 {
+				return nil, err
 			}
-			if me == 0 {
-				m.add(time.Since(start) / time.Duration(2*iters))
-			}
-			return nil
+			return []time.Duration{d}, nil
 		})
-		*acc = m.d
-		return err
-	}
-	if err := measure("", &res.SM); err != nil {
-		return res, fmt.Errorf("bench: btl sm path: %w", err)
-	}
-	settle()
-	if err := measure("^sm", &res.Net); err != nil {
-		return res, fmt.Errorf("bench: btl net path: %w", err)
+		if err != nil {
+			return res, fmt.Errorf("bench: btl %q: %w", v.spec, err)
+		}
+		*v.d = ds[0]
 	}
 	return res, nil
 }
 
 // CollAblationResult compares the flat tuned collective algorithms against
 // the hierarchical component for allreduce and bcast on a multi-node
-// shape: hier cuts the inter-node message count to one per node, which on
-// profiles with a real intra/inter latency gap should beat the flat
-// schedules that cross the fabric every round.
+// shape: hier cuts the inter-node message count to one per node.
 type CollAblationResult struct {
 	Nodes, PPN     int
 	AllreduceBytes int // allreduce payload (float64 elements x 8)
@@ -191,59 +150,56 @@ func AblationColl(profile topo.Profile, nodes, ppn, iters, allreduceCount, bcast
 		Nodes: nodes, PPN: ppn,
 		AllreduceBytes: allreduceCount * 8, BcastBytes: bcastBytes,
 	}
-	measure := func(collSpec string, ar, bc *time.Duration) error {
-		var mAr, mBc maxDuration
+	for _, v := range []struct {
+		spec   string
+		ar, bc *time.Duration
+	}{{"^hier", &res.FlatAllreduce, &res.FlatBcast}, {"", &res.HierAllreduce, &res.HierBcast}} {
 		cfg := excidCfg()
-		cfg.Coll = collSpec
-		err := runtime.Run(jobOpts(profile, nodes, ppn, cfg), func(p *mpi.Process) error {
+		cfg.Coll = v.spec
+		ds, err := jobMax(profile, nodes, ppn, cfg, func(p *mpi.Process) ([]time.Duration, error) {
 			if err := p.Init(); err != nil {
-				return err
+				return nil, err
 			}
 			defer p.Finalize()
 			world := p.CommWorld()
 			send := make([]byte, allreduceCount*8)
 			recv := make([]byte, allreduceCount*8)
 			bbuf := make([]byte, bcastBytes)
+			allreduce := func() error { return world.Allreduce(send, recv, allreduceCount, mpi.Float64, mpi.OpSum) }
+			bcast := func() error { return world.Bcast(bbuf, 0) }
 			// Warm up past route establishment and the exCID handshakes.
 			for i := 0; i < 3; i++ {
-				if err := world.Allreduce(send, recv, allreduceCount, mpi.Float64, mpi.OpSum); err != nil {
-					return err
+				if err := allreduce(); err != nil {
+					return nil, err
 				}
-				if err := world.Bcast(bbuf, 0); err != nil {
-					return err
-				}
-			}
-			if err := world.Barrier(); err != nil {
-				return err
-			}
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				if err := world.Allreduce(send, recv, allreduceCount, mpi.Float64, mpi.OpSum); err != nil {
-					return err
+				if err := bcast(); err != nil {
+					return nil, err
 				}
 			}
-			mAr.add(time.Since(start) / time.Duration(iters))
-			if err := world.Barrier(); err != nil {
-				return err
-			}
-			start = time.Now()
-			for i := 0; i < iters; i++ {
-				if err := world.Bcast(bbuf, 0); err != nil {
-					return err
+			var ds []time.Duration
+			for _, op := range []func() error{allreduce, bcast} {
+				if err := world.Barrier(); err != nil {
+					return nil, err
 				}
+				d, err := timed(iters, func() error {
+					for i := 0; i < iters; i++ {
+						if err := op(); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					return nil, err
+				}
+				ds = append(ds, d)
 			}
-			mBc.add(time.Since(start) / time.Duration(iters))
-			return nil
+			return ds, nil
 		})
-		*ar, *bc = mAr.d, mBc.d
-		return err
-	}
-	if err := measure("^hier", &res.FlatAllreduce, &res.FlatBcast); err != nil {
-		return res, fmt.Errorf("bench: coll flat: %w", err)
-	}
-	settle()
-	if err := measure("", &res.HierAllreduce, &res.HierBcast); err != nil {
-		return res, fmt.Errorf("bench: coll hier: %w", err)
+		if err != nil {
+			return res, fmt.Errorf("bench: coll %q: %w", v.spec, err)
+		}
+		*v.ar, *v.bc = ds[0], ds[1]
 	}
 	return res, nil
 }
@@ -260,15 +216,14 @@ type QuiesceResult struct {
 // on a single fully-subscribed node.
 func AblationQuiesce(profile topo.Profile, ppn, iters int, poll time.Duration) (QuiesceResult, error) {
 	var res QuiesceResult
-	measure := func(sessions bool) (time.Duration, error) {
-		var m maxDuration
-		cfg := consensusCfg()
+	for _, sessions := range []bool{false, true} {
+		cfg, d := consensusCfg(), &res.Native
 		if sessions {
-			cfg = excidCfg()
+			cfg, d = excidCfg(), &res.Sessions
 		}
-		err := runtime.Run(jobOpts(profile, 1, ppn, cfg), func(p *mpi.Process) error {
+		ds, err := jobMax(profile, 1, ppn, cfg, func(p *mpi.Process) ([]time.Duration, error) {
 			if err := p.Init(); err != nil {
-				return err
+				return nil, err
 			}
 			defer p.Finalize()
 			var ctx *quo.Context
@@ -279,29 +234,26 @@ func AblationQuiesce(profile topo.Profile, ppn, iters int, poll time.Duration) (
 				ctx, err = quo.Create(p, p.CommWorld())
 			}
 			if err != nil {
-				return err
+				return nil, err
 			}
 			defer ctx.Free()
 			if poll > 0 {
 				ctx.SetPollInterval(poll)
 			}
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				if err := ctx.Barrier(); err != nil {
-					return err
+			d, err := timed(iters, func() error {
+				for i := 0; i < iters; i++ {
+					if err := ctx.Barrier(); err != nil {
+						return err
+					}
 				}
-			}
-			m.add(time.Since(start) / time.Duration(iters))
-			return nil
+				return nil
+			})
+			return []time.Duration{d}, err
 		})
-		return m.d, err
-	}
-	var err error
-	if res.Native, err = measure(false); err != nil {
-		return res, fmt.Errorf("bench: quiesce native: %w", err)
-	}
-	if res.Sessions, err = measure(true); err != nil {
-		return res, fmt.Errorf("bench: quiesce sessions: %w", err)
+		if err != nil {
+			return res, fmt.Errorf("bench: quiesce (sessions=%v): %w", sessions, err)
+		}
+		*d = ds[0]
 	}
 	return res, nil
 }
@@ -318,44 +270,44 @@ type WinCreateResult struct {
 // AblationWinCreate measures both window construction paths.
 func AblationWinCreate(profile topo.Profile, nodes, ppn, iters int) (WinCreateResult, error) {
 	var res WinCreateResult
-	measure := func(direct bool, acc *time.Duration) error {
-		var m maxDuration
-		err := runtime.Run(jobOpts(profile, nodes, ppn, excidCfg()), func(p *mpi.Process) error {
+	for _, direct := range []bool{false, true} {
+		d := &res.Intermediate
+		if direct {
+			d = &res.Direct
+		}
+		ds, err := jobMax(profile, nodes, ppn, excidCfg(), func(p *mpi.Process) ([]time.Duration, error) {
 			sess, err := p.SessionInit(nil, nil)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			defer sess.Finalize()
 			grp, err := sess.GroupFromPset(mpi.PsetWorld)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				var win *mpi.Win
-				if direct {
-					win, err = sess.WinAllocateFromGroup(grp, fmt.Sprintf("d%d", i), 64)
-				} else {
-					win, err = sess.WinCreateFromGroup(grp, fmt.Sprintf("i%d", i), 64)
+			d, err := timed(iters, func() error {
+				for i := 0; i < iters; i++ {
+					var win *mpi.Win
+					if direct {
+						win, err = sess.WinAllocateFromGroup(grp, fmt.Sprintf("d%d", i), 64)
+					} else {
+						win, err = sess.WinCreateFromGroup(grp, fmt.Sprintf("i%d", i), 64)
+					}
+					if err != nil {
+						return err
+					}
+					if err := win.Free(); err != nil {
+						return err
+					}
 				}
-				if err != nil {
-					return err
-				}
-				if err := win.Free(); err != nil {
-					return err
-				}
-			}
-			m.add(time.Since(start) / time.Duration(iters))
-			return nil
+				return nil
+			})
+			return []time.Duration{d}, err
 		})
-		*acc = m.d
-		return err
-	}
-	if err := measure(false, &res.Intermediate); err != nil {
-		return res, fmt.Errorf("bench: win create intermediate: %w", err)
-	}
-	if err := measure(true, &res.Direct); err != nil {
-		return res, fmt.Errorf("bench: win create direct: %w", err)
+		if err != nil {
+			return res, fmt.Errorf("bench: win create (direct=%v): %w", direct, err)
+		}
+		*d = ds[0]
 	}
 	return res, nil
 }
@@ -368,75 +320,66 @@ type GroupConstructResult struct {
 }
 
 // AblationGroupConstruct measures both construction modes over a
-// world-spanning group.
+// world-spanning group: collectively (every rank constructs, leader-
+// allocated PGCID, then destructs) and by invite/join (rank 0 invites
+// everyone else and times it).
 func AblationGroupConstruct(profile topo.Profile, nodes, ppn, iters int) (GroupConstructResult, error) {
 	var res GroupConstructResult
-
-	// Collective mode: every rank constructs, leader-allocated PGCID.
-	var coll maxDuration
-	err := runtime.Run(jobOpts(profile, nodes, ppn, excidCfg()), func(p *mpi.Process) error {
-		sess, err := p.SessionInit(nil, nil)
-		if err != nil {
-			return err
+	const timeout = 30 * time.Second
+	for _, async := range []bool{false, true} {
+		d := &res.Collective
+		if async {
+			d = &res.InviteJoin
 		}
-		defer sess.Finalize()
-		client := p.Instance().Client()
-		all := make([]int, p.JobSize())
-		for i := range all {
-			all[i] = i
-		}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			name := fmt.Sprintf("abl.coll.%d", i)
-			if _, err := client.GroupConstruct(name, all, groupConstructOpts()); err != nil {
-				return err
+		ds, err := jobMax(profile, nodes, ppn, excidCfg(), func(p *mpi.Process) ([]time.Duration, error) {
+			sess, err := p.SessionInit(nil, nil)
+			if err != nil {
+				return nil, err
 			}
-			if err := client.GroupDestruct(name, all, 30*time.Second); err != nil {
-				return err
+			defer sess.Finalize()
+			client := p.Instance().Client()
+			all := make([]int, p.JobSize())
+			for i := range all {
+				all[i] = i
 			}
-		}
-		coll.add(time.Since(start) / time.Duration(iters))
-		return nil
-	})
-	if err != nil {
-		return res, fmt.Errorf("bench: group construct collective: %w", err)
-	}
-	res.Collective = coll.d
-
-	// Invite/join mode: rank 0 invites everyone else.
-	var async maxDuration
-	err = runtime.Run(jobOpts(profile, nodes, ppn, excidCfg()), func(p *mpi.Process) error {
-		sess, err := p.SessionInit(nil, nil)
-		if err != nil {
-			return err
-		}
-		defer sess.Finalize()
-		client := p.Instance().Client()
-		others := make([]int, 0, p.JobSize()-1)
-		for i := 1; i < p.JobSize(); i++ {
-			others = append(others, i)
-		}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			name := fmt.Sprintf("abl.async.%d", i)
-			if p.JobRank() == 0 {
-				if _, _, err := client.GroupInvite(name, others, 30*time.Second); err != nil {
-					return err
+			// Start together, so the timing holds the protocol and not the
+			// wait for ranks still finishing their own SessionInit.
+			if err := client.Fence(all, false, timeout); err != nil {
+				return nil, err
+			}
+			d, err := timed(iters, func() error {
+				for i := 0; i < iters; i++ {
+					if !async {
+						name := fmt.Sprintf("abl.coll.%d", i)
+						opts := pmix.GroupOpts{AssignContextID: true, Timeout: timeout}
+						if _, err := client.GroupConstruct(name, all, opts); err != nil {
+							return err
+						}
+						if err := client.GroupDestruct(name, all, timeout); err != nil {
+							return err
+						}
+						continue
+					}
+					name := fmt.Sprintf("abl.async.%d", i)
+					if p.JobRank() == 0 {
+						if _, _, err := client.GroupInvite(name, all[1:], timeout); err != nil {
+							return err
+						}
+					} else if _, err := client.GroupJoin(name, 0, true, timeout); err != nil {
+						return err
+					}
 				}
-			} else {
-				if _, err := client.GroupJoin(name, 0, true, 30*time.Second); err != nil {
-					return err
-				}
+				return nil
+			})
+			if err != nil || async && p.JobRank() != 0 {
+				return nil, err
 			}
+			return []time.Duration{d}, nil
+		})
+		if err != nil {
+			return res, fmt.Errorf("bench: group construct (invite/join=%v): %w", async, err)
 		}
-		if p.JobRank() == 0 {
-			async.add(time.Since(start) / time.Duration(iters))
-		}
-		return nil
-	})
-	if err != nil {
-		return res, fmt.Errorf("bench: group construct invite/join: %w", err)
+		*d = ds[0]
 	}
-	res.InviteJoin = async.d
 	return res, nil
 }

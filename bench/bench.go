@@ -1,8 +1,15 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (§IV) on the simulated fabric. Each generator returns
-// structured series; render.go formats them the way the paper reports
-// them. bench_test.go (repo root) exposes one testing.B benchmark per
-// table/figure, and cmd/figures prints them from the command line.
+// evaluation (§IV) on the simulated fabric. Each generator runs its jobs
+// once and returns structured series; render.go formats them the way the
+// paper reports them.
+//
+// The figures are meant to run inside a testing/synctest bubble
+// (TestFigures, built with GOEXPERIMENT=synctest; `make figures`), where
+// every modeled cost is a sleep on the bubble's virtual clock. Each number
+// is then the model's exact cost, identical from run to run whatever the
+// host is doing. Outside a bubble the generators still run, but a modeled
+// cost is a wall-clock sleep of at least that long, so only the Loopback
+// profile (which charges nothing) gives meaningful wall-clock numbers.
 //
 // Baseline runs use the consensus CID mode (stock Open MPI master);
 // Sessions runs use the exCID mode (the prototype). Absolute numbers are
@@ -12,7 +19,6 @@ package bench
 
 import (
 	"fmt"
-	goruntime "runtime"
 	"sync"
 	"time"
 
@@ -28,12 +34,6 @@ import (
 func consensusCfg() core.Config { return core.Config{CIDMode: core.CIDConsensus} }
 func excidCfg() core.Config     { return core.Config{CIDMode: core.CIDExtended} }
 
-// settle quiesces the Go runtime between measurement jobs so GC debt from
-// one job is not billed to the next.
-func settle() {
-	goruntime.GC()
-}
-
 // jobOpts builds launch options for a node-count/ppn shape.
 func jobOpts(profile topo.Profile, nodes, ppn int, cfg core.Config) runtime.Options {
 	return runtime.Options{
@@ -44,18 +44,33 @@ func jobOpts(profile topo.Profile, nodes, ppn int, cfg core.Config) runtime.Opti
 	}
 }
 
-// maxDuration tracks the job-wide maximum of per-rank durations.
-type maxDuration struct {
-	mu sync.Mutex
-	d  time.Duration
-}
-
-func (m *maxDuration) add(d time.Duration) {
-	m.mu.Lock()
-	if d > m.d {
-		m.d = d
-	}
-	m.mu.Unlock()
+// jobMax runs body on every rank of one nodes×ppn job and returns the
+// job-wide maximum of each duration the ranks report: element i of the
+// result is the largest element i any rank returned. A rank that measures
+// nothing returns nil.
+func jobMax(profile topo.Profile, nodes, ppn int, cfg core.Config, body func(p *mpi.Process) ([]time.Duration, error)) ([]time.Duration, error) {
+	var (
+		mu  sync.Mutex
+		max []time.Duration
+	)
+	err := runtime.Run(jobOpts(profile, nodes, ppn, cfg), func(p *mpi.Process) error {
+		ds, err := body(p)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for i, d := range ds {
+			if i == len(max) {
+				max = append(max, 0)
+			}
+			if d > max[i] {
+				max[i] = d
+			}
+		}
+		return nil
+	})
+	return max, err
 }
 
 // InitPoint is one x-axis point of Fig. 3: startup time by node count for
@@ -74,54 +89,34 @@ type InitPoint struct {
 // InitSweep regenerates Fig. 3a (ppn=1) / Fig. 3b (ppn=28): MPI startup
 // time versus node count for both initialization paths.
 func InitSweep(profile topo.Profile, ppn int, nodeCounts []int) ([]InitPoint, error) {
-	const trials = 3
 	var out []InitPoint
 	for _, nodes := range nodeCounts {
-		pt := InitPoint{Nodes: nodes, PPN: ppn}
-
-		// Baseline: MPI_Init on the consensus build (best of trials).
-		for trial := 0; trial < trials; trial++ {
-			settle()
-			var w maxDuration
-			err := runtime.Run(jobOpts(profile, nodes, ppn, consensusCfg()), func(p *mpi.Process) error {
-				d, cleanup, err := osu.MeasureWorldInit(p)
-				if err != nil {
-					return err
-				}
-				w.add(d)
-				return cleanup()
-			})
+		// Baseline: MPI_Init on the consensus build.
+		w, err := jobMax(profile, nodes, ppn, consensusCfg(), func(p *mpi.Process) ([]time.Duration, error) {
+			d, cleanup, err := osu.MeasureWorldInit(p)
 			if err != nil {
-				return nil, fmt.Errorf("bench: init sweep %d nodes (baseline): %w", nodes, err)
+				return nil, err
 			}
-			if pt.WorldInit == 0 || w.d < pt.WorldInit {
-				pt.WorldInit = w.d
-			}
+			return []time.Duration{d}, cleanup()
+		})
+		if err != nil {
+			return nil, fmt.Errorf("bench: init sweep %d nodes (baseline): %w", nodes, err)
 		}
-
 		// Sessions: the Fig. 1 sequence on the prototype build.
-		for trial := 0; trial < trials; trial++ {
-			settle()
-			var s, si, gp, cc maxDuration
-			err := runtime.Run(jobOpts(profile, nodes, ppn, excidCfg()), func(p *mpi.Process) error {
-				b, cleanup, err := osu.MeasureSessionsInit(p, "fig3")
-				if err != nil {
-					return err
-				}
-				s.add(b.Total)
-				si.add(b.SessionInit)
-				gp.add(b.GroupFromPset)
-				cc.add(b.CommCreate)
-				return cleanup()
-			})
+		s, err := jobMax(profile, nodes, ppn, excidCfg(), func(p *mpi.Process) ([]time.Duration, error) {
+			b, cleanup, err := osu.MeasureSessionsInit(p, "fig3")
 			if err != nil {
-				return nil, fmt.Errorf("bench: init sweep %d nodes (sessions): %w", nodes, err)
+				return nil, err
 			}
-			if pt.Sessions == 0 || s.d < pt.Sessions {
-				pt.Sessions, pt.SessionInit, pt.GroupFromPset, pt.CommCreate = s.d, si.d, gp.d, cc.d
-			}
+			return []time.Duration{b.Total, b.SessionInit, b.GroupFromPset, b.CommCreate}, cleanup()
+		})
+		if err != nil {
+			return nil, fmt.Errorf("bench: init sweep %d nodes (sessions): %w", nodes, err)
 		}
-		out = append(out, pt)
+		out = append(out, InitPoint{
+			Nodes: nodes, PPN: ppn, WorldInit: w[0],
+			Sessions: s[0], SessionInit: s[1], GroupFromPset: s[2], CommCreate: s[3],
+		})
 	}
 	return out, nil
 }
@@ -137,63 +132,35 @@ type DupPoint struct {
 
 // DupSweep regenerates Fig. 4 plus the CID-generation ablation.
 func DupSweep(profile topo.Profile, ppn int, nodeCounts []int, iters int) ([]DupPoint, error) {
+	subCfg := excidCfg()
+	subCfg.DupUseSubfields = true
 	var out []DupPoint
 	for _, nodes := range nodeCounts {
 		pt := DupPoint{Nodes: nodes}
-
-		var base maxDuration
-		err := runtime.Run(jobOpts(profile, nodes, ppn, consensusCfg()), func(p *mpi.Process) error {
-			if err := p.Init(); err != nil {
-				return err
-			}
-			defer p.Finalize()
-			d, err := osu.MeasureCommDup(p.CommWorld(), iters)
-			if err != nil {
-				return err
-			}
-			base.add(d)
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("bench: dup sweep %d nodes (baseline): %w", nodes, err)
-		}
-		pt.Baseline = base.d
-
-		measureSessions := func(cfg core.Config, acc *maxDuration) error {
-			return runtime.Run(jobOpts(profile, nodes, ppn, cfg), func(p *mpi.Process) error {
-				sess, err := p.SessionInit(nil, nil)
+		for _, v := range []struct {
+			name     string
+			cfg      core.Config
+			sessions bool
+			d        *time.Duration
+		}{
+			{"baseline", consensusCfg(), false, &pt.Baseline},
+			{"sessions", excidCfg(), true, &pt.Sessions},
+			{"subfield", subCfg, true, &pt.SessionsSubfield},
+		} {
+			d, err := jobMax(profile, nodes, ppn, v.cfg, func(p *mpi.Process) ([]time.Duration, error) {
+				comm, cleanup, err := worldEquivalentComm(p, v.sessions, "fig4")
 				if err != nil {
-					return err
+					return nil, err
 				}
-				defer sess.Finalize()
-				grp, err := sess.GroupFromPset(mpi.PsetWorld)
-				if err != nil {
-					return err
-				}
-				comm, err := sess.CommCreateFromGroup(grp, "fig4", nil, nil)
-				if err != nil {
-					return err
-				}
-				defer comm.Free()
+				defer cleanup()
 				d, err := osu.MeasureCommDup(comm, iters)
-				if err != nil {
-					return err
-				}
-				acc.add(d)
-				return nil
+				return []time.Duration{d}, err
 			})
+			if err != nil {
+				return nil, fmt.Errorf("bench: dup sweep %d nodes (%s): %w", nodes, v.name, err)
+			}
+			*v.d = d[0]
 		}
-		var sess, sub maxDuration
-		if err := measureSessions(excidCfg(), &sess); err != nil {
-			return nil, fmt.Errorf("bench: dup sweep %d nodes (sessions): %w", nodes, err)
-		}
-		pt.Sessions = sess.d
-		subCfg := excidCfg()
-		subCfg.DupUseSubfields = true
-		if err := measureSessions(subCfg, &sub); err != nil {
-			return nil, fmt.Errorf("bench: dup sweep %d nodes (subfield): %w", nodes, err)
-		}
-		pt.SessionsSubfield = sub.d
 		out = append(out, pt)
 	}
 	return out, nil
@@ -208,54 +175,27 @@ type LatencyPoint struct {
 }
 
 // LatencySweep regenerates Fig. 5a: relative osu_latency between the two
-// builds, two processes on one node. Each build is measured over several
-// trials and the per-size minimum is reported — the standard robust
-// estimator for latency micro-benchmarks on a shared machine.
+// builds, two processes on one node.
 func LatencySweep(profile topo.Profile, maxSize, iters, skip int) ([]LatencyPoint, error) {
 	sizes := osu.DefaultSizes(maxSize)
-	const trials = 3
-
-	measureOnce := func(cfg core.Config, sessions bool) (map[int]time.Duration, error) {
-		res := make(map[int]time.Duration)
-		var mu sync.Mutex
-		err := runtime.Run(jobOpts(profile, 1, 2, cfg), func(p *mpi.Process) error {
+	measure := func(cfg core.Config, sessions bool) ([]time.Duration, error) {
+		return jobMax(profile, 1, 2, cfg, func(p *mpi.Process) ([]time.Duration, error) {
 			comm, cleanup, err := worldEquivalentComm(p, sessions, "fig5a")
-			if err != nil {
-				return err
-			}
-			defer cleanup()
-			points, err := osu.Latency(comm, sizes, iters, skip)
-			if err != nil {
-				return err
-			}
-			if comm.Rank() == 0 {
-				mu.Lock()
-				for _, pt := range points {
-					res[pt.Size] = pt.Latency
-				}
-				mu.Unlock()
-			}
-			return nil
-		})
-		return res, err
-	}
-	measure := func(cfg core.Config, sessions bool) (map[int]time.Duration, error) {
-		best := make(map[int]time.Duration)
-		for trial := 0; trial < trials; trial++ {
-			settle()
-			res, err := measureOnce(cfg, sessions)
 			if err != nil {
 				return nil, err
 			}
-			for size, d := range res {
-				if cur, ok := best[size]; !ok || d < cur {
-					best[size] = d
-				}
+			defer cleanup()
+			points, err := osu.Latency(comm, sizes, iters, skip)
+			if err != nil || comm.Rank() != 0 {
+				return nil, err
 			}
-		}
-		return best, nil
+			ds := make([]time.Duration, len(points))
+			for i, pt := range points {
+				ds[i] = pt.Latency
+			}
+			return ds, nil
+		})
 	}
-
 	base, err := measure(consensusCfg(), false)
 	if err != nil {
 		return nil, fmt.Errorf("bench: latency baseline: %w", err)
@@ -264,13 +204,12 @@ func LatencySweep(profile topo.Profile, maxSize, iters, skip int) ([]LatencyPoin
 	if err != nil {
 		return nil, fmt.Errorf("bench: latency sessions: %w", err)
 	}
-	var out []LatencyPoint
-	for _, size := range sizes {
-		pt := LatencyPoint{Size: size, Baseline: base[size], Sessions: sess[size]}
-		if pt.Baseline > 0 {
-			pt.Relative = float64(pt.Sessions) / float64(pt.Baseline)
+	out := make([]LatencyPoint, len(sizes))
+	for i, size := range sizes {
+		out[i] = LatencyPoint{Size: size, Baseline: base[i], Sessions: sess[i]}
+		if base[i] > 0 {
+			out[i].Relative = float64(sess[i]) / float64(base[i])
 		}
-		out = append(out, pt)
 	}
 	return out, nil
 }
@@ -319,67 +258,39 @@ type BWPoint struct {
 // pre-timing synchronization.
 func MBwMrSweep(profile topo.Profile, procs, maxSize, window, iters, skip int, syncMode osu.SyncMode) ([]BWPoint, error) {
 	sizes := osu.DefaultSizes(maxSize)
-	const trials = 3
-	measureOnce := func(cfg core.Config, sessions bool) (map[int]osu.BandwidthResult, error) {
-		res := make(map[int]osu.BandwidthResult)
-		var mu sync.Mutex
-		err := runtime.Run(jobOpts(profile, 1, procs, cfg), func(p *mpi.Process) error {
+	// Only rank 0 reports, so one slot per build suffices.
+	var res [2][]osu.BandwidthResult
+	for i, sessions := range []bool{false, true} {
+		cfg := consensusCfg()
+		if sessions {
+			cfg = excidCfg()
+		}
+		_, err := jobMax(profile, 1, procs, cfg, func(p *mpi.Process) ([]time.Duration, error) {
 			comm, cleanup, err := worldEquivalentComm(p, sessions, "fig5bc")
-			if err != nil {
-				return err
-			}
-			defer cleanup()
-			points, err := osu.MBwMr(comm, sizes, window, iters, skip, syncMode)
-			if err != nil {
-				return err
-			}
-			if points != nil {
-				mu.Lock()
-				for _, pt := range points {
-					res[pt.Size] = pt
-				}
-				mu.Unlock()
-			}
-			return nil
-		})
-		return res, err
-	}
-	// Best-of-trials: keep the highest bandwidth per size for each build.
-	measure := func(cfg core.Config, sessions bool) (map[int]osu.BandwidthResult, error) {
-		best := make(map[int]osu.BandwidthResult)
-		for trial := 0; trial < trials; trial++ {
-			settle()
-			res, err := measureOnce(cfg, sessions)
 			if err != nil {
 				return nil, err
 			}
-			for size, r := range res {
-				if cur, ok := best[size]; !ok || r.BandwidthBs > cur.BandwidthBs {
-					best[size] = r
-				}
+			defer cleanup()
+			points, err := osu.MBwMr(comm, sizes, window, iters, skip, syncMode)
+			if points != nil {
+				res[i] = points
 			}
+			return nil, err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("bench: mbw_mr (sessions=%v): %w", sessions, err)
 		}
-		return best, nil
 	}
-	base, err := measure(consensusCfg(), false)
-	if err != nil {
-		return nil, fmt.Errorf("bench: mbw_mr baseline: %w", err)
-	}
-	sess, err := measure(excidCfg(), true)
-	if err != nil {
-		return nil, fmt.Errorf("bench: mbw_mr sessions: %w", err)
-	}
-	var out []BWPoint
-	for _, size := range sizes {
-		b, s := base[size], sess[size]
-		pt := BWPoint{
+	out := make([]BWPoint, len(sizes))
+	for i, size := range sizes {
+		b, s := res[0][i], res[1][i]
+		out[i] = BWPoint{
 			Size: size, BaselineBW: b.BandwidthBs, SessionsBW: s.BandwidthBs,
 			BaselineRate: b.MsgRate, SessionsRate: s.MsgRate,
 		}
 		if b.BandwidthBs > 0 {
-			pt.Relative = s.BandwidthBs / b.BandwidthBs
+			out[i].Relative = s.BandwidthBs / b.BandwidthBs
 		}
-		out = append(out, pt)
 	}
 	return out, nil
 }
@@ -396,71 +307,41 @@ type RingPoint struct {
 // HPCCSweep regenerates Fig. 6a/6b: 8-byte random- and natural-order ring
 // latencies by node count, baseline versus sessions-in-subcomponent.
 func HPCCSweep(profile topo.Profile, ppn int, nodeCounts []int, cfg hpcc.Config) ([]RingPoint, error) {
-	const trials = 2
 	var out []RingPoint
 	for _, nodes := range nodeCounts {
-		pt := RingPoint{Nodes: nodes}
-
-		var mu sync.Mutex
-		for trial := 0; trial < trials; trial++ {
-			settle()
-			var nat, rnd time.Duration
-			err := runtime.Run(jobOpts(profile, nodes, ppn, consensusCfg()), func(p *mpi.Process) error {
+		var rings [2][]time.Duration
+		for i, sessions := range []bool{false, true} {
+			cidCfg := consensusCfg()
+			if sessions {
+				cidCfg = excidCfg()
+			}
+			var err error
+			rings[i], err = jobMax(profile, nodes, ppn, cidCfg, func(p *mpi.Process) ([]time.Duration, error) {
 				if err := p.Init(); err != nil {
-					return err
+					return nil, err
 				}
 				defer p.Finalize()
-				res, err := hpcc.BenchLatBw(p.CommWorld(), cfg)
-				if err != nil {
-					return err
+				var res hpcc.Result
+				var err error
+				if sessions {
+					res, err = hpcc.RunWithSessions(p, cfg)
+				} else {
+					res, err = hpcc.BenchLatBw(p.CommWorld(), cfg)
 				}
-				if p.CommWorld().Rank() == 0 {
-					mu.Lock()
-					nat, rnd = res.NaturalLatency, res.RandomLatency
-					mu.Unlock()
+				if err != nil || p.JobRank() != 0 {
+					return nil, err
 				}
-				return nil
+				return []time.Duration{res.NaturalLatency, res.RandomLatency}, nil
 			})
 			if err != nil {
-				return nil, fmt.Errorf("bench: hpcc %d nodes baseline: %w", nodes, err)
-			}
-			if pt.BaselineNatural == 0 || nat < pt.BaselineNatural {
-				pt.BaselineNatural = nat
-			}
-			if pt.BaselineRandom == 0 || rnd < pt.BaselineRandom {
-				pt.BaselineRandom = rnd
+				return nil, fmt.Errorf("bench: hpcc %d nodes (sessions=%v): %w", nodes, sessions, err)
 			}
 		}
-		for trial := 0; trial < trials; trial++ {
-			settle()
-			var nat, rnd time.Duration
-			err := runtime.Run(jobOpts(profile, nodes, ppn, excidCfg()), func(p *mpi.Process) error {
-				if err := p.Init(); err != nil {
-					return err
-				}
-				defer p.Finalize()
-				res, err := hpcc.RunWithSessions(p, cfg)
-				if err != nil {
-					return err
-				}
-				if p.JobRank() == 0 {
-					mu.Lock()
-					nat, rnd = res.NaturalLatency, res.RandomLatency
-					mu.Unlock()
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("bench: hpcc %d nodes sessions: %w", nodes, err)
-			}
-			if pt.SessionsNatural == 0 || nat < pt.SessionsNatural {
-				pt.SessionsNatural = nat
-			}
-			if pt.SessionsRandom == 0 || rnd < pt.SessionsRandom {
-				pt.SessionsRandom = rnd
-			}
-		}
-		out = append(out, pt)
+		out = append(out, RingPoint{
+			Nodes:           nodes,
+			BaselineNatural: rings[0][0], BaselineRandom: rings[0][1],
+			SessionsNatural: rings[1][0], SessionsRandom: rings[1][1],
+		})
 	}
 	return out, nil
 }
@@ -486,46 +367,25 @@ type TwoMeshConfig struct {
 // baseline and sessions executables.
 func TwoMeshSweep(profile topo.Profile, configs []TwoMeshConfig) ([]TwoMeshPoint, error) {
 	var out []TwoMeshPoint
-	for _, cfgRun := range configs {
-		pt := TwoMeshPoint{Problem: cfgRun.Problem.Name, NP: cfgRun.Nodes * cfgRun.PPN}
-		measure := func(cfg core.Config, sessions bool) (time.Duration, error) {
-			var m maxDuration
-			err := runtime.Run(jobOpts(profile, cfgRun.Nodes, cfgRun.PPN, cfg), func(p *mpi.Process) error {
+	for _, run := range configs {
+		pt := TwoMeshPoint{Problem: run.Problem.Name, NP: run.Nodes * run.PPN}
+		for _, sessions := range []bool{false, true} {
+			cfg, d := consensusCfg(), &pt.Baseline
+			if sessions {
+				cfg, d = excidCfg(), &pt.Sessions
+			}
+			total, err := jobMax(profile, run.Nodes, run.PPN, cfg, func(p *mpi.Process) ([]time.Duration, error) {
 				if _, err := p.InitThread(mpi.ThreadMultiple); err != nil {
-					return err
+					return nil, err
 				}
 				defer p.Finalize()
-				rep, err := twomesh.Run(p, cfgRun.Problem, sessions, cfgRun.Threads)
-				if err != nil {
-					return err
-				}
-				m.add(rep.Total)
-				return nil
+				rep, err := twomesh.Run(p, run.Problem, sessions, run.Threads)
+				return []time.Duration{rep.Total}, err
 			})
-			return m.d, err
-		}
-		// Best of three trials per executable: single-shot wall times of a
-		// multi-phase run are noisy under a shared host.
-		best := func(cfg core.Config, sessions bool) (time.Duration, error) {
-			var min time.Duration
-			for trial := 0; trial < 3; trial++ {
-				settle()
-				d, err := measure(cfg, sessions)
-				if err != nil {
-					return 0, err
-				}
-				if min == 0 || d < min {
-					min = d
-				}
+			if err != nil {
+				return nil, fmt.Errorf("bench: 2MESH %s (sessions=%v): %w", run.Problem.Name, sessions, err)
 			}
-			return min, nil
-		}
-		var err error
-		if pt.Baseline, err = best(consensusCfg(), false); err != nil {
-			return nil, fmt.Errorf("bench: 2MESH %s baseline: %w", cfgRun.Problem.Name, err)
-		}
-		if pt.Sessions, err = best(excidCfg(), true); err != nil {
-			return nil, fmt.Errorf("bench: 2MESH %s sessions: %w", cfgRun.Problem.Name, err)
+			*d = total[0]
 		}
 		if pt.Baseline > 0 {
 			pt.Normalized = float64(pt.Sessions) / float64(pt.Baseline)

@@ -12,8 +12,8 @@ import (
 )
 
 // The sweep generators are exercised on the zero-latency loopback profile:
-// fast, deterministic plumbing checks. Calibrated shapes are validated by
-// the root-level benchmarks and recorded in EXPERIMENTS.md.
+// fast plumbing checks. The modeled figures themselves come from
+// TestFigures (figures_test.go), in model time.
 
 func lb() topo.Profile { return topo.Loopback(8) }
 
@@ -143,7 +143,7 @@ func TestAblationsSmoke(t *testing.T) {
 		t.Fatalf("coll = %+v", coll)
 	}
 	// Rendering glue.
-	out := RenderAblations(fm, q, g)
+	out := RenderAblations(fm, g)
 	if !strings.Contains(out, "exCID first message") {
 		t.Fatalf("render = %q", out)
 	}
@@ -185,5 +185,21 @@ func TestRenderers(t *testing.T) {
 	tm := RenderTwoMesh([]TwoMeshPoint{{Problem: "P1", NP: 16, Baseline: time.Second, Sessions: time.Second, Normalized: 1}})
 	if !strings.Contains(tm, "P1") {
 		t.Fatalf("RenderTwoMesh = %q", tm)
+	}
+}
+
+// BenchmarkAblationQuiesce: QUO native barrier vs sessions Ibarrier
+// test-and-park. The difference is implementation cost (parking, polling,
+// wake-ups), which model time cannot see, so this stays a wall-clock
+// benchmark on the Loopback profile, where no modeled cost is charged.
+func BenchmarkAblationQuiesce(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := AblationQuiesce(topo.Loopback(8), 8, 20, 50*time.Microsecond)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(res.Native.Nanoseconds())/1e3, "native-us")
+		b.ReportMetric(float64(res.Sessions.Nanoseconds())/1e3, "sessions-us")
 	}
 }

@@ -118,14 +118,14 @@ func RenderTwoMesh(points []TwoMeshPoint) string {
 	return b.String()
 }
 
-// RenderAblations formats the DESIGN.md §5 ablation results.
-func RenderAblations(fm FirstMessageResult, q QuiesceResult, g GroupConstructResult) string {
+// RenderAblations formats the DESIGN.md §5 protocol-cost ablations. The
+// quiesce ablation measures implementation cost, which model time cannot
+// see, so it stays a wall-clock benchmark (BenchmarkAblationQuiesce).
+func RenderAblations(fm FirstMessageResult, g GroupConstructResult) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Ablations (DESIGN.md §5)")
-	fmt.Fprintf(&b, "exCID first message:   %s us (handshake)  vs steady state %s us  [%d ext msgs]\n",
-		us(fm.FirstMessage), us(fm.SteadyState), fm.ExtMessages)
-	fmt.Fprintf(&b, "QUO quiesce barrier:   native %s us  vs sessions Ibarrier+park %s us\n",
-		us(q.Native), us(q.Sessions))
+	fmt.Fprintf(&b, "exCID first message:   %d ns (handshake)  vs steady state %d ns  [%d ext msgs]\n",
+		fm.FirstMessage.Nanoseconds(), fm.SteadyState.Nanoseconds(), fm.ExtMessages)
 	fmt.Fprintf(&b, "PMIx group construct:  collective %s us  vs async invite/join %s us\n",
 		us(g.Collective), us(g.InviteJoin))
 	return b.String()

@@ -7,6 +7,12 @@
 //
 //	hpcc -np 16 -ppn 8
 //	hpcc -np 16 -ppn 8 -sessions
+//
+// Latencies are wall-clock. The default loopback profile charges no
+// modeled cost, so they measure the implementation; on jupiter or trinity
+// each modeled cost is a sleep of at least that long. Fig. 6's exact
+// modeled ring latencies come from the bench package's TestFigures runner
+// (make figures).
 package main
 
 import (
@@ -28,12 +34,21 @@ func main() {
 	sessions := flag.Bool("sessions", false, "run the lat/bw component in its own MPI session")
 	iters := flag.Int("iters", 500, "timed ring iterations")
 	trials := flag.Int("trials", 5, "random ring permutations")
-	profileName := flag.String("profile", "jupiter", "cluster profile")
+	profileName := flag.String("profile", "loopback", "cluster profile: loopback (no modeled cost: wall clock measures the implementation), "+
+		"jupiter or trinity (modeled costs become wall-clock sleeps of at least that long; exact modeled numbers come from make figures)")
 	flag.Parse()
 
-	profile := topo.Jupiter()
-	if *profileName == "trinity" {
+	var profile topo.Profile
+	switch *profileName {
+	case "loopback":
+		profile = topo.Loopback(*ppn)
+	case "jupiter":
+		profile = topo.Jupiter()
+	case "trinity":
 		profile = topo.Trinity()
+	default:
+		fmt.Fprintf(os.Stderr, "hpcc: unknown profile %q\n", *profileName)
+		os.Exit(2)
 	}
 	mode := core.CIDConsensus
 	if *sessions {

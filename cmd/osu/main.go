@@ -12,6 +12,13 @@
 // -transport udp forces the udp BTL, so every byte crosses a real loopback
 // socket (frame encode, hash, fragmentation) instead of the simulated
 // fabric.
+//
+// Timings are wall-clock. The default loopback profile charges no modeled
+// cost, so they measure the implementation. The jupiter and trinity
+// profiles charge their modeled costs as sleeps, which last at least as
+// long as modeled (a sub-millisecond sleep takes about a millisecond);
+// the exact modeled figures come from the bench package's TestFigures
+// runner (make figures).
 package main
 
 import (
@@ -29,6 +36,9 @@ import (
 	"gompi/runtime"
 )
 
+const profileUsage = "cluster profile: loopback (no modeled cost: wall clock measures the implementation), " +
+	"jupiter or trinity (modeled costs become wall-clock sleeps of at least that long; exact modeled numbers come from make figures)"
+
 func main() {
 	benchName := flag.String("bench", "latency", "benchmark: init, latency, latency_mt, bw, mbw_mr, barrier, bcast, allreduce, allgather, alltoall, put, get")
 	threads := flag.Int("threads", 4, "threads per rank (latency_mt)")
@@ -40,7 +50,7 @@ func main() {
 	skip := flag.Int("skip", 20, "warm-up iterations")
 	window := flag.Int("window", 64, "mbw_mr window size")
 	syncMode := flag.String("sync", "barrier", "mbw_mr pre-sync: barrier or sendrecv")
-	profileName := flag.String("profile", "jupiter", "cluster profile: jupiter, trinity, loopback")
+	profileName := flag.String("profile", "loopback", profileUsage)
 	transport := flag.String("transport", "sim", "transport: sim (simulated fabric) or udp (forced udp BTL over loopback sockets)")
 	collSpec := flag.String("coll", "", "collective component selection (e.g. \"^hier\" or \"basic\")")
 	mtComms := flag.Int("mt-comms", 1, "latency_mt: dup'd communicators round-robined across threads")
@@ -76,12 +86,15 @@ func main() {
 
 	var profile topo.Profile
 	switch *profileName {
-	case "trinity":
-		profile = topo.Trinity()
 	case "loopback":
 		profile = topo.Loopback(*ppn)
-	default:
+	case "jupiter":
 		profile = topo.Jupiter()
+	case "trinity":
+		profile = topo.Trinity()
+	default:
+		fmt.Fprintf(os.Stderr, "osu: unknown profile %q\n", *profileName)
+		os.Exit(2)
 	}
 	mode := core.CIDConsensus
 	if *sessions {

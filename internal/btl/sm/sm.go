@@ -1,10 +1,11 @@
 // Package sm is the shared-memory BTL: an intra-node fast path that hands
-// packets to node-local peers through the node's simnet.Segment, bypassing
-// the fabric's latency and serialization model entirely — the simulation
-// analogue of Open MPI's sm BTL copying through a mapped segment instead of
-// touching the NIC. Because the copy cost is negligible, sm advertises a
-// much larger eager limit than the fabric path, so mid-sized intra-node
-// messages skip the rendezvous round trip too.
+// packets to node-local peers through the node's simnet.Segment — the
+// simulation analogue of Open MPI's sm BTL copying through a mapped segment
+// instead of touching the NIC. The sender pays the profile's intra-node
+// latency and bandwidth cost (Segment.Charge) and then delivers inline, with
+// no fabric endpoint queue or progress goroutine in between. Because the
+// copy is cheap, sm advertises a much larger eager limit than the fabric
+// path, so mid-sized intra-node messages skip the rendezvous round trip too.
 package sm
 
 import (
@@ -94,6 +95,7 @@ func (e *endpoint) Send(pkt []byte) error {
 	// buffer arena before returning here.
 	e.mod.msgs.Add(1)
 	e.mod.bytes.Add(uint64(len(pkt)))
+	e.mod.seg.Charge(len(pkt))
 	deliver(pkt)
 	return nil
 }

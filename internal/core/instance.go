@@ -584,13 +584,14 @@ func (inst *Instance) Release() error {
 // constructions over fresh tags derive the same names on every rank.
 //
 // The caller guarantees the crashed incarnation's goroutines are gone (its
-// abnormal termination has been reported) before calling.
+// abnormal termination has been reported) before calling. The runtime calls
+// it on respawn and, for every rank still active, on job shutdown.
 func (inst *Instance) ForceTeardown() {
 	inst.reg.ForceReset()
 	inst.mu.Lock()
 	inst.refs = 0
 	inst.mu.Unlock()
-	inst.trace.Logf("core", "instance force-torn-down for respawn (gen=%d)", inst.reg.Generation())
+	inst.trace.Logf("core", "instance force-torn-down (gen=%d)", inst.reg.Generation())
 }
 
 // Client returns the live PMIx client; nil when not initialized.

@@ -37,20 +37,23 @@ type Server struct {
 	evWake chan struct{}
 	closed chan struct{}
 
-	// workMu serializes modeled server-side processing: real PMIx servers
+	// work serializes modeled server-side processing: real PMIx servers
 	// handle local client requests one at a time, which is why collective
 	// runtime operations scale with the number of local participants.
-	workMu sync.Mutex //gompilint:lockorder rank=20
+	work simnet.Queue
 }
 
-// work charges d of serialized server processing time.
-func (s *Server) work(d time.Duration) {
+// executorKey orders a collective executor's contribution processing after
+// every client request of the same instant.
+const executorKey = ^uint64(0)
+
+// charge charges d of serialized server processing time to the request
+// identified by key (the requesting rank, or executorKey).
+func (s *Server) charge(key uint64, d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	s.workMu.Lock()
-	simnet.Delay(d)
-	s.workMu.Unlock()
+	s.work.Use(key, d)
 }
 
 func (s *Server) profile() topo.Profile {
@@ -133,7 +136,7 @@ func (s *Server) Connect(rank int) *Client {
 	if s.job.NodeOf(rank) != s.Node() {
 		panic(fmt.Sprintf("pmix: rank %d is mapped to node %d, not node %d", rank, s.job.NodeOf(rank), s.Node()))
 	}
-	s.work(s.profile().ClientConnectWork)
+	s.charge(uint64(rank), s.profile().ClientConnectWork)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c, ok := s.clients[rank]; ok {
@@ -364,7 +367,7 @@ func (s *Server) get(rank int, key string, timeout time.Duration) ([]byte, error
 // the same set — the retrying rank would wait under a fresh opKey while the
 // stale contribution completes the old one for everyone else.
 func (s *Server) collective(opKey, seqKey string, rank int, ranks []int, contrib []byte, leaderAlloc string, clientWork, nodeWork time.Duration, timeout time.Duration) (map[int][]byte, uint64, error) {
-	s.work(clientWork)
+	s.charge(uint64(rank), clientWork)
 	nodes := participantNodes(ranks, s.job.NodeOf)
 	needLocal := 0
 	for _, r := range ranks {
@@ -484,7 +487,7 @@ func (s *Server) executeCollective(opKey string, op *collOp, nodes []int, leader
 		return
 	}
 	// Process each remote node's contribution (modeled serialized cost).
-	s.work(nodeWork * time.Duration(len(nodes)-1))
+	s.charge(executorKey, nodeWork*time.Duration(len(nodes)-1))
 	merged := make(map[int][]byte)
 	var gotPGCID uint64
 	for _, blob := range results {

@@ -205,11 +205,11 @@ func (d *Daemon) run() {
 				_ = d.ep.Send(msg.ReplyTo, simnet.Message{Ctrl: r, Size: r.size()})
 			})
 		case fetchReq:
-			data, ok := d.server().HandleFetch(msg.Key)
-			_ = d.ep.Send(msg.ReplyTo, simnet.Message{
-				Ctrl: fetchResp{Key: msg.Key, Data: data, OK: ok},
-				Size: ctrlMsgOverhead + len(data),
-			})
+			// Answered off the loop: a reply's modeled wire cost must not
+			// hold up the next request, or which of two fetches landing
+			// at once waits out the other's reply would depend on which
+			// one the loop dequeued first.
+			go d.serveFetch(msg)
 		case eventMsg:
 			if msg.Relay {
 				d.relayEvent(msg)
@@ -217,6 +217,15 @@ func (d *Daemon) run() {
 			d.server().HandleEvent(msg.Data)
 		}
 	}
+}
+
+// serveFetch answers one direct-modex fetch from the local PMIx server.
+func (d *Daemon) serveFetch(msg fetchReq) {
+	data, ok := d.server().HandleFetch(msg.Key)
+	_ = d.ep.Send(msg.ReplyTo, simnet.Message{
+		Ctrl: fetchResp{Key: msg.Key, Data: data, OK: ok},
+		Size: ctrlMsgOverhead + len(data),
+	})
 }
 
 // call is the daemon's replied RM transport. On the master it is served in

@@ -21,7 +21,6 @@ package simnet
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,10 +86,10 @@ type Fabric struct {
 	intraMsgs atomic.Uint64
 	interMsgs atomic.Uint64
 
-	// globalBusy[g] is the time (UnixNano) until which dragonfly group g's
-	// global link is occupied; cross-group senders queue behind it.
-	globalMu   sync.Mutex
-	globalBusy []int64
+	// global[g] is dragonfly group g's global link; cross-group senders
+	// queue on it.
+	globalMu sync.Mutex
+	global   []*Queue
 
 	// faultsOn short-circuits faultVerdict when no plan, partition, or
 	// pending kill rule is installed; faults holds the injection state.
@@ -151,7 +150,12 @@ func (f *Fabric) Segment(node int) *Segment {
 		f.segments = make([]*Segment, f.cluster.Nodes)
 	}
 	if f.segments[node] == nil {
-		f.segments[node] = &Segment{boxes: make(map[int]DeliverFunc)}
+		p := f.cluster.Profile
+		f.segments[node] = &Segment{
+			lat:   p.IntraNodeLatency,
+			bw:    p.IntraNodeBandwidth,
+			boxes: make(map[int]DeliverFunc),
+		}
 	}
 	return f.segments[node]
 }
@@ -165,10 +169,34 @@ type DeliverFunc func(pkt []byte)
 // of the mmap'ed region a shared-memory BTL maps into every local process.
 // Processes on the node register a delivery function under their global
 // rank; node-local senders look the function up and hand packets off
-// directly, bypassing the fabric's latency/serialization model entirely.
+// directly, paying the profile's intra-node cost through Charge instead of
+// queueing on a fabric endpoint.
 type Segment struct {
+	lat time.Duration // the profile's IntraNodeLatency
+	bw  float64       // the profile's IntraNodeBandwidth, bytes/s
+
 	mu    sync.Mutex
 	boxes map[int]DeliverFunc
+}
+
+// Charge charges the calling goroutine the modeled cost of handing n bytes
+// to a node-mate: IntraNodeLatency plus n/IntraNodeBandwidth, the same
+// intra-node cost Endpoint.Send charges. On the all-zero Loopback profile
+// it returns at once.
+func (s *Segment) Charge(n int) {
+	if s.lat == 0 && s.bw == 0 {
+		return
+	}
+	Delay(transfer(s.lat, s.bw, n))
+}
+
+// transfer is the LogP-style cost of n bytes over a path of latency lat and
+// bandwidth bw (bytes/s; 0 models no serialization cost).
+func transfer(lat time.Duration, bw float64, n int) time.Duration {
+	if bw > 0 && n > 0 {
+		lat += time.Duration(float64(n) / bw * float64(time.Second))
+	}
+	return lat
 }
 
 // Register installs the delivery function for a rank. Registering a rank
@@ -210,68 +238,61 @@ func (f *Fabric) lookup(a Addr) *Endpoint {
 	return f.nodes[a.Node][a.Slot]
 }
 
-// delayFor returns the modeled transfer cost for nbytes between two nodes.
-func (f *Fabric) delayFor(src, dst int, nbytes int) time.Duration {
+// delayFor returns the modeled transfer cost for nbytes from src to dst,
+// and the message's place on a global link's queue (nil unless it crosses
+// dragonfly groups on a profile that models link occupancy). The cost
+// includes the link's backlog; the wait behind same-instant messages is
+// the ticket's Ahead, known once the instant has passed.
+func (f *Fabric) delayFor(src, dst Addr, nbytes int) (time.Duration, *Ticket) {
 	p := f.cluster.Profile
 	var lat time.Duration
 	var bw float64
-	if src == dst {
+	if src.Node == dst.Node {
 		lat, bw = p.IntraNodeLatency, p.IntraNodeBandwidth
 	} else {
 		lat, bw = p.InterNodeLatency, p.InterNodeBandwidth
 	}
-	d := lat
-	if src != dst && !p.SameDragonflyGroup(src, dst) {
-		d += p.GlobalHopLatency + f.reserveGlobalLink(src, p)
+	d := transfer(lat, bw, nbytes)
+	var t *Ticket
+	if src.Node != dst.Node && !p.SameDragonflyGroup(src.Node, dst.Node) {
+		d += p.GlobalHopLatency
+		if p.GlobalLinkOccupancy > 0 {
+			t = f.globalLink(src.Node/p.DragonflyGroupSize).Join(linkKey(src, dst), p.GlobalLinkOccupancy)
+			d += t.Backlog()
+		}
 	}
-	if bw > 0 && nbytes > 0 {
-		d += time.Duration(float64(nbytes) / bw * float64(time.Second))
-	}
-	return d
+	return d, t
 }
 
-// reserveGlobalLink queues a message on the source group's global link and
-// returns the extra waiting time caused by earlier traffic. Each message
-// occupies the link for GlobalLinkOccupancy.
-func (f *Fabric) reserveGlobalLink(srcNode int, p topo.Profile) time.Duration {
-	if p.GlobalLinkOccupancy <= 0 || p.DragonflyGroupSize <= 0 {
-		return 0
-	}
-	group := srcNode / p.DragonflyGroupSize
-	now := time.Now().UnixNano()
+// globalLink returns dragonfly group g's global link: each message holds
+// it for GlobalLinkOccupancy, and later traffic queues behind it.
+func (f *Fabric) globalLink(g int) *Queue {
 	f.globalMu.Lock()
-	for len(f.globalBusy) <= group {
-		f.globalBusy = append(f.globalBusy, 0)
+	defer f.globalMu.Unlock()
+	for len(f.global) <= g {
+		f.global = append(f.global, new(Queue))
 	}
-	start := f.globalBusy[group]
-	if start < now {
-		start = now
-	}
-	f.globalBusy[group] = start + int64(p.GlobalLinkOccupancy)
-	f.globalMu.Unlock()
-	return time.Duration(start - now)
+	return f.global[g]
+}
+
+// linkKey orders same-instant messages on a global link by endpoint pair.
+func linkKey(src, dst Addr) uint64 {
+	return uint64(src.Node)<<48 | uint64(src.Slot)<<32 | uint64(dst.Node)<<16 | uint64(dst.Slot)
 }
 
 // Delay charges the calling goroutine an arbitrary modeled cost. It is used
 // for software overheads that are not tied to a message (e.g. MCA component
-// loading). Delays up to spinThreshold busy-wait (yielding) to preserve
-// microsecond-scale accuracy — a sub-millisecond time.Sleep lasts about a
-// millisecond even on an idle host (with no goroutine spinning, the
-// runtime's netpoller waits in whole milliseconds), and a loaded host adds
-// jitter of the same order, either of which would swamp the modeled costs;
-// longer delays sleep for the bulk and spin out the remainder.
+// loading) and for every message's wire cost. It sleeps: inside a
+// testing/synctest bubble the sleep is exact model time, and on the wall
+// clock it lasts at least d (a sub-millisecond sleep takes about a
+// millisecond), so exact modeled figures come from the bubble (bench's
+// TestFigures) and wall-clock measurements use the all-zero Loopback
+// profile, where Delay returns at once.
 func Delay(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	const spinThreshold = time.Millisecond
-	deadline := time.Now().Add(d)
-	if d > spinThreshold {
-		time.Sleep(d - spinThreshold)
-	}
-	for time.Now().Before(deadline) {
-		runtime.Gosched()
-	}
+	time.Sleep(d)
 }
 
 // RPCDelay charges the profile's client/server RPC software overhead.
@@ -311,7 +332,11 @@ func (e *Endpoint) Send(dst Addr, m Message) error {
 	for _, victim := range v.kill {
 		victim.Close()
 	}
-	Delay(e.fab.delayFor(e.addr.Node, dst.Node, n) + v.extraDelay)
+	d, t := e.fab.delayFor(e.addr, dst, n)
+	Delay(d + v.extraDelay)
+	if t != nil {
+		Delay(t.Ahead())
+	}
 	if v.drop {
 		// The wire ate it. The sender still pays the modeled cost and
 		// observes success — recovering lost traffic is the receiver-side

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	goruntime "runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -781,4 +783,36 @@ func TestChaosPeerDeathMidPrefixAndRooted(t *testing.T) {
 			unblocked.Wait()
 		})
 	}
+}
+
+// TestChaosPeerDeathReclaimsProgressGoroutines: a rank that dies without
+// Finalize never closes its own fabric BTL, so the net module's progress
+// goroutine stays parked in Endpoint.Recv unless Job.Shutdown reclaims the
+// rank. After both peer-death bodies, none of theirs may be left.
+func TestChaosPeerDeathReclaimsProgressGoroutines(t *testing.T) {
+	before := netProgressGoroutines()
+	TestChaosPeerDeathMidCollective(t)
+	TestChaosPeerDeathMidPrefixAndRooted(t)
+	after := netProgressGoroutines()
+	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		after = netProgressGoroutines()
+	}
+	if after > before {
+		t.Fatalf("%d btl/net progress goroutines before the peer-death jobs, %d after their shutdown", before, after)
+	}
+}
+
+// netProgressGoroutines counts the live btl/net progress goroutines.
+func netProgressGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := goruntime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	return strings.Count(string(buf), "gompi/internal/btl/net.(*Module).progress(")
 }

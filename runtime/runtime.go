@@ -276,7 +276,10 @@ func (j *Job) Respawn(rank int, main func(p *mpi.Process) error) error {
 // Instance exposes a rank's core instance (benchmark instrumentation).
 func (j *Job) Instance(rank int) *core.Instance { return j.insts[rank] }
 
-// Shutdown tears down the runtime substrate.
+// Shutdown tears down the runtime substrate. It first reclaims every rank
+// still active: one that died without Finalize still holds its PML engine,
+// its BTL modules (the net module's progress goroutine among them) and its
+// PMIx connection.
 func (j *Job) Shutdown() {
 	j.mu.Lock()
 	if j.shutdown {
@@ -285,6 +288,11 @@ func (j *Job) Shutdown() {
 	}
 	j.shutdown = true
 	j.mu.Unlock()
+	for _, inst := range j.insts {
+		if inst.Active() {
+			inst.ForceTeardown()
+		}
+	}
 	for _, s := range j.servers {
 		s.Close()
 	}
