@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check vet build lint test test-race chaos pool-guard fuzz-smoke bench bench-smoke bench-harness smoke-udp figures
+.PHONY: check vet build lint test test-race chaos pool-guard bubble fuzz-smoke bench bench-smoke bench-harness smoke-udp figures
 
 # check is the repo's verification gate: vet, build, the gompilint suite,
 # the full test suite under the race detector, the debug-build arena
-# guard, and a short fixed-budget run of the packet-decoder fuzz targets.
-check: vet build lint test-race pool-guard fuzz-smoke
+# guard, the synctest-bubble tests, and a short fixed-budget run of the
+# packet-decoder fuzz targets.
+check: vet build lint test-race pool-guard bubble fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -37,10 +38,16 @@ chaos:
 lint:
 	$(GO) run ./cmd/gompilint ./...
 
-# pool-guard exercises the -tags debug arena guard: double-putBuf panics
-# and recycled packets are poisoned, under the race detector.
+# pool-guard exercises the -tags debug arena guard: double-putBuf panics,
+# recycled packets are poisoned, and a blocking receive's recycled request
+# is poisoned and panics if completed, under the race detector.
 pool-guard:
 	$(GO) test -race -tags debug -run TestPoolGuard ./internal/pml
+
+# bubble runs the PML's testing/synctest tests: a parked receive must be
+# durably blocked on a wake channel of its own bubble, bubble after bubble.
+bubble:
+	GOEXPERIMENT=synctest $(GO) test -count=1 -run InBubble ./internal/pml
 
 # fuzz-smoke runs the packet-decoder fuzz targets, the control-plane codec
 # fuzzer and the reduction-kernel differential fuzzer for a short fixed budget
@@ -74,14 +81,15 @@ bench-smoke:
 # so this gates correctness; it prints the timings without judging them. The
 # traced run's last line is the JSON object of per-layer metrics, and the
 # deterministic counts on it are gated here: a per-call or persistent
-# allreduce that allocates, or a dropped udp datagram, fails the target
-# (below 0.01 reads as 0, which absorbs the odd runtime allocation).
+# allreduce that allocates, an eager message that allocates, or a dropped
+# udp datagram, fails the target (below 0.01 reads as 0, which absorbs the
+# odd runtime allocation).
 bench-harness:
 	$(GO) run ./cmd/bench -workload data-sim -seed 1 -seconds 2
 	@mkdir -p .bench_build
 	$(GO) run ./cmd/bench -workload data-sim -seed 1 -seconds 2 -trace 1 > .bench_build/traced.out || { cat .bench_build/traced.out; exit 1; }
 	@cat .bench_build/traced.out
-	@for m in coll.allocs_per_percall_allreduce coll.allocs_per_persistent_start btl.udp.drops; do \
+	@for m in coll.allocs_per_percall_allreduce coll.allocs_per_persistent_start pml.allocs_per_eager_msg btl.udp.drops; do \
 		tail -n 1 .bench_build/traced.out | grep -Eq "\"$$m\":\{\"value\":0(\.00[0-9]*)?," || \
 			{ echo "bench-harness: $$m is not 0 in the traced data-sim run"; exit 1; }; \
 	done

@@ -20,6 +20,14 @@ import (
 // inter-node pairs fall through to net.
 func newMixedNet(t *testing.T, nodes, ppn int, cfg Config) *testNet {
 	t.Helper()
+	tn := buildMixedNet(nodes, ppn, cfg)
+	t.Cleanup(tn.close)
+	return tn
+}
+
+// buildMixedNet is newMixedNet for callers that close the engines
+// themselves (inside a synctest bubble, before it ends).
+func buildMixedNet(nodes, ppn int, cfg Config) *testNet {
 	fabric := simnet.NewFabric(topo.New(topo.Loopback(ppn), nodes))
 	n := nodes * ppn
 	eps := make([]*simnet.Endpoint, n)
@@ -41,12 +49,13 @@ func newMixedNet(t *testing.T, nodes, ppn int, cfg Config) *testNet {
 		}
 		tn.engines = append(tn.engines, NewEngine(mods, cfg))
 	}
-	t.Cleanup(func() {
-		for _, e := range tn.engines {
-			e.Close()
-		}
-	})
 	return tn
+}
+
+func (tn *testNet) close() {
+	for _, e := range tn.engines {
+		e.Close()
+	}
 }
 
 // TestSMFastPathSelected verifies intra-node traffic rides sm while

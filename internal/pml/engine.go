@@ -43,7 +43,9 @@ type Stats struct {
 	PostedHits     uint64
 	UnexpectedHits uint64
 	// DupsDropped counts inbound match/RTS frames discarded because their
-	// sequence number was already delivered (a duplicated wire packet);
+	// sequence number was already delivered (a duplicated wire packet) or
+	// because they are stale (a fast-path frame on an exCID channel before
+	// its sender's first extended frame there, see handleMatch);
 	// ReorderStashed counts frames that arrived ahead of a gap and were
 	// parked until the missing sequence numbers filled in.
 	DupsDropped    uint64
@@ -102,6 +104,7 @@ type Engine struct {
 	orphansEx map[ExCID][][]byte  // ext packets for not-yet-registered exCIDs
 	cidHWM    int                 // CIDs below this have been claimed at least once
 	cidFree   []uint16            // released CIDs below cidHWM, sorted ascending
+	cidHold   []uint16            // released exCID local CIDs waiting out cidReuseDelay, oldest first
 
 	routes sync.Map // int (global rank) -> *route
 
@@ -115,6 +118,15 @@ type Engine struct {
 	// no-failures case skip the map probe entirely.
 	failedPeers sync.Map // int -> struct{}
 	failedCount atomic.Int64
+
+	// wakes caches idle wake channels for parked Waits on this engine's
+	// requests, and recvSpare the request of the last blocking Recv that
+	// returned (request.go, recv.go). Both stay per engine, not in a
+	// process-wide pool: a channel must never leave the job, and the
+	// synctest bubble, that made it.
+	wakeMu    sync.Mutex
+	wakes     []chan struct{}
+	recvSpare atomic.Pointer[Request]
 
 	st engineStats
 }
@@ -392,13 +404,42 @@ func (e *Engine) claimCID(cid uint16) {
 	if i < len(e.cidFree) && e.cidFree[i] == cid {
 		e.cidFree = append(e.cidFree[:i], e.cidFree[i+1:]...)
 	}
+	for i, h := range e.cidHold { // an explicit claim of a held CID
+		if h == cid {
+			e.cidHold = append(e.cidHold[:i], e.cidHold[i+1:]...)
+			break
+		}
+	}
 }
 
-// releaseCID returns cid to the allocator (sorted insert). Caller holds
-// regMu.
-func (e *Engine) releaseCID(cid uint16) {
+// cidReuseDelay is how many later exCID channel removals a released exCID
+// local CID waits out before it can be allocated again. A peer addresses
+// fast-path frames by the local CID it learned from this engine's ACK, so a
+// frame still in flight when the channel goes would otherwise land in the
+// successor that takes the lowest free CID a moment later (DESIGN.md §5b,
+// "Local CID reuse").
+const cidReuseDelay = 16
+
+// releaseCID returns cid to the allocator. A consensus CID is free at once
+// (sorted insert); an exCID channel's local CID is held for cidReuseDelay
+// later exCID removals first. Caller holds regMu.
+func (e *Engine) releaseCID(cid uint16, ex bool) {
 	if int(cid) >= e.cidHWM {
 		return
+	}
+	if ex {
+		e.cidHold = append(e.cidHold, cid)
+		if len(e.cidHold) <= cidReuseDelay {
+			return
+		}
+		cid = e.cidHold[0]
+		e.cidHold = append(e.cidHold[:0], e.cidHold[1:]...)
+		// Only stale frames can be orphaned on a held CID: no channel,
+		// exCID or consensus, could claim it while it was held.
+		for _, pkt := range e.orphans[cid] {
+			e.putBuf(pkt)
+		}
+		delete(e.orphans, cid)
 	}
 	i := sort.Search(len(e.cidFree), func(i int) bool { return e.cidFree[i] >= cid })
 	if i < len(e.cidFree) && e.cidFree[i] == cid {
@@ -446,6 +487,12 @@ func (e *Engine) AddChannel(localCID uint16, ex ExCID, useEx bool, myRank int, r
 		e.byEx.Store(ex, ch)
 		replay = e.orphansEx[ex]
 		delete(e.orphansEx, ex)
+		// Fast-path frames orphaned on this CID cannot be for this
+		// channel: a peer sends fast only after this channel's ACK.
+		for _, pkt := range e.orphans[localCID] {
+			e.putBuf(pkt)
+		}
+		delete(e.orphans, localCID)
 	} else {
 		replay = e.orphans[localCID]
 		delete(e.orphans, localCID)
@@ -469,7 +516,7 @@ func (e *Engine) RemoveChannel(ch *Channel) {
 		if ch.useEx {
 			e.byEx.Delete(ch.ex)
 		}
-		e.releaseCID(ch.localCID)
+		e.releaseCID(ch.localCID, ch.useEx)
 	}
 	e.regMu.Unlock()
 	ch.lock.Lock()
@@ -599,7 +646,7 @@ func (e *Engine) handlePacket(pkt []byte) {
 			ps.req.complete(Status{}, e.wrapSendErr(ps.destGlobal, err))
 			return
 		}
-		ps.req.complete(Status{Count: len(ps.payload)}, nil)
+		ps.req.complete(Status{}, nil) // a send's status is empty (request.go)
 
 	case hdrData:
 		e.pendMu.Lock()

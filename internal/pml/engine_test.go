@@ -40,11 +40,7 @@ func newTestNet(t *testing.T, n int, cfg Config) *testNet {
 		mod := btlnet.New(eps[i], resolve, 0)
 		tn.engines = append(tn.engines, NewEngine([]btl.Module{mod}, cfg))
 	}
-	t.Cleanup(func() {
-		for _, e := range tn.engines {
-			e.Close()
-		}
-	})
+	t.Cleanup(tn.close)
 	return tn
 }
 

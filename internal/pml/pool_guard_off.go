@@ -8,3 +8,9 @@ package pml
 func guardCheckout(p any) {}
 
 func guardRecycle(p any, b []byte) {}
+
+func guardRecvPark(r *Request) {}
+
+func guardRecvTake(r *Request) {}
+
+func guardComplete(r *Request) {}

@@ -8,14 +8,45 @@ import "fmt"
 // Irecv posts a nonblocking receive from src (comm rank or AnySource) with
 // tag (or AnyTag) into buf.
 func (ch *Channel) Irecv(src, tag int, buf []byte) *Request {
+	req := newRequest(ch.eng)
+	ch.irecv(src, tag, buf, req)
+	return req
+}
+
+// Recv is the blocking form of Irecv. It owns its request from start to
+// end, so it recycles one through the engine's spare slot: a warmed
+// blocking receive allocates nothing, on the posted and the unexpected
+// path alike.
+func (ch *Channel) Recv(src, tag int, buf []byte) (Status, error) {
+	e := ch.eng
+	req := e.recvSpare.Swap(nil)
+	if req == nil {
+		req = newRequest(e)
+	} else {
+		guardRecvTake(req)
+	}
+	ch.irecv(src, tag, buf, req)
+	st, err := req.Wait()
+	req.recycle()
+	guardRecvPark(req)
+	if !e.recvSpare.CompareAndSwap(nil, req) {
+		guardRecvTake(req) // a concurrent Recv refilled the slot first
+	}
+	return st, err
+}
+
+// irecv posts req as a receive, or completes it at once when the receive
+// is refused or an unexpected message already matches it.
+func (ch *Channel) irecv(src, tag int, buf []byte, req *Request) {
 	e := ch.eng
 	if src != AnySource && (src < 0 || src >= len(ch.ranks)) {
-		return completedRequest(Status{}, fmt.Errorf("pml: recv src %d out of range [0,%d)", src, len(ch.ranks)))
+		req.complete(Status{}, fmt.Errorf("pml: recv src %d out of range [0,%d)", src, len(ch.ranks)))
+		return
 	}
 	if e.closed.Load() {
-		return completedRequest(Status{}, ErrClosed)
+		req.complete(Status{}, ErrClosed)
+		return
 	}
-	req := newRequest()
 	pr := e.newPostedRecv()
 	pr.ch, pr.src, pr.tag, pr.buf, pr.req = ch, src, tag, buf, req
 
@@ -27,58 +58,50 @@ func (ch *Channel) Irecv(src, tag int, buf []byte) *Request {
 	// queue under the same lock, so a receive is either rejected here or
 	// posted in time for the sweep.
 	ch.lock.Lock()
-	if e.closed.Load() || ch.removed {
-		ch.lock.Unlock()
-		e.freePostedRecv(pr)
-		return completedRequest(Status{}, ErrClosed)
-	}
-	if ch.revoked {
+	var refuse error
+	var msg *inbound
+	switch {
+	case e.closed.Load() || ch.removed:
+		refuse = ErrClosed
+	case ch.revoked:
 		// Revocation is terminal: even messages already in the unexpected
 		// queue are not delivered — the communicator's state is no longer
 		// globally consistent and the caller must rebuild.
-		ch.lock.Unlock()
-		e.freePostedRecv(pr)
-		return completedRequest(Status{}, ErrRevoked)
+		refuse = ErrRevoked
+	default:
+		msg = ch.m.takeUnexpected(src, tag)
 	}
-	msg := ch.m.takeUnexpected(src, tag)
-	if msg == nil {
+	if refuse == nil && msg == nil {
 		// A source the runtime already declared dead may have sent this
 		// message before dying, so the unexpected queue is drained first;
 		// but the receive never waits for a new one.
-		if src != AnySource && e.peerFailed(ch.ranks[src]) {
-			ch.lock.Unlock()
-			e.freePostedRecv(pr)
-			return completedRequest(Status{}, fmt.Errorf("%w: rank %d", ErrPeerFailed, ch.ranks[src]))
-		}
-		if src == AnySource && ch.allDead {
+		switch {
+		case src != AnySource && e.peerFailed(ch.ranks[src]):
+			refuse = fmt.Errorf("%w: rank %d", ErrPeerFailed, ch.ranks[src])
+		case src == AnySource && ch.allDead:
 			// Every peer that could ever match this wildcard is dead and
 			// its pre-death traffic was just drained above: nothing will
 			// arrive, so posting would hang forever.
-			ch.lock.Unlock()
-			e.freePostedRecv(pr)
-			return completedRequest(Status{}, fmt.Errorf("%w: all channel peers failed", ErrPeerFailed))
-		}
-		if ch.deadMember && tag < 0 && tag != AnyTag {
+			refuse = fmt.Errorf("%w: all channel peers failed", ErrPeerFailed)
+		case ch.deadMember && tag < 0 && tag != AnyTag:
 			// A collective must not start (or continue) on a communicator
 			// with a failed member: its dependency graph includes the dead
 			// rank, so this receive could hang on a live-but-bailed peer.
+			refuse = fmt.Errorf("%w: communicator has a failed member", ErrPeerFailed)
+		default:
+			ch.m.pushPosted(pr)
 			ch.lock.Unlock()
-			e.freePostedRecv(pr)
-			return completedRequest(Status{}, fmt.Errorf("%w: communicator has a failed member", ErrPeerFailed))
+			return
 		}
-		ch.m.pushPosted(pr)
-		ch.lock.Unlock()
-		return req
 	}
 	ch.lock.Unlock()
+	if refuse != nil {
+		e.freePostedRecv(pr)
+		req.complete(Status{}, refuse)
+		return
+	}
 	e.st.unexpectedHits.Add(1)
 	e.consume(pr, msg)
-	return req
-}
-
-// Recv is the blocking form of Irecv.
-func (ch *Channel) Recv(src, tag int, buf []byte) (Status, error) {
-	return ch.Irecv(src, tag, buf).Wait()
 }
 
 // consume finishes matching a posted receive against an inbound message.
@@ -263,6 +286,19 @@ func (e *Engine) handleMatch(pkt []byte, env envelope) {
 			continue // channel torn down under us: redo the lookup
 		}
 		ps := &ch.peers[hdr.src]
+		if ch.useEx && !env.hasExt && !ps.ackSent {
+			// A peer sends on the fast path only after this channel's ACK,
+			// which answers its first extended frame. A fast-path frame
+			// before that is a stale frame of an earlier channel that had
+			// this local CID: dropping it keeps it out of the sequence
+			// space, where it would displace the real frame of its number.
+			ch.lock.Unlock()
+			e.st.dupsDropped.Add(1)
+			msg.raw = nil
+			e.freeInbound(msg)
+			e.putBuf(pkt)
+			return
+		}
 		if env.hasExt && !ps.ackSent {
 			ps.ackSent = true
 			needAck = true

@@ -8,10 +8,11 @@ import (
 // The send side: eager and rendezvous-RTS injection.
 
 // Isend starts a nonblocking send of buf to dest (a comm rank) with tag.
-// Eager messages complete as soon as they are injected; larger messages use
-// the rendezvous protocol and complete when the receiver has drained them.
+// Eager messages complete as soon as they are injected, and their request
+// is one shared pre-completed value; larger messages use the rendezvous
+// protocol and complete when the receiver has drained them.
 func (ch *Channel) Isend(dest, tag int, buf []byte) *Request {
-	return ch.isend(dest, tag, buf, false)
+	return ch.isend(dest, tag, buf, false).request()
 }
 
 // Issend starts a nonblocking synchronous-mode send (MPI_Issend): the
@@ -19,34 +20,67 @@ func (ch *Channel) Isend(dest, tag int, buf []byte) *Request {
 // always uses the rendezvous protocol, whose CTS is exactly the
 // matched-notification synchronous mode needs.
 func (ch *Channel) Issend(dest, tag int, buf []byte) *Request {
-	return ch.isend(dest, tag, buf, true)
+	return ch.isend(dest, tag, buf, true).request()
 }
 
 // Ssend is the blocking form of Issend (MPI_Ssend).
 func (ch *Channel) Ssend(dest, tag int, buf []byte) error {
-	_, err := ch.Issend(dest, tag, buf).Wait()
+	return ch.isend(dest, tag, buf, true).wait()
+}
+
+// Send is the blocking form of Isend. A send that finishes at injection
+// (eager, or refused) constructs no request.
+func (ch *Channel) Send(dest, tag int, buf []byte) error {
+	return ch.isend(dest, tag, buf, false).wait()
+}
+
+// sendOutcome is what isend returns: the pending request of a rendezvous
+// send, or the outcome of a send that finished at injection.
+type sendOutcome struct {
+	req *Request // nil when the send finished at injection
+	err error    // that send's outcome
+}
+
+// request gives the outcome the nonblocking calls' shape.
+func (o sendOutcome) request() *Request {
+	switch {
+	case o.req != nil:
+		return o.req
+	case o.err == nil:
+		return sent
+	default:
+		return completedRequest(o.err)
+	}
+}
+
+// wait gives the outcome the blocking calls' shape.
+func (o sendOutcome) wait() error {
+	if o.req == nil {
+		return o.err
+	}
+	_, err := o.req.Wait()
 	return err
 }
 
-func (ch *Channel) isend(dest, tag int, buf []byte, synchronous bool) *Request {
+func (ch *Channel) isend(dest, tag int, buf []byte, synchronous bool) sendOutcome {
 	e := ch.eng
 	if dest < 0 || dest >= len(ch.ranks) {
-		return completedRequest(Status{}, fmt.Errorf("pml: send dest %d out of range [0,%d)", dest, len(ch.ranks)))
+		return sendOutcome{err: fmt.Errorf("pml: send dest %d out of range [0,%d)", dest, len(ch.ranks))}
 	}
 	destGlobal := ch.ranks[dest]
 
 	// Fail fast before routing: routeTo may block resolving a peer that
 	// the runtime already declared dead.
 	if e.closed.Load() {
-		return completedRequest(Status{}, ErrClosed)
+		return sendOutcome{err: ErrClosed}
 	}
 	if e.peerFailed(destGlobal) {
-		return completedRequest(Status{}, fmt.Errorf("%w: rank %d", ErrPeerFailed, destGlobal))
+		return sendOutcome{err: fmt.Errorf("%w: rank %d", ErrPeerFailed, destGlobal)}
 	}
 
 	rt, err := e.routeTo(destGlobal)
 	if err != nil {
-		return completedRequest(Status{}, err)
+		return sendOutcome{err: err}
 	}
 
 	eager := len(buf) <= rt.eager && !synchronous
@@ -60,11 +94,11 @@ func (ch *Channel) isend(dest, tag int, buf []byte, synchronous bool) *Request {
 	var req *Request
 	if !eager {
 		reqID = e.nextReq.Add(1)
-		req = newRequest()
+		req = newRequest(e)
 		e.pendMu.Lock()
 		if e.closed.Load() {
 			e.pendMu.Unlock()
-			return completedRequest(Status{}, ErrClosed)
+			return sendOutcome{err: ErrClosed}
 		}
 		e.pendSend[reqID] = &pendingSend{req: req, payload: buf, destGlobal: destGlobal, ch: ch, internal: tag < 0}
 		e.pendMu.Unlock()
@@ -87,10 +121,10 @@ func (ch *Channel) isend(dest, tag int, buf []byte, synchronous bool) *Request {
 	if refuse != nil {
 		ch.lock.Unlock()
 		if eager {
-			return completedRequest(Status{}, refuse)
+			return sendOutcome{err: refuse}
 		}
 		e.dropPendingSend(reqID, req, refuse)
-		return req
+		return sendOutcome{req: req}
 	}
 	ps := &ch.peers[dest]
 	seq := ps.sendSeq
@@ -138,14 +172,11 @@ func (ch *Channel) isend(dest, tag int, buf []byte, synchronous bool) *Request {
 		err = e.wrapSendErr(destGlobal, err)
 		if !eager {
 			e.dropPendingSend(reqID, req, err)
-			return req
+			return sendOutcome{req: req}
 		}
-		return completedRequest(Status{}, err)
+		return sendOutcome{err: err}
 	}
-	if eager {
-		return completedRequest(Status{Source: ch.myRank, Tag: tag, Count: len(buf)}, nil)
-	}
-	return req
+	return sendOutcome{req: req} // nil for an eager send: it finished at injection
 }
 
 // dropPendingSend withdraws a registered rendezvous send and fails it. A
@@ -175,12 +206,6 @@ func (e *Engine) buildPacket(hdr matchHeader, ch *Channel, ext bool, body, extra
 	copy(pkt[off:], body)
 	copy(pkt[off+len(body):], extra)
 	return pkt
-}
-
-// Send is the blocking form of Isend.
-func (ch *Channel) Send(dest, tag int, buf []byte) error {
-	_, err := ch.Isend(dest, tag, buf).Wait()
-	return err
 }
 
 // wrapSendErr classifies a transport error for traffic toward a peer the

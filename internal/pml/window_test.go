@@ -77,7 +77,7 @@ func TestFailureInRegistrationWindow(t *testing.T) {
 // completion too; otherwise neither the hook nor the caller would ever
 // advance the schedule waiting on it.
 func TestNotifyInCompletionWindow(t *testing.T) {
-	req := newRequest()
+	req := newRequest(nil)
 	var installed, polled bool
 	raceYield = func(point string) {
 		if point != "complete" {

@@ -23,7 +23,9 @@ func fromPML(st pml.Status) Status {
 	return Status{Source: st.Source, Tag: st.Tag, Count: st.Count}
 }
 
-// Request is the completion handle of a nonblocking operation.
+// Request is the completion handle of a nonblocking operation. A send's
+// Status is undefined in MPI; the Status of a send request here is always
+// empty, whatever protocol carried it.
 type Request interface {
 	// Wait blocks until completion.
 	Wait() (Status, error)
