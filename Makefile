@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: check vet build lint test test-race chaos pool-guard bubble fuzz-smoke bench bench-smoke bench-harness smoke-udp figures
+.PHONY: check fmt vet build lint test test-race chaos pool-guard bubble fuzz-smoke bench bench-smoke bench-harness smoke-udp figures
 
-# check is the repo's verification gate: vet, build, the gompilint suite,
-# the full test suite under the race detector, the debug-build arena
+# check is the repo's verification gate: gofmt, vet, build, the gompilint
+# suite, the full test suite under the race detector, the debug-build arena
 # guard, the synctest-bubble tests, and a short fixed-budget run of the
 # packet-decoder fuzz targets.
-check: vet build lint test-race pool-guard bubble fuzz-smoke
+check: fmt vet build lint test-race pool-guard bubble fuzz-smoke
+
+# fmt fails when gofmt would change any Go file outside testdata/ (the
+# analyzer fixtures there are inputs, kept as written).
+fmt:
+	@out=$$(gofmt -l . | grep -Ev '(^|/)testdata/'); \
+		if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -122,10 +122,6 @@ type Config struct {
 	// even on a heavily-shared CI host, short enough to fail deadlocked
 	// tests before the suite-level timeout.
 	Timeout time.Duration
-	// MCAComponents is the number of component loads charged at instance
-	// bring-up, modelling dlopen cost of the component stack. Zero means
-	// DefaultMCAComponents.
-	MCAComponents int
 	// UDPListen is the listen address for the udp BTL ("127.0.0.1:0" when
 	// empty). Only consulted when the selection includes "udp".
 	UDPListen string
@@ -139,7 +135,8 @@ type Config struct {
 }
 
 // DefaultMCAComponents approximates the number of MCA shared objects a
-// stock Open MPI build loads at startup.
+// stock Open MPI build loads at startup: the component loads charged at
+// every instance bring-up, modelling the dlopen cost of the stack.
 const DefaultMCAComponents = 40
 
 func (c Config) timeout() time.Duration {
@@ -333,11 +330,7 @@ func (inst *Instance) initMCA() (func(), error) {
 	}
 	// Charge the bulk component-load cost (frameworks above model the
 	// selection logic; the stack is much bigger than three frameworks).
-	n := inst.deps.Cfg.MCAComponents
-	if n <= 0 {
-		n = DefaultMCAComponents
-	}
-	inst.deps.Fabric.ComponentLoadDelay(n)
+	inst.deps.Fabric.ComponentLoadDelay(DefaultMCAComponents)
 	return func() { inst.mca.ResetOpened() }, nil
 }
 

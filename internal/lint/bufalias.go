@@ -29,11 +29,11 @@ var BufAlias = &analysis.Analyzer{
 
 // flight is the state of one in-flight (or bound) buffer.
 type flight struct {
-	req    *types.Var // completing request variable; nil when dropped
-	recv   bool       // posted by a receive: reads are unsafe too
-	bound  bool       // bound to a persistent request, round not started
-	verb   string     // the posting call, for diagnostics
-	pos    token.Pos
+	req   *types.Var // completing request variable; nil when dropped
+	recv  bool       // posted by a receive: reads are unsafe too
+	bound bool       // bound to a persistent request, round not started
+	verb  string     // the posting call, for diagnostics
+	pos   token.Pos
 }
 
 // bufState maps buffer variables to their in-flight state. Values are
@@ -196,8 +196,8 @@ func execBufAlias(pass *analysis.Pass, completes map[*types.Func][]int, writes m
 	}
 	var posts []post
 	postIdents := make(map[*ast.Ident]bool)
-	released := make(map[*types.Var]bool)  // requests completed in this node
-	escaped := make(map[*types.Var]bool)   // requests that escape analysis
+	released := make(map[*types.Var]bool) // requests completed in this node
+	escaped := make(map[*types.Var]bool)  // requests that escape analysis
 	written := make(map[*types.Var]token.Pos)
 
 	// requestVarsOf collects tracked request variables among the in-flight

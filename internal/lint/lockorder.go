@@ -107,7 +107,7 @@ func lockCallTarget(info *types.Info, call *ast.CallExpr) (expr ast.Expr, v *typ
 
 type heldLock struct {
 	v    *types.Var
-	rank int  // -1 when unannotated
+	rank int // -1 when unannotated
 	name string
 	pos  token.Pos
 }

@@ -12,13 +12,14 @@ import (
 // space, below everything the one-shot collective tag generator can emit:
 //
 //	[ -16 ... ~-2^24 )    one-shot collective windows (mpi.nextCollTag)
+//	[ -2^25 ... -2^25-3 ] window and file service tags (mpi/service.go)
 //	[ -2^26 ... -2^28 )   persistent-collective windows (ReservePersistentWindow)
 //	[ -2^28 ... )         partitioned transfers (partTag)
 //
 // The regions are disjoint by construction, so persistent collectives can
 // run concurrently with one-shot collectives and partitioned transfers on
 // the same communicator without any tag collision — and because every tag
-// is negative, all three inherit the matcher's internal-traffic semantics
+// is negative, every region inherits the matcher's internal-traffic semantics
 // (no AnyTag matching, deadMember fail-fast).
 const (
 	// persistentTagBase is the highest (closest to zero) persistent-window

@@ -1,9 +1,7 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync"
 )
 
@@ -11,20 +9,12 @@ import (
 // the Sessions proposal) follow the prototype's pattern (§III-B6): build an
 // intermediate communicator from the group, open with that parent, free the
 // intermediate. The "file system" is simulated: the communicator's rank 0
-// hosts the bytes and services read/write RPCs, standing in for a shared
-// parallel file system visible to all members.
+// hosts the bytes and serves the other members' reads and writes through
+// its request service (service.go), standing in for a shared parallel file
+// system visible to all members.
 
-const (
-	fileTagReq = -1000011
-	fileTagAck = -1000013
-)
-
-const (
-	fileOpRead = iota + 1
-	fileOpWrite
-	fileOpSize
-	fileOpStop
-)
+// fileHost is the communicator rank that holds a file's bytes.
+const fileHost = 0
 
 // ErrFileClosed is returned when using a closed file.
 var ErrFileClosed = errors.New("mpi: file has been closed")
@@ -33,32 +23,19 @@ var ErrFileClosed = errors.New("mpi: file has been closed")
 type File struct {
 	comm *Comm
 	name string
+	svc  *service // the host's service; nil on the other members
 
-	mu      sync.Mutex
-	closed  bool
-	svcDone chan struct{}
-	data    []byte // host side only (rank 0)
+	mu     sync.Mutex // guards closed and, on the host, data
+	closed bool
+	data   []byte
 }
 
 // FileOpenFromGroup opens a shared file collectively over a group, per the
 // Sessions proposal. Collective over the group's members.
 func (s *Session) FileOpenFromGroup(group *Group, tag, name string) (*File, error) {
-	if err := s.checkLive(); err != nil {
-		return nil, s.errh.invoke(err)
-	}
-	inter, err := s.CommCreateFromGroup(group, "file/"+tag, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	f, err := FileOpen(inter, name)
-	if err != nil {
-		_ = inter.Free()
-		return nil, s.errh.invoke(err)
-	}
-	if err := inter.Free(); err != nil {
-		return nil, s.errh.invoke(err)
-	}
-	return f, nil
+	return throughIntermediate(s, group, "file/"+tag, func(inter *Comm) (*File, error) {
+		return FileOpen(inter, name)
+	})
 }
 
 // FileOpen opens a shared file over an existing communicator
@@ -71,17 +48,16 @@ func FileOpen(comm *Comm, name string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &File{comm: priv, name: name, svcDone: make(chan struct{})}
-	if priv.Rank() == 0 {
+	f := &File{comm: priv, name: name}
+	if priv.Rank() == fileHost {
 		// Restore any persisted contents before serving.
 		if data, err := comm.p.inst.Client().Lookup(fileStoreKey(name), 0); err == nil {
 			f.data = append([]byte(nil), data...)
 		}
-		go f.service()
-	} else {
-		close(f.svcDone)
+		f.svc = serve(priv, func(s *service, src int, r svcRecord) { s.reply(src, f.apply(r)) })
 	}
 	if err := priv.Barrier(); err != nil {
+		_ = f.release()
 		return nil, err
 	}
 	return f, nil
@@ -102,150 +78,64 @@ func FileDelete(p *Process, name string) error {
 // Name returns the file name.
 func (f *File) Name() string { return f.name }
 
-func (f *File) service() {
-	defer close(f.svcDone)
-	buf := make([]byte, 1<<20)
-	for {
-		st, err := f.comm.ch.Recv(AnySource, fileTagReq, buf)
-		if err != nil {
-			return
-		}
-		req := buf[:st.Count]
-		switch req[0] {
-		case fileOpStop:
-			return
-		case fileOpWrite:
-			off := int(binary.LittleEndian.Uint64(req[1:]))
-			payload := req[17:]
-			f.mu.Lock()
-			if need := off + len(payload); need > len(f.data) {
-				grown := make([]byte, need)
-				copy(grown, f.data)
-				f.data = grown
-			}
-			copy(f.data[off:], payload)
-			f.mu.Unlock()
-			_ = f.comm.ch.Send(st.Source, fileTagAck, []byte{1})
-		case fileOpRead:
-			off := int(binary.LittleEndian.Uint64(req[1:]))
-			length := int(binary.LittleEndian.Uint64(req[9:]))
-			f.mu.Lock()
-			out := make([]byte, 0, length)
-			if off < len(f.data) {
-				end := off + length
-				if end > len(f.data) {
-					end = len(f.data)
-				}
-				out = append(out, f.data[off:end]...)
-			}
-			f.mu.Unlock()
-			_ = f.comm.ch.Send(st.Source, fileTagAck, out)
-		case fileOpSize:
-			f.mu.Lock()
-			n := uint64(len(f.data))
-			f.mu.Unlock()
-			var resp [8]byte
-			binary.LittleEndian.PutUint64(resp[:], n)
-			_ = f.comm.ch.Send(st.Source, fileTagAck, resp[:])
-		}
-	}
-}
-
-func (f *File) checkOpen() error {
+// apply runs a read, write or size request on the host's bytes. The host's
+// own calls and its service share it; the reply's kind is the outcome's
+// ErrorClass.
+func (f *File) apply(r svcRecord) svcRecord {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return ErrFileClosed
+	end := r.offset + len(r.payload)
+	if r.offset < 0 || r.length < 0 || end < r.offset {
+		return failed(ErrClassBuffer)
 	}
-	return nil
+	switch r.kind {
+	case svcWrite:
+		if end > len(f.data) {
+			f.data = append(f.data, make([]byte, end-len(f.data))...)
+		}
+		copy(f.data[r.offset:], r.payload)
+	case svcRead:
+		tail := f.data[min(r.offset, len(f.data)):]
+		return svcRecord{payload: append([]byte(nil), tail[:min(r.length, len(tail))]...)}
+	case svcSize:
+		return svcRecord{length: len(f.data)}
+	default:
+		return failed(ErrClassOther)
+	}
+	return svcRecord{}
+}
+
+func (f *File) checkOpen() error { return released(&f.mu, &f.closed, false, ErrFileClosed) }
+
+// do runs one request at the host.
+func (f *File) do(r svcRecord) (svcRecord, error) {
+	if err := f.checkOpen(); err != nil {
+		return svcRecord{}, err
+	}
+	return request(f.comm, fileHost, r, f.apply)
 }
 
 // WriteAt writes data at the given offset (MPI_File_write_at).
 func (f *File) WriteAt(offset int, data []byte) error {
-	if err := f.checkOpen(); err != nil {
-		return err
-	}
-	if offset < 0 {
-		return fmt.Errorf("mpi: negative file offset")
-	}
-	if f.comm.Rank() == 0 {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		if need := offset + len(data); need > len(f.data) {
-			grown := make([]byte, need)
-			copy(grown, f.data)
-			f.data = grown
-		}
-		copy(f.data[offset:], data)
-		return nil
-	}
-	req := make([]byte, 17+len(data))
-	req[0] = fileOpWrite
-	binary.LittleEndian.PutUint64(req[1:], uint64(offset))
-	binary.LittleEndian.PutUint64(req[9:], uint64(len(data)))
-	copy(req[17:], data)
-	if err := f.comm.ch.Send(0, fileTagReq, req); err != nil {
-		return err
-	}
-	var ack [1]byte
-	_, err := f.comm.ch.Recv(0, fileTagAck, ack[:])
+	_, err := f.do(svcRecord{kind: svcWrite, offset: offset, payload: data})
 	return err
 }
 
 // ReadAt reads up to len(buf) bytes at offset, returning the count read
 // (MPI_File_read_at).
 func (f *File) ReadAt(offset int, buf []byte) (int, error) {
-	if err := f.checkOpen(); err != nil {
-		return 0, err
-	}
-	if offset < 0 {
-		return 0, fmt.Errorf("mpi: negative file offset")
-	}
-	if f.comm.Rank() == 0 {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		if offset >= len(f.data) {
-			return 0, nil
-		}
-		return copy(buf, f.data[offset:]), nil
-	}
-	req := make([]byte, 17)
-	req[0] = fileOpRead
-	binary.LittleEndian.PutUint64(req[1:], uint64(offset))
-	binary.LittleEndian.PutUint64(req[9:], uint64(len(buf)))
-	if err := f.comm.ch.Send(0, fileTagReq, req); err != nil {
-		return 0, err
-	}
-	st, err := f.comm.ch.Recv(0, fileTagAck, buf)
-	if err != nil {
-		return 0, err
-	}
-	return st.Count, nil
+	rep, err := f.do(svcRecord{kind: svcRead, offset: offset, length: len(buf)})
+	return copy(buf, rep.payload), err
 }
 
 // Size returns the current file size (MPI_File_get_size).
 func (f *File) Size() (int, error) {
-	if err := f.checkOpen(); err != nil {
-		return 0, err
-	}
-	if f.comm.Rank() == 0 {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return len(f.data), nil
-	}
-	req := []byte{fileOpSize, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
-	if err := f.comm.ch.Send(0, fileTagReq, req); err != nil {
-		return 0, err
-	}
-	var resp [8]byte
-	if _, err := f.comm.ch.Recv(0, fileTagAck, resp[:]); err != nil {
-		return 0, err
-	}
-	return int(binary.LittleEndian.Uint64(resp[:])), nil
+	rep, err := f.do(svcRecord{kind: svcSize})
+	return rep.length, err
 }
 
 // Sync is a barrier ensuring all members' preceding writes are applied
-// (MPI_File_sync): writes are synchronous RPCs, so a barrier suffices.
+// (MPI_File_sync): writes are synchronous requests, so a barrier suffices.
 func (f *File) Sync() error {
 	if err := f.checkOpen(); err != nil {
 		return err
@@ -256,27 +146,24 @@ func (f *File) Sync() error {
 // Close closes the file collectively (MPI_File_close), persisting its
 // contents to the simulated file system.
 func (f *File) Close() error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return ErrFileClosed
-	}
-	f.closed = true
-	f.mu.Unlock()
-	if err := f.comm.Barrier(); err != nil {
+	if err := released(&f.mu, &f.closed, true, ErrFileClosed); err != nil {
 		return err
 	}
-	if f.comm.Rank() == 0 {
-		_ = f.comm.ch.Send(0, fileTagReq, []byte{fileOpStop})
-		<-f.svcDone
-		f.mu.Lock()
-		data := f.data
-		f.mu.Unlock()
-		if err := f.comm.p.inst.Client().Publish(fileStoreKey(f.name), data); err != nil {
-			return err
-		}
-	} else {
-		<-f.svcDone
+	err := f.comm.Barrier()
+	if rerr := f.release(); err == nil {
+		err = rerr
+	}
+	if f.svc == nil || err != nil {
+		return err
+	}
+	// The service has exited and the file is closed: data is no longer shared.
+	return f.comm.p.inst.Client().Publish(fileStoreKey(f.name), f.data)
+}
+
+// release stops the host's service and frees the file's communicator.
+func (f *File) release() error {
+	if f.svc != nil {
+		return f.svc.close()
 	}
 	return f.comm.Free()
 }

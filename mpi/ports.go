@@ -3,6 +3,8 @@ package mpi
 import (
 	"fmt"
 	"time"
+
+	"gompi/internal/opal"
 )
 
 // Dynamic process connection (MPI_Comm_accept / MPI_Comm_connect), built on
@@ -24,29 +26,29 @@ func portAcceptKey(port, connID string) string {
 	return "mpi.port/" + port + "/accept/" + connID
 }
 
-// rendezvousPayload encodes a connection ID plus a rank list.
-func encodeRendezvous(connID string, ranks []int) []byte {
-	vals := make([]int64, 0, len(ranks)+1)
-	vals = append(vals, int64(len(connID)))
-	for _, r := range ranks {
-		vals = append(vals, int64(r))
-	}
-	return append(PackInt64s(vals), connID...)
+// rendezvousMsg is a connection request or answer in the name service: the
+// connection ID and the publishing side's global ranks.
+type rendezvousMsg struct {
+	connID string
+	ranks  []int
 }
 
-func decodeRendezvous(b []byte) (connID string, ranks []int, err error) {
-	if len(b) < 8 {
-		return "", nil, fmt.Errorf("mpi: corrupt rendezvous payload (%d bytes)", len(b))
+var rendezvousCodec = opal.Codec[rendezvousMsg]{
+	Pack: func(e *opal.Encoder, m rendezvousMsg) {
+		e.Str(m.connID)
+		e.Ints(m.ranks)
+	},
+	Unpack: func(d *opal.Decoder) rendezvousMsg {
+		return rendezvousMsg{connID: d.Str(), ranks: d.Ints()}
+	},
+}
+
+func decodeRendezvous(b []byte) (rendezvousMsg, error) {
+	m, err := rendezvousCodec.Decode(b)
+	if err != nil {
+		return m, fmt.Errorf("mpi: corrupt rendezvous payload: %w", err)
 	}
-	idLen := int(UnpackInt64s(b[:8])[0])
-	if idLen < 0 || len(b) < 8+idLen {
-		return "", nil, fmt.Errorf("mpi: corrupt rendezvous payload (id length %d)", idLen)
-	}
-	body := b[8 : len(b)-idLen]
-	for _, v := range UnpackInt64s(body) {
-		ranks = append(ranks, int(v))
-	}
-	return string(b[len(b)-idLen:]), ranks, nil
+	return m, nil
 }
 
 // Accept waits for one Connect on the named port (MPI_Comm_accept).
@@ -86,27 +88,29 @@ func (c *Comm) rendezvous(port string, root int, timeout time.Duration, acceptin
 		if accepting {
 			if req, err := client.Lookup(portRequestKey(port), timeout); err != nil {
 				rendezvousErr = fmt.Errorf("mpi: accept on %q: %w", port, err)
-			} else if connID, peerRanks, err := decodeRendezvous(req); err != nil {
+			} else if m, err := decodeRendezvous(req); err != nil {
 				rendezvousErr = err
 			} else {
 				_ = client.Unpublish(portRequestKey(port)) // consume the request
-				if err := client.Publish(portAcceptKey(port, connID), encodeRendezvous(connID, myRanks)); err != nil {
+				answer := rendezvousCodec.Encode(rendezvousMsg{connID: m.connID, ranks: myRanks})
+				if err := client.Publish(portAcceptKey(port, m.connID), answer); err != nil {
 					rendezvousErr = err
 				} else {
-					peerBuf = PackInt64s(toInt64(peerRanks))
+					peerBuf = PackInt64s(toInt64(m.ranks))
 				}
 			}
 		} else {
 			connID := fmt.Sprintf("%d.%d", c.p.JobRank(), c.p.inst.NextCommSeq("port/"+port))
-			if err := client.Publish(portRequestKey(port), encodeRendezvous(connID, myRanks)); err != nil {
+			request := rendezvousCodec.Encode(rendezvousMsg{connID: connID, ranks: myRanks})
+			if err := client.Publish(portRequestKey(port), request); err != nil {
 				rendezvousErr = err
 			} else if acc, err := client.Lookup(portAcceptKey(port, connID), timeout); err != nil {
 				rendezvousErr = fmt.Errorf("mpi: connect to %q: %w", port, err)
-			} else if _, peerRanks, err := decodeRendezvous(acc); err != nil {
+			} else if m, err := decodeRendezvous(acc); err != nil {
 				rendezvousErr = err
 			} else {
 				_ = client.Unpublish(portAcceptKey(port, connID))
-				peerBuf = PackInt64s(toInt64(peerRanks))
+				peerBuf = PackInt64s(toInt64(m.ranks))
 			}
 		}
 	}

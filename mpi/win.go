@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -13,23 +12,9 @@ import (
 // parent communicator; the window keeps a private duplicate so its traffic
 // never interferes with application messages.
 //
-// The implementation uses an active-target model: Put/Get/Accumulate are
-// serviced by a per-window goroutine at the target (origin calls complete
-// when the target has applied them), and Fence is a barrier over the
-// window's communicator.
-
-// Window RMA message kinds.
-const (
-	winOpPut = iota + 1
-	winOpGet
-	winOpAcc
-	winOpStop
-)
-
-const (
-	winTagReq = -1000003
-	winTagAck = -1000007
-)
+// Put/Get/Accumulate are served by the request service (service.go) of the
+// target member: an origin call completes when the target has applied it,
+// and Fence is a barrier over the window's communicator.
 
 // ErrWinFreed is returned when using a freed window.
 var ErrWinFreed = errors.New("mpi: window has been freed")
@@ -38,38 +23,25 @@ var ErrWinFreed = errors.New("mpi: window has been freed")
 // one-sided access (MPI_Win).
 type Win struct {
 	comm *Comm
-	base []byte
+	svc  *service
 
-	mu          sync.Mutex
-	baseMu      sync.Mutex
+	mu          sync.Mutex // guards base against the service, freed and accessGroup
+	base        []byte
 	freed       bool
-	svcDone     chan struct{}
-	syncState   *winSync
 	accessGroup []int // targets of the current Start epoch (global ranks)
+
+	// The passive-target lock, owned by the service goroutine.
+	lockHeld  int          // 0 free, -1 exclusive, >0 shared holders
+	lockQueue []lockWaiter // requests not yet granted, in arrival order
 }
 
 // WinCreateFromGroup creates a window over the processes of group
 // (MPI_Win_create_from_group): localSize bytes of this process's memory are
 // exposed. Collective over the group.
 func (s *Session) WinCreateFromGroup(group *Group, tag string, localSize int) (*Win, error) {
-	if err := s.checkLive(); err != nil {
-		return nil, s.errh.invoke(err)
-	}
-	// Intermediate communicator, as the prototype does.
-	inter, err := s.CommCreateFromGroup(group, "win/"+tag, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	w, err := WinCreate(inter, localSize)
-	if err != nil {
-		_ = inter.Free()
-		return nil, s.errh.invoke(err)
-	}
-	// The intermediate communicator is freed; the window holds its own dup.
-	if err := inter.Free(); err != nil {
-		return nil, s.errh.invoke(err)
-	}
-	return w, nil
+	return throughIntermediate(s, group, "win/"+tag, func(inter *Comm) (*Win, error) {
+		return WinCreate(inter, localSize) // the window holds its own dup
+	})
 }
 
 // WinAllocateFromGroup creates a window directly from a group, with no
@@ -79,16 +51,12 @@ func (s *Session) WinCreateFromGroup(group *Group, tag string, localSize int) (*
 // this constructor implements it. One communicator creation instead of
 // two (create + dup). Collective over the group.
 func (s *Session) WinAllocateFromGroup(group *Group, tag string, localSize int) (*Win, error) {
-	if err := s.checkLive(); err != nil {
-		return nil, s.errh.invoke(err)
-	}
 	priv, err := s.CommCreateFromGroup(group, "winalloc/"+tag, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	w, err := newWinOn(priv, localSize)
 	if err != nil {
-		_ = priv.Free()
 		return nil, s.errh.invoke(err)
 	}
 	return w, nil
@@ -101,28 +69,18 @@ func WinCreate(comm *Comm, localSize int) (*Win, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := newWinOn(priv, localSize)
-	if err != nil {
-		_ = priv.Free()
-		return nil, err
-	}
-	return w, nil
+	return newWinOn(priv, localSize)
 }
 
-// newWinOn wires a window onto a private communicator the window owns.
+// newWinOn wires a window onto a private communicator the window owns;
+// on failure it frees the communicator.
 func newWinOn(priv *Comm, localSize int) (*Win, error) {
-	w := &Win{
-		comm:    priv,
-		base:    make([]byte, localSize),
-		svcDone: make(chan struct{}),
-	}
-	go w.service()
-	go w.lockService()
-	go w.unlockService()
+	w := &Win{comm: priv, base: make([]byte, localSize)}
+	w.svc = serve(priv, w.handle)
 	// Creation is collective; synchronize so no origin races a target whose
 	// service is not yet running.
 	if err := priv.Barrier(); err != nil {
-		w.stopService()
+		_ = w.svc.close()
 		return nil, err
 	}
 	return w, nil
@@ -138,185 +96,107 @@ func (w *Win) Size() int { return len(w.base) }
 // access with Fence epochs, as in MPI.
 func (w *Win) Local() []byte { return w.base }
 
-// service handles incoming RMA operations until a stop message arrives.
-func (w *Win) service() {
-	defer close(w.svcDone)
-	hdr := make([]byte, 17+len(w.base)+64)
-	for {
-		st, err := w.comm.ch.Recv(AnySource, winTagReq, hdr)
-		if err != nil {
-			return
-		}
-		req := hdr[:st.Count]
-		op := req[0]
-		if op == winOpStop {
-			return
-		}
-		offset := int(binary.LittleEndian.Uint64(req[1:]))
-		length := int(binary.LittleEndian.Uint64(req[9:]))
-		switch op {
-		case winOpPut:
-			w.baseMu.Lock()
-			if offset >= 0 && offset+length <= len(w.base) {
-				copy(w.base[offset:], req[17:17+length])
-			}
-			w.baseMu.Unlock()
-			_ = w.comm.ch.Send(st.Source, winTagAck, []byte{1})
-		case winOpGet:
-			out := make([]byte, length)
-			w.baseMu.Lock()
-			if offset >= 0 && offset+length <= len(w.base) {
-				copy(out, w.base[offset:offset+length])
-			}
-			w.baseMu.Unlock()
-			_ = w.comm.ch.Send(st.Source, winTagAck, out)
-		case winOpAcc:
-			// req[17] carries the op; payload are int64 elements.
-			aop := Op(req[17])
-			w.baseMu.Lock()
-			if offset >= 0 && offset+length <= len(w.base) {
-				_ = reduce(aop, Int64, w.base[offset:offset+length], req[18:18+length], length/8)
-			}
-			w.baseMu.Unlock()
-			_ = w.comm.ch.Send(st.Source, winTagAck, []byte{1})
-		}
+// handle serves one request at this member (service goroutine).
+func (w *Win) handle(s *service, src int, r svcRecord) {
+	if r.kind == svcLock || r.kind == svcUnlock {
+		w.lock(s, src, r)
+	} else {
+		s.reply(src, w.apply(r))
 	}
 }
 
-func (w *Win) checkTarget(target, offset, length int) error {
+// apply runs a put, get or accumulate on the local region, bounds-checked.
+// The local path and the service share it; the reply's kind is the
+// outcome's ErrorClass.
+func (w *Win) apply(r svcRecord) svcRecord {
+	n := max(r.length, len(r.payload)) // a get names its length, the others carry it
 	w.mu.Lock()
-	freed := w.freed
-	w.mu.Unlock()
-	if freed {
-		return ErrWinFreed
+	defer w.mu.Unlock()
+	if r.offset < 0 || r.length < 0 || r.offset > len(w.base)-n || r.kind == svcAcc && n%8 != 0 {
+		return failed(ErrClassBuffer)
+	}
+	region := w.base[r.offset : r.offset+n]
+	switch r.kind {
+	case svcGet:
+		return svcRecord{payload: append([]byte(nil), region...)}
+	case svcPut:
+		copy(region, r.payload)
+	case svcAcc:
+		if reduce(Op(r.arg), Int64, region, r.payload, n/8) != nil {
+			return failed(ErrClassOther)
+		}
+	default:
+		return failed(ErrClassOther)
+	}
+	return svcRecord{}
+}
+
+// live reports ErrWinFreed once the window is freed.
+func (w *Win) live() error { return released(&w.mu, &w.freed, false, ErrWinFreed) }
+
+func (w *Win) checkTarget(target int) error {
+	if err := w.live(); err != nil {
+		return err
 	}
 	if target < 0 || target >= w.comm.Size() {
-		return fmt.Errorf("mpi: window target %d out of range [0,%d)", target, w.comm.Size())
-	}
-	if offset < 0 || length < 0 {
-		return fmt.Errorf("mpi: negative window offset/length")
+		return fmt.Errorf("%w: window target %d out of range [0,%d)", ErrRank, target, w.comm.Size())
 	}
 	return nil
+}
+
+// rma runs one put, get or accumulate at target.
+func (w *Win) rma(target int, r svcRecord) (svcRecord, error) {
+	if err := w.checkTarget(target); err != nil {
+		return svcRecord{}, err
+	}
+	return request(w.comm, target, r, w.apply)
 }
 
 // Put writes data into the target's exposed region at offset (MPI_Put).
 // The call completes when the target has applied the update.
 func (w *Win) Put(target, offset int, data []byte) error {
-	if err := w.checkTarget(target, offset, len(data)); err != nil {
-		return err
-	}
-	if target == w.comm.Rank() {
-		w.baseMu.Lock()
-		defer w.baseMu.Unlock()
-		if offset+len(data) > len(w.base) {
-			return fmt.Errorf("mpi: put beyond window bounds")
-		}
-		copy(w.base[offset:], data)
-		return nil
-	}
-	req := make([]byte, 17+len(data))
-	req[0] = winOpPut
-	binary.LittleEndian.PutUint64(req[1:], uint64(offset))
-	binary.LittleEndian.PutUint64(req[9:], uint64(len(data)))
-	copy(req[17:], data)
-	if err := w.comm.ch.Send(target, winTagReq, req); err != nil {
-		return err
-	}
-	var ack [1]byte
-	_, err := w.comm.ch.Recv(target, winTagAck, ack[:])
+	_, err := w.rma(target, svcRecord{kind: svcPut, offset: offset, payload: data})
 	return err
 }
 
 // Get reads the target's exposed region at offset into buf (MPI_Get).
 func (w *Win) Get(target, offset int, buf []byte) error {
-	if err := w.checkTarget(target, offset, len(buf)); err != nil {
-		return err
-	}
-	if target == w.comm.Rank() {
-		w.baseMu.Lock()
-		defer w.baseMu.Unlock()
-		if offset+len(buf) > len(w.base) {
-			return fmt.Errorf("mpi: get beyond window bounds")
-		}
-		copy(buf, w.base[offset:])
-		return nil
-	}
-	req := make([]byte, 17)
-	req[0] = winOpGet
-	binary.LittleEndian.PutUint64(req[1:], uint64(offset))
-	binary.LittleEndian.PutUint64(req[9:], uint64(len(buf)))
-	if err := w.comm.ch.Send(target, winTagReq, req); err != nil {
-		return err
-	}
-	_, err := w.comm.ch.Recv(target, winTagAck, buf)
+	rep, err := w.rma(target, svcRecord{kind: svcGet, offset: offset, length: len(buf)})
+	copy(buf, rep.payload)
 	return err
 }
 
 // Accumulate applies op element-wise (int64 elements) into the target's
 // region (MPI_Accumulate). data length must be a multiple of 8.
 func (w *Win) Accumulate(target, offset int, data []byte, op Op) error {
-	if err := w.checkTarget(target, offset, len(data)); err != nil {
-		return err
-	}
 	if len(data)%8 != 0 {
 		return fmt.Errorf("mpi: accumulate payload must be int64-aligned")
 	}
-	if target == w.comm.Rank() {
-		w.baseMu.Lock()
-		defer w.baseMu.Unlock()
-		if offset+len(data) > len(w.base) {
-			return fmt.Errorf("mpi: accumulate beyond window bounds")
-		}
-		return reduce(op, Int64, w.base[offset:offset+len(data)], data, len(data)/8)
-	}
-	req := make([]byte, 18+len(data))
-	req[0] = winOpAcc
-	binary.LittleEndian.PutUint64(req[1:], uint64(offset))
-	binary.LittleEndian.PutUint64(req[9:], uint64(len(data)))
-	req[17] = byte(op)
-	copy(req[18:], data)
-	if err := w.comm.ch.Send(target, winTagReq, req); err != nil {
-		return err
-	}
-	var ack [1]byte
-	_, err := w.comm.ch.Recv(target, winTagAck, ack[:])
+	_, err := w.rma(target, svcRecord{kind: svcAcc, offset: offset, arg: int(op), payload: data})
 	return err
 }
 
 // Fence separates RMA access epochs (MPI_Win_fence): all operations issued
 // before the fence are complete at their targets when it returns.
 func (w *Win) Fence() error {
-	w.mu.Lock()
-	freed := w.freed
-	w.mu.Unlock()
-	if freed {
-		return ErrWinFreed
+	if err := w.live(); err != nil {
+		return err
 	}
 	// Operations complete synchronously at the target, so a barrier
 	// suffices for epoch separation.
 	return w.comm.Barrier()
 }
 
-func (w *Win) stopService() {
-	stop := []byte{winOpStop}
-	// Self-send wakes the service loop.
-	_ = w.comm.ch.Send(w.comm.Rank(), winTagReq, stop)
-	<-w.svcDone
-}
-
-// Free releases the window (MPI_Win_free). Collective.
+// Free releases the window (MPI_Win_free). Collective. It returns once the
+// service goroutine has exited.
 func (w *Win) Free() error {
-	w.mu.Lock()
-	if w.freed {
-		w.mu.Unlock()
-		return ErrWinFreed
-	}
-	w.freed = true
-	w.mu.Unlock()
-	// Ensure no outstanding operations target us, then stop the service.
-	if err := w.comm.Barrier(); err != nil {
+	if err := released(&w.mu, &w.freed, true, ErrWinFreed); err != nil {
 		return err
 	}
-	w.stopService()
-	return w.comm.Free()
+	// No origin targets this member once every member is here.
+	err := w.comm.Barrier()
+	if cerr := w.svc.close(); err == nil {
+		err = cerr
+	}
+	return err
 }

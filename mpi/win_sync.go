@@ -2,21 +2,15 @@ package mpi
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 )
 
 // Generalized active-target (PSCW: MPI_Win_post/start/complete/wait) and
 // passive-target (MPI_Win_lock/unlock) synchronization for RMA windows.
 // Operations complete synchronously at the target in this implementation,
-// so the epochs reduce to clean notification protocols.
-
-const (
-	winTagPost     = -1000017
-	winTagComplete = -1000019
-	winTagLockReq  = -1000021
-	winTagLockGrat = -1000023
-	winTagUnlock   = -1000029
-)
+// so the epochs reduce to clean notification protocols: PSCW on its own two
+// tags, locks through the target's request service, which keeps the lock
+// and its queue.
 
 // Lock types for passive-target epochs.
 const (
@@ -26,57 +20,21 @@ const (
 	LockShared = 2
 )
 
-// winSync holds the PSCW / lock state of a window; created lazily.
-type winSync struct {
-	mu        sync.Mutex
-	lockState int   // 0 free, -1 exclusive, >0 shared holders
-	waiting   []int // queued lock requesters (comm ranks)
-	waitType  []int // their lock types
-}
-
-func (w *Win) sync() *winSync {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.syncState == nil {
-		w.syncState = &winSync{}
-	}
-	return w.syncState
-}
+// lockWaiter is a queued lock request: its origin (comm rank) and lock type.
+type lockWaiter struct{ origin, lockType int }
 
 // Post opens an exposure epoch for the origins in group (MPI_Win_post):
 // each origin's matching Start unblocks once the post notification
 // arrives.
 func (w *Win) Post(group *Group) error {
-	if err := w.epochCheck(); err != nil {
-		return err
-	}
-	for _, gr := range group.ranks {
-		cr, err := w.commRankOf(gr)
-		if err != nil {
-			return err
-		}
-		if err := w.comm.ch.Send(cr, winTagPost, []byte{1}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return w.tokens(group.ranks, winTagPost, false)
 }
 
 // Start opens an access epoch to the targets in group (MPI_Win_start),
 // blocking until every target has posted.
 func (w *Win) Start(group *Group) error {
-	if err := w.epochCheck(); err != nil {
+	if err := w.tokens(group.ranks, winTagPost, true); err != nil {
 		return err
-	}
-	var token [1]byte
-	for _, gr := range group.ranks {
-		cr, err := w.commRankOf(gr)
-		if err != nil {
-			return err
-		}
-		if _, err := w.comm.ch.Recv(cr, winTagPost, token[:]); err != nil {
-			return err
-		}
 	}
 	w.mu.Lock()
 	w.accessGroup = group.GlobalRanks()
@@ -88,170 +46,94 @@ func (w *Win) Start(group *Group) error {
 // all operations issued during the epoch are complete at their targets
 // (they complete synchronously here), and each target is notified.
 func (w *Win) Complete() error {
-	if err := w.epochCheck(); err != nil {
-		return err
-	}
 	w.mu.Lock()
-	group := w.accessGroup
+	group, freed := w.accessGroup, w.freed
 	w.accessGroup = nil
 	w.mu.Unlock()
-	if group == nil {
+	if group == nil && !freed {
 		return fmt.Errorf("mpi: Complete without matching Start")
 	}
-	for _, gr := range group {
-		cr, err := w.commRankOf(gr)
-		if err != nil {
-			return err
-		}
-		if err := w.comm.ch.Send(cr, winTagComplete, []byte{1}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return w.tokens(group, winTagComplete, false) // ErrWinFreed once freed
 }
 
 // WaitEpoch closes the exposure epoch opened by Post (MPI_Win_wait),
 // blocking until every origin in group has called Complete.
 func (w *Win) WaitEpoch(group *Group) error {
-	if err := w.epochCheck(); err != nil {
+	return w.tokens(group.ranks, winTagComplete, true)
+}
+
+// tokens sends a one-byte notification on tag to each of ranks (global
+// ranks) or, with recv set, waits for one from each.
+func (w *Win) tokens(ranks []int, tag int, recv bool) error {
+	if err := w.live(); err != nil {
 		return err
 	}
-	var token [1]byte
-	for _, gr := range group.ranks {
-		cr, err := w.commRankOf(gr)
+	token := []byte{1}
+	for _, gr := range ranks {
+		var err error
+		switch cr := slices.Index(w.comm.group.ranks, gr); {
+		case cr < 0:
+			err = fmt.Errorf("mpi: rank %d not in window", gr)
+		case recv:
+			_, err = w.comm.ch.Recv(cr, tag, token)
+		default:
+			err = w.comm.ch.Send(cr, tag, token)
+		}
 		if err != nil {
 			return err
 		}
-		if _, err := w.comm.ch.Recv(cr, winTagComplete, token[:]); err != nil {
-			return err
-		}
 	}
 	return nil
-}
-
-func (w *Win) epochCheck() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.freed {
-		return ErrWinFreed
-	}
-	return nil
-}
-
-// commRankOf translates a global rank into the window comm's rank space.
-func (w *Win) commRankOf(globalRank int) (int, error) {
-	for i, r := range w.comm.group.ranks {
-		if r == globalRank {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("mpi: rank %d not in window", globalRank)
 }
 
 // Lock opens a passive-target epoch on target (MPI_Win_lock). lockType is
 // LockExclusive or LockShared. Locking the local process is allowed.
 func (w *Win) Lock(lockType, target int) error {
-	if err := w.checkTarget(target, 0, 0); err != nil {
+	if err := w.checkTarget(target); err != nil {
 		return err
 	}
 	if lockType != LockExclusive && lockType != LockShared {
 		return fmt.Errorf("mpi: bad lock type %d", lockType)
 	}
-	var req [2]byte
-	req[0] = byte(lockType)
-	req[1] = byte(w.comm.Rank())
-	if err := w.comm.ch.Send(target, winTagLockReq, req[:]); err != nil {
-		return err
-	}
-	var grant [1]byte
-	_, err := w.comm.ch.Recv(target, winTagLockGrat, grant[:])
+	_, err := request(w.comm, target, svcRecord{kind: svcLock, arg: lockType}, nil)
 	return err
 }
 
 // Unlock closes the passive-target epoch (MPI_Win_unlock). All operations
 // issued under the lock are complete at the target when it returns (they
-// complete synchronously here).
+// complete synchronously here), so the unlock is one message with no reply.
 func (w *Win) Unlock(target int) error {
-	if err := w.checkTarget(target, 0, 0); err != nil {
+	if err := w.checkTarget(target); err != nil {
 		return err
 	}
-	var req [1]byte
-	req[0] = byte(w.comm.Rank())
-	return w.comm.ch.Send(target, winTagUnlock, req[:])
+	return w.comm.ch.Send(target, svcTagReq, svcCodec.Encode(svcRecord{kind: svcUnlock}))
 }
 
-// lockService runs at every window member, granting lock requests in
-// arrival order with shared-reader admission.
-func (w *Win) lockService() {
-	s := w.sync()
-	buf := make([]byte, 2)
-	for {
-		st, err := w.comm.ch.Recv(AnySource, winTagLockReq, buf)
-		if err != nil {
-			return
-		}
-		lockType := int(buf[0])
-		origin := st.Source
-		s.mu.Lock()
-		grantNow := false
-		switch {
-		case s.lockState == 0:
-			grantNow = true
-		case s.lockState > 0 && lockType == LockShared && len(s.waiting) == 0:
-			// Admit additional readers only while no writer queues.
-			grantNow = true
-		}
-		if grantNow {
-			if lockType == LockExclusive {
-				s.lockState = -1
-			} else {
-				s.lockState++
-			}
-			s.mu.Unlock()
-			_ = w.comm.ch.Send(origin, winTagLockGrat, []byte{1})
-			continue
-		}
-		s.waiting = append(s.waiting, origin)
-		s.waitType = append(s.waitType, lockType)
-		s.mu.Unlock()
+// lock serves a lock or unlock request at this member (service goroutine)
+// and grants queued locks in arrival order: an exclusive lock waits for a
+// free window, a shared one for no exclusive holder, and no request
+// overtakes an earlier one, so readers never starve a writer.
+func (w *Win) lock(s *service, src int, r svcRecord) {
+	switch {
+	case r.kind == svcUnlock:
+		w.lockHeld = max(w.lockHeld-1, 0)
+	case r.arg != LockExclusive && r.arg != LockShared:
+		s.reply(src, failed(ErrClassOther))
+		return
+	default:
+		w.lockQueue = append(w.lockQueue, lockWaiter{src, r.arg})
 	}
-}
-
-// unlockService processes unlock messages and grants queued requests.
-func (w *Win) unlockService() {
-	s := w.sync()
-	buf := make([]byte, 1)
-	for {
-		if _, err := w.comm.ch.Recv(AnySource, winTagUnlock, buf); err != nil {
+	for len(w.lockQueue) > 0 {
+		next := w.lockQueue[0]
+		switch {
+		case w.lockHeld < 0 || next.lockType == LockExclusive && w.lockHeld > 0:
 			return
+		case next.lockType == LockExclusive:
+			w.lockHeld = -1
+		default:
+			w.lockHeld++
 		}
-		var grants []int
-		s.mu.Lock()
-		if s.lockState == -1 {
-			s.lockState = 0
-		} else if s.lockState > 0 {
-			s.lockState--
-		}
-		for s.lockState >= 0 && len(s.waiting) > 0 {
-			next, nextType := s.waiting[0], s.waitType[0]
-			if nextType == LockExclusive {
-				if s.lockState != 0 {
-					break
-				}
-				s.lockState = -1
-			} else {
-				s.lockState++
-			}
-			s.waiting = s.waiting[1:]
-			s.waitType = s.waitType[1:]
-			grants = append(grants, next)
-			if s.lockState == -1 {
-				break
-			}
-		}
-		s.mu.Unlock()
-		for _, origin := range grants {
-			_ = w.comm.ch.Send(origin, winTagLockGrat, []byte{1})
-		}
+		w.lockQueue = w.lockQueue[1:]
+		s.reply(next.origin, svcRecord{})
 	}
 }
