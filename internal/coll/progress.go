@@ -1,7 +1,6 @@
 package coll
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -27,6 +26,12 @@ import (
 // therefore never lost, and advance never re-enters itself for one run,
 // although an inline delivery can nest hooks for other runs (other ranks')
 // on the same stack — each run at most once.
+//
+// Start and Finish must take the token. A hook never blocks, but one that
+// sends may sleep in a modelled delay (simnet.Delay) while it holds the
+// token, so they park on a channel the holder signals as it lets the
+// token go, never spin: inside a synctest bubble a spinner is not durably
+// blocked, and the clock would never move.
 
 // Notifier is implemented by transport requests that report their own
 // completion. Notify installs h to run once when the request completes and
@@ -45,12 +50,14 @@ type progress struct {
 	hook    opal.Hook   // stepDone on this Exec: every step request's hook
 	token   atomic.Bool // held by the goroutine running advance
 	kick    atomic.Bool // a step completed while the token was held
+	parked  atomic.Bool // Start or Finish waits on free for the token
 	running bool        // active, as the token holder sees it
 
 	mu     sync.Mutex
 	active bool          // a round has started and not yet finished
 	err    error         // the outcome of the last finished round
 	done   chan struct{} // made by Done, closed when the round finishes
+	free   chan struct{} // made on first contention; drop's wake-up for park
 }
 
 func newExec(m *Module, s *Schedule, key schedKey, st *runState, entry *compiled) *Exec {
@@ -82,13 +89,12 @@ func (e *Exec) Start() {
 
 // start resets the run state and drives the round once. A hook of the
 // previous round's requests (one abandoned when that round failed) may
-// still hold the token for a moment; it never blocks, so start waits it
-// out.
+// still hold the token for a moment; start parks until it lets go.
 //
 //gompilint:noalloc
 func (e *Exec) start() {
 	for !e.token.CompareAndSwap(false, true) {
-		runtime.Gosched()
+		e.park()
 	}
 	e.st.x.reset(e.s)
 	e.mu.Lock()
@@ -119,18 +125,52 @@ func (e *Exec) Progress() (bool, error) {
 //gompilint:noalloc
 func (e *Exec) Finish() error {
 	for !e.token.CompareAndSwap(false, true) {
-		// A hook is running advance on another goroutine; it never blocks.
+		// A hook is running advance on another goroutine.
 		if fin, err := e.outcome(); fin {
 			return err
 		}
-		runtime.Gosched()
+		e.park()
 	}
 	if e.running {
 		e.finish(drain(e.m.env.T, e.s, e.st))
 	}
-	e.token.Store(false)
+	e.drop()
 	_, err := e.outcome()
 	return err
+}
+
+// park blocks until the token's holder lets it go, unless it already has;
+// the caller then retries its compare-and-swap. It announces itself in
+// parked before it looks at the token, and drop clears the token before
+// it looks at parked, so one of the two sees the other. A stale wake-up
+// only costs the caller one more retry.
+func (e *Exec) park() {
+	e.mu.Lock()
+	if e.free == nil {
+		e.free = make(chan struct{}, 1)
+	}
+	w := e.free
+	e.mu.Unlock()
+	e.parked.Store(true)
+	if e.token.Load() {
+		<-w
+	}
+}
+
+// drop lets the token go and wakes a parked Start or Finish.
+//
+//gompilint:noalloc
+func (e *Exec) drop() {
+	e.token.Store(false)
+	if e.parked.Load() && e.parked.CompareAndSwap(true, false) {
+		e.mu.Lock()
+		w := e.free
+		e.mu.Unlock()
+		select {
+		case w <- struct{}{}:
+		default: // a wake-up is already pending
+		}
+	}
 }
 
 // Run executes one round, blocking until it completes: Start, then Finish.
@@ -199,7 +239,7 @@ func stepDone(arg any) {
 //gompilint:noalloc
 func (e *Exec) release() {
 	for {
-		e.token.Store(false)
+		e.drop()
 		if !e.kick.Load() || !e.token.CompareAndSwap(false, true) {
 			return
 		}

@@ -75,7 +75,7 @@ func TestChaosExCIDDuplicateFirstMessage(t *testing.T) {
 	// The duplicate must have been screened out, not parked as a second
 	// deliverable message.
 	time.Sleep(20 * time.Millisecond)
-	if _, ok := chs[1].Iprobe(0, 4); ok {
+	if _, ok, _ := chs[1].Iprobe(0, 4); ok {
 		t.Fatal("duplicated first message was delivered twice")
 	}
 	if d := tn.engines[1].Stats().DupsDropped; d == 0 {
@@ -276,5 +276,130 @@ func TestChaosExCIDMixedFaultMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// parkProbe starts a blocking Probe and returns the channel its error
+// arrives on.
+func parkProbe(ch *Channel, src, tag int) <-chan error {
+	out := make(chan error, 1)
+	go func() {
+		_, err := ch.Probe(src, tag)
+		out <- err
+	}()
+	return out
+}
+
+// probeErr waits a bounded time for a parked Probe's error.
+func probeErr(t *testing.T, probe <-chan error, what string) error {
+	t.Helper()
+	select {
+	case err := <-probe:
+		return err
+	case <-time.After(2 * time.Second):
+		t.Fatalf("%s: Probe still blocked after 2s", what)
+		return nil
+	}
+}
+
+// stillParked fails the test if a parked Probe has returned.
+func stillParked(t *testing.T, probe <-chan error, what string) {
+	t.Helper()
+	select {
+	case err := <-probe:
+		t.Fatalf("%s: Probe returned early: %v", what, err)
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
+// A Probe of a source that dies must fail with ErrPeerFailed like a
+// receive would, whether it was parked before the death or called after
+// it, and so must an Iprobe. A message the source sent before it died is
+// still probed. Before the failure rule covered probes, the parked Probe
+// was still blocked seconds after FailPeer.
+func TestChaosProbeAfterFailPeer(t *testing.T) {
+	tn, _ := newChaosNet(t, 3, Config{})
+	chs := tn.worldChannels(t, 0)
+
+	parked := parkProbe(chs[0], 1, 5)
+	stillParked(t, parked, "before the death")
+	if err := chs[1].Send(0, 6, []byte("bye!")); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := chs[0].Probe(1, 6); err != nil || st.Count != 4 {
+		t.Fatalf("probe of a queued message: st=%+v err=%v", st, err)
+	}
+
+	tn.engines[0].FailPeer(1)
+	if err := probeErr(t, parked, "parked before FailPeer"); !errors.Is(err, ErrPeerFailed) {
+		t.Fatalf("parked Probe err = %v, want ErrPeerFailed", err)
+	}
+	if err := probeErr(t, parkProbe(chs[0], 1, 5), "called after FailPeer"); !errors.Is(err, ErrPeerFailed) {
+		t.Fatalf("Probe err = %v, want ErrPeerFailed", err)
+	}
+	if _, ok, err := chs[0].Iprobe(1, 5); ok || !errors.Is(err, ErrPeerFailed) {
+		t.Fatalf("Iprobe = %v, %v, want ErrPeerFailed", ok, err)
+	}
+	// The pre-death message still probes, then drains.
+	if st, ok, err := chs[0].Iprobe(1, 6); !ok || err != nil || st.Count != 4 {
+		t.Fatalf("Iprobe of the pre-death message: st=%+v ok=%v err=%v", st, ok, err)
+	}
+	if _, err := chs[0].Recv(1, 6, make([]byte, 4)); err != nil {
+		t.Fatal(err)
+	}
+	// A probe of a live source still waits.
+	stillParked(t, parkProbe(chs[0], 2, 5), "live source")
+}
+
+// Revocation fails Probe and Iprobe with ErrRevoked, on the revoker and on
+// a member that learns of it from the notice, for a probe parked before
+// the revocation and one called after it. Before, both probes hung.
+func TestChaosProbeAfterRevoke(t *testing.T) {
+	tn, _ := newChaosNet(t, 3, Config{})
+	chs := tn.exChannels(t, ExCID{PGCID: 9, Sub: 7}, 50)
+
+	onRevoker := parkProbe(chs[0], 2, 5)
+	onMember := parkProbe(chs[1], AnySource, AnyTag)
+	stillParked(t, onRevoker, "before the revocation")
+
+	tn.engines[0].Revoke(chs[0])
+	if err := probeErr(t, onRevoker, "revoker, parked"); !errors.Is(err, ErrRevoked) {
+		t.Fatalf("revoker's parked Probe err = %v, want ErrRevoked", err)
+	}
+	if err := probeErr(t, onMember, "member, parked"); !errors.Is(err, ErrRevoked) {
+		t.Fatalf("member's parked Probe err = %v, want ErrRevoked", err)
+	}
+	for i, ch := range chs {
+		if err := probeErr(t, parkProbe(ch, (i+1)%3, 5), "called after Revoke"); !errors.Is(err, ErrRevoked) {
+			t.Fatalf("rank %d Probe err = %v, want ErrRevoked", i, err)
+		}
+		if _, ok, err := ch.Iprobe(AnySource, AnyTag); ok || !errors.Is(err, ErrRevoked) {
+			t.Fatalf("rank %d Iprobe = %v, %v, want ErrRevoked", i, ok, err)
+		}
+	}
+}
+
+// A wildcard Probe waits while any peer survives and fails once every peer
+// is dead, as a wildcard receive does. Before, it hung.
+func TestChaosWildcardProbeAllPeersDead(t *testing.T) {
+	tn, _ := newChaosNet(t, 3, Config{})
+	chs := tn.worldChannels(t, 0)
+
+	parked := parkProbe(chs[0], AnySource, 5)
+	tn.engines[0].FailPeer(1)
+	stillParked(t, parked, "one peer left")
+	if _, ok, err := chs[0].Iprobe(AnySource, 5); ok || err != nil {
+		t.Fatalf("wildcard Iprobe with a live peer = %v, %v, want false, nil", ok, err)
+	}
+
+	tn.engines[0].FailPeer(2)
+	if err := probeErr(t, parked, "parked"); !errors.Is(err, ErrPeerFailed) {
+		t.Fatalf("parked wildcard Probe err = %v, want ErrPeerFailed", err)
+	}
+	if err := probeErr(t, parkProbe(chs[0], AnySource, AnyTag), "called after"); !errors.Is(err, ErrPeerFailed) {
+		t.Fatalf("wildcard Probe err = %v, want ErrPeerFailed", err)
+	}
+	if _, ok, err := chs[0].Iprobe(AnySource, AnyTag); ok || !errors.Is(err, ErrPeerFailed) {
+		t.Fatalf("wildcard Iprobe = %v, %v, want ErrPeerFailed", ok, err)
 	}
 }

@@ -164,7 +164,7 @@ func TestStaleFastFrameAfterCIDReuse(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, ok := new1.Iprobe(0, -50); ok {
+			if _, ok, _ := new1.Iprobe(0, -50); ok {
 				t.Fatal("the stale frame was delivered to the rebuilt communicator")
 			}
 		})

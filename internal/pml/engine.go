@@ -80,10 +80,11 @@ type engineStats struct {
 // keeps two narrow locks — regMu for the channel registry, orphan buffers,
 // and the CID allocator; pendMu for the rendezvous pending maps — plus
 // lock-free structures (sync.Map registries, atomic counters) for the
-// read-mostly lookups on the packet path. The hierarchy is flat: no code
-// path acquires two of these locks at once, so no lock ordering issues can
-// arise; in particular no lock is ever held across a BTL send or a request
-// completion.
+// read-mostly lookups on the packet path. The hierarchy is flat but for
+// one nesting: the failure sweep asks the channel of each pending
+// rendezvous entry on a swept channel under pendMu (pendMu, then that channel's lock; no path takes
+// them the other way round). No lock is ever held across a BTL send or a
+// request completion.
 type Engine struct {
 	btls     []btl.Module // in MCA priority order
 	cfgEager int          // explicit override; 0 = per-module default
@@ -139,11 +140,11 @@ type route struct {
 }
 
 type pendingSend struct {
-	req        *Request
-	payload    []byte
-	destGlobal int
-	ch         *Channel // owning channel, so Revoke can fail it
-	internal   bool     // negative tag: a collective's send, failed with the channel (FailPeer)
+	req     *Request
+	payload []byte
+	ch      *Channel // owning channel, whose failure rule the sweep asks
+	dest    int      // comm rank
+	tag     int
 }
 
 // postedRecv is one posted receive. The pseq/pnext/pprev fields are owned
@@ -217,25 +218,19 @@ type Channel struct {
 	myRank   int
 	ranks    []int // comm rank -> global rank; immutable
 
-	removed bool
-	// deadMember is set by FailPeer when any rank of this channel dies.
-	// Internal (negative-tag) receives posted afterwards fail fast with
-	// ErrPeerFailed: a collective on a communicator with a failed member
-	// can hang on live peers that already bailed out, so it must not start.
+	// The failure marks, set once and never cleared, and read by the
+	// failure rule (Channel.refusal, failure.go). removed is set by
+	// RemoveChannel; deadMember by FailPeer when any rank of this channel
+	// dies; allDead by FailPeer when every non-self rank has died;
+	// revoked when any member revokes the communicator (Revoke, or an
+	// incoming hdrRevoke notice). handleMatch also reads removed, to
+	// redo the lookup of a packet that raced the channel's removal.
+	removed    bool
 	deadMember bool
-	// allDead is set by FailPeer when EVERY non-self rank of this channel
-	// has died. From then on no message can ever arrive, so wildcard
-	// (AnySource) receives — which survive individual peer deaths because
-	// another sender might still match them — fail fast too.
-	allDead bool
-	// revoked is set when any member revokes the communicator (Revoke, or
-	// an incoming hdrRevoke notice). Every pending and future operation on
-	// a revoked channel fails with ErrRevoked: survivors of a process
-	// failure use revocation to interrupt each other's otherwise-valid
-	// operations so everyone reaches the rebuild collectively.
-	revoked bool
-	peers   []peerState
-	m       *bucketMatcher
+	allDead    bool
+	revoked    bool
+	peers      []peerState
+	m          *bucketMatcher
 
 	// persNext/persFree drive the persistent-collective tag-window
 	// allocator (partitioned.go): windows are handed out lowest-first so
@@ -312,55 +307,23 @@ func (e *Engine) peerFailed(globalRank int) bool {
 	return failed
 }
 
-// Close shuts down the engine: every BTL module is closed (net blocks until
-// its progress goroutine has drained and exited, so no goroutine outlives
-// Close), and all pending requests fail with ErrClosed. The closed flag is
-// published before any queue is drained, and both Irecv and the rendezvous
-// registration re-check it under their respective lock, so no request can
-// slip into a queue after its drain.
+// Close shuts down the engine: all pending requests fail with ErrClosed,
+// and every BTL module is closed (net blocks until its progress goroutine
+// has drained and exited, so no goroutine outlives Close). The closed flag
+// is the mark of the shared sweep (failure.go): it is published before
+// the sweep, and every operation asks the failure rule after it
+// registers, so no request can slip into a queue after its sweep.
 func (e *Engine) Close() {
 	if !e.closed.CompareAndSwap(false, true) {
 		return
 	}
-	var reqs []*Request
-	var frees []*postedRecv
-	e.comms.Range(func(_, v any) bool {
-		ch := v.(*Channel)
-		ch.lock.Lock()
-		posted := ch.m.takeAllPosted()
-		unex := ch.m.takeAllUnexpected()
-		unex = append(unex, ch.drainStashLocked()...)
-		ch.cond.Broadcast()
-		ch.lock.Unlock()
-		for _, pr := range posted {
-			reqs = append(reqs, pr.req)
-			frees = append(frees, pr)
-		}
-		for _, m := range unex {
-			e.putBuf(m.raw)
-			e.freeInbound(m)
-		}
-		return true
-	})
-	e.pendMu.Lock()
-	for _, ps := range e.pendSend {
-		reqs = append(reqs, ps.req)
+	chs := e.channels()
+	e.sweep(chs...)
+	for _, ch := range chs {
+		e.dropInbound(ch)
 	}
-	for _, pr := range e.pendRecv {
-		reqs = append(reqs, pr.req)
-		frees = append(frees, pr)
-	}
-	e.pendSend = map[uint64]*pendingSend{}
-	e.pendRecv = map[uint64]*postedRecv{}
-	e.pendMu.Unlock()
 	for _, m := range e.btls {
 		m.Close()
-	}
-	for _, r := range reqs {
-		r.complete(Status{}, ErrClosed)
-	}
-	for _, pr := range frees {
-		e.freePostedRecv(pr)
 	}
 }
 
@@ -504,11 +467,12 @@ func (e *Engine) AddChannel(localCID uint16, ex ExCID, useEx bool, myRank int, r
 	return ch, nil
 }
 
-// RemoveChannel deregisters a communicator. Posted receives on it fail.
-// The registry entries go first so in-flight packets fall through to the
-// orphan buffers; a handler that captured the channel pointer before the
-// delete observes the removed flag under the channel lock and retries its
-// lookup.
+// RemoveChannel deregisters a communicator. Its posted receives fail with
+// ErrClosed and its queued messages are dropped; a rendezvous already
+// under way finishes (see opUnderway). The registry entries go first so in-flight
+// packets fall through to the orphan buffers; a handler that captured the
+// channel pointer before the delete observes the removed flag under the
+// channel lock and retries its lookup.
 func (e *Engine) RemoveChannel(ch *Channel) {
 	e.regMu.Lock()
 	if cur, ok := e.comms.Load(ch.localCID); ok && cur.(*Channel) == ch {
@@ -525,33 +489,9 @@ func (e *Engine) RemoveChannel(ch *Channel) {
 		return
 	}
 	ch.removed = true
-	posted := ch.m.takeAllPosted()
-	unex := ch.m.takeAllUnexpected()
-	unex = append(unex, ch.drainStashLocked()...)
-	ch.cond.Broadcast()
 	ch.lock.Unlock()
-	for _, m := range unex {
-		e.putBuf(m.raw)
-		e.freeInbound(m)
-	}
-	for _, pr := range posted {
-		pr.req.complete(Status{}, ErrClosed)
-		e.freePostedRecv(pr)
-	}
-}
-
-// drainStashLocked empties every peer's out-of-order stash for teardown.
-// Caller holds the channel lock. Stashed RTS records have a nil raw, which
-// putBuf treats as a no-op, so the caller can recycle uniformly.
-func (ch *Channel) drainStashLocked() []*inbound {
-	var out []*inbound
-	for i := range ch.peers {
-		for _, m := range ch.peers[i].stash {
-			out = append(out, m)
-		}
-		ch.peers[i].stash = nil
-	}
-	return out
+	e.sweep(ch)
+	e.dropInbound(ch)
 }
 
 // LocalCID returns the channel's local communicator ID.
@@ -638,12 +578,13 @@ func (e *Engine) handlePacket(pkt []byte) {
 		putUint64(data[matchHeaderLen:], env.cts.recvReqID)
 		copy(data[matchHeaderLen+dataInfoLen:], ps.payload)
 		e.putBuf(pkt)
-		rt, err := e.routeTo(ps.destGlobal)
+		dest := ps.ch.ranks[ps.dest]
+		rt, err := e.routeTo(dest)
 		if err == nil {
 			err = rt.ep.Send(data)
 		}
 		if err != nil {
-			ps.req.complete(Status{}, e.wrapSendErr(ps.destGlobal, err))
+			ps.req.complete(Status{}, e.wrapSendErr(dest, err))
 			return
 		}
 		ps.req.complete(Status{}, nil) // a send's status is empty (request.go)

@@ -432,7 +432,7 @@ func TestChannelIsolation(t *testing.T) {
 func TestProbeAndIprobe(t *testing.T) {
 	tn := newTestNet(t, 2, Config{EagerLimit: 8})
 	chs := tn.worldChannels(t, 0)
-	if _, ok := chs[1].Iprobe(AnySource, AnyTag); ok {
+	if _, ok, _ := chs[1].Iprobe(AnySource, AnyTag); ok {
 		t.Fatal("Iprobe matched on empty queue")
 	}
 	if err := chs[0].Send(1, 3, []byte("ab")); err != nil {
@@ -450,7 +450,7 @@ func TestProbeAndIprobe(t *testing.T) {
 	sreq := chs[0].Isend(1, 4, big)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if st, ok := chs[1].Iprobe(0, 4); ok {
+		if st, ok, _ := chs[1].Iprobe(0, 4); ok {
 			if st.Count != 100 {
 				t.Fatalf("rndv probe count = %d, want 100", st.Count)
 			}

@@ -1,17 +1,24 @@
 package pml
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"slices"
+)
 
-// Failure handling: peer death (FailPeer/RevivePeer) and communicator
-// revocation (Revoke and the hdrRevoke notice).
+// Failure handling: peer death (FailPeer/RevivePeer), communicator
+// revocation (Revoke and the hdrRevoke notice) and teardown
+// (RemoveChannel, Engine.Close) share one rule and one sweep.
 //
-// Both mark first and sweep second: FailPeer records the dead rank and
-// poisons its channels, Revoke poisons the channel, and only then does
-// either sweep the posted queues and the rendezvous maps. Every operation
-// that queues itself does the mirror image: it registers first (posted
-// queue, pendSend, pendRecv) and checks liveness under the channel lock
-// second. Whichever order the two land in, one of them sees the other, so
-// no operation is queued behind a failure that already swept.
+// refusal is the rule: the error an operation on a channel gets in the
+// channel's present state. Operations ask it when they register: Irecv,
+// the rendezvous match (consume), Isend, Probe and Iprobe. Failure events
+// mark their state first and then run sweep, which asks the same rule of
+// every queued operation. Every operation that queues itself registers
+// first (posted queue, pendSend, pendRecv) and asks refusal second, under
+// the channel lock that guards the marks. Whichever order a failure and
+// an operation land in, one of them sees the other, so no operation is
+// queued behind a failure that already swept.
 
 // raceYield, when set, runs at the named points of Isend and Irecv that
 // lie between an operation's registration and its liveness check, so a
@@ -21,85 +28,224 @@ import "fmt"
 // costs one predictable branch.
 var raceYield func(point string)
 
-// FailPeer reacts to a runtime process-failure notification: every posted
-// receive naming the dead process as its specific source fails with
-// ErrPeerFailed, as do rendezvous operations pending in either direction —
-// sends awaiting the dead peer's CTS (or, for internal tags, any member's
-// CTS on a channel the dead process belonged to) and receives whose CTS
-// went out but whose DATA will never arrive. Wildcard application receives
-// are left posted while any other channel member survives — they may still
-// match another sender — but once the LAST non-self member dies they are failed
-// too (and new ones rejected): nothing can ever send on the channel again,
-// so a blocking wildcard Recv would hang forever. On every channel
-// containing the dead rank, internal (negative-tag) receives are failed
-// regardless of source and the channel is poisoned for future internal
-// receives: a collective's dependency graph reaches the dead rank
-// transitively, so waiting on a live peer that itself bailed out would hang
-// forever.
+// opKind says how an operation waits, which decides what refuses it.
+type opKind uint8
+
+const (
+	// opEager is an eager send: it waits on no peer.
+	opEager opKind = iota
+	// opWaits is a receive, a probe, or a rendezvous send being started.
+	opWaits
+	// opUnderway is a rendezvous operation under way: a send whose RTS is
+	// out, or a matched receive. Freeing its channel does not refuse it:
+	// operations pending at MPI_Comm_free complete normally, and CTS and
+	// DATA find them by request ID, not through the channel registry.
+	opUnderway
+)
+
+// refusal is the PML's one failure rule. It returns the error an
+// operation of kind op toward peer (a comm rank, or AnySource for a
+// wildcard receive or probe) with tag gets on this channel now, or nil.
+// Caller holds ch.lock.
+//
+//   - A closed engine refuses everything: ErrClosed. A removed channel
+//     refuses everything but an operation under way.
+//   - A revoked channel refuses everything: ErrRevoked. Revocation is
+//     terminal: the communicator's state is no longer globally consistent
+//     and the caller must rebuild.
+//   - A dead specific peer: ErrPeerFailed.
+//   - A wildcard once every other member is dead: ErrPeerFailed. Nothing
+//     can ever send on the channel again.
+//   - An operation that waits on an internal (collective) tag, once any
+//     member has died: ErrPeerFailed. A collective's dependency graph
+//     includes the dead rank, so it could wait forever on a live peer that
+//     already bailed out.
+//
+// Receives and probes take the unexpected queue before a peer failure
+// (unexpectedLocked): a dead peer's messages from before its death still
+// deliver.
+func (ch *Channel) refusal(peer, tag int, op opKind) error {
+	e := ch.eng
+	switch {
+	case e.closed.Load() || ch.removed && op != opUnderway:
+		return ErrClosed
+	case ch.revoked:
+		return ErrRevoked
+	case peer != AnySource && e.peerFailed(ch.ranks[peer]):
+		return fmt.Errorf("%w: rank %d", ErrPeerFailed, ch.ranks[peer])
+	case peer == AnySource && ch.allDead:
+		return fmt.Errorf("%w: all channel peers failed", ErrPeerFailed)
+	case op != opEager && ch.deadMember && tag < 0 && tag != AnyTag:
+		return fmt.Errorf("%w: communicator has a failed member", ErrPeerFailed)
+	}
+	return nil
+}
+
+// refuses is refusal under the channel lock.
+func (ch *Channel) refuses(peer, tag int, op opKind) error {
+	ch.lock.Lock()
+	defer ch.lock.Unlock()
+	return ch.refusal(peer, tag, op)
+}
+
+// doomed reports whether the rule refuses a posted receive: the predicate
+// sweep hands the matcher. Caller holds ch.lock.
+func (ch *Channel) doomed(pr *postedRecv) bool {
+	return ch.refusal(pr.src, pr.tag, opWaits) != nil
+}
+
+// unexpectedLocked returns the earliest unexpected message matching (src,
+// tag), removed from the queue when take is set, or else the refusal of a
+// receive or probe for it. Only a closed or revoked channel withholds a
+// queued message. Caller holds ch.lock.
+func (ch *Channel) unexpectedLocked(src, tag int, take bool) (*inbound, error) {
+	err := ch.refusal(src, tag, opWaits)
+	if err != nil && !errors.Is(err, ErrPeerFailed) {
+		return nil, err
+	}
+	var msg *inbound
+	if take {
+		msg = ch.m.takeUnexpected(src, tag)
+	} else {
+		msg = ch.m.peekUnexpected(src, tag)
+	}
+	if msg != nil {
+		return msg, nil
+	}
+	return nil, err
+}
+
+// sweep fails every queued operation of chs that the rule now refuses:
+// posted receives, and pending rendezvous sends and receives. Callers mark
+// their state first. Probes parked on chs wake to ask the rule again. The
+// pending maps are walked under pendMu, asking the channel of each entry
+// on chs under its lock: the one place two PML locks nest.
+func (e *Engine) sweep(chs ...*Channel) {
+	type victim struct {
+		req *Request
+		err error
+		pr  *postedRecv // recycled after completion; nil for a send
+	}
+	var vs []victim
+	for _, ch := range chs {
+		ch.lock.Lock()
+		for _, pr := range ch.m.takePostedIf(ch.doomed) {
+			vs = append(vs, victim{pr.req, ch.refusal(pr.src, pr.tag, opWaits), pr})
+		}
+		ch.cond.Broadcast()
+		ch.lock.Unlock()
+	}
+	e.pendMu.Lock()
+	for id, ps := range e.pendSend {
+		if !slices.Contains(chs, ps.ch) {
+			continue
+		}
+		if err := ps.ch.refuses(ps.dest, ps.tag, opUnderway); err != nil {
+			delete(e.pendSend, id)
+			vs = append(vs, victim{ps.req, err, nil})
+		}
+	}
+	for id, pr := range e.pendRecv {
+		// resSrc/resTag are the matched sender and tag, fixed when the CTS
+		// was issued.
+		if !slices.Contains(chs, pr.ch) {
+			continue
+		}
+		if err := pr.ch.refuses(pr.resSrc, pr.resTag, opUnderway); err != nil {
+			delete(e.pendRecv, id)
+			vs = append(vs, victim{pr.req, err, pr})
+		}
+	}
+	e.pendMu.Unlock()
+	for _, v := range vs {
+		v.req.complete(Status{}, v.err)
+		if v.pr != nil {
+			e.freePostedRecv(v.pr)
+		}
+	}
+}
+
+// channels returns every registered channel, and every removed one that
+// still has a rendezvous operation under way: the channels a failure that
+// reaches the whole engine (Close, FailPeer) marks and sweeps.
+func (e *Engine) channels() []*Channel {
+	var chs []*Channel
+	e.comms.Range(func(_, v any) bool {
+		chs = append(chs, v.(*Channel))
+		return true
+	})
+	e.pendMu.Lock()
+	for _, ps := range e.pendSend {
+		if !slices.Contains(chs, ps.ch) {
+			chs = append(chs, ps.ch)
+		}
+	}
+	for _, pr := range e.pendRecv {
+		if !slices.Contains(chs, pr.ch) {
+			chs = append(chs, pr.ch)
+		}
+	}
+	e.pendMu.Unlock()
+	return chs
+}
+
+// dropInbound discards a torn-down channel's unexpected queue and every
+// peer's out-of-order stash. Stashed RTS records have a nil raw, which
+// putBuf treats as a no-op.
+func (e *Engine) dropInbound(ch *Channel) {
+	ch.lock.Lock()
+	unex := ch.m.takeAllUnexpected()
+	for i := range ch.peers {
+		for _, m := range ch.peers[i].stash {
+			unex = append(unex, m)
+		}
+		ch.peers[i].stash = nil
+	}
+	ch.lock.Unlock()
+	for _, m := range unex {
+		e.putBuf(m.raw)
+		e.freeInbound(m)
+	}
+}
+
+// FailPeer reacts to a runtime process-failure notification: it marks
+// the death (markFailed) and sweeps the channels containing the dead
+// process. So fail: receives and rendezvous operations naming it; on its
+// channels, every operation that waits on an internal tag, whatever its
+// peer; and, once the last other member of a channel has died, its
+// wildcard receives. Wildcard application receives stay posted while any
+// other member survives: they may still match another sender.
 func (e *Engine) FailPeer(globalRank int) {
+	e.sweep(e.markFailed(globalRank)...)
+}
+
+// markFailed records globalRank as dead and marks every channel containing
+// it: deadMember, and allDead once no other member survives. It returns
+// those channels.
+func (e *Engine) markFailed(globalRank int) []*Channel {
 	if _, loaded := e.failedPeers.LoadOrStore(globalRank, struct{}{}); !loaded {
 		e.failedCount.Add(1)
 	}
-	var victims []*Request
-	var frees []*postedRecv
-	e.comms.Range(func(_, v any) bool {
-		ch := v.(*Channel)
-		commRank := -1
-		allDead := true
+	var marked []*Channel
+	for _, ch := range e.channels() {
+		member, allDead := false, true
 		for i, r := range ch.ranks {
-			if r == globalRank {
-				commRank = i
-			}
+			member = member || r == globalRank
 			if i != ch.myRank && !e.peerFailed(r) {
 				allDead = false
 			}
 		}
-		if commRank < 0 {
-			return true
-		}
-		ch.lock.Lock()
-		ch.deadMember = true
-		prs := ch.m.takePostedBySrc(commRank)
-		prs = append(prs, ch.m.takePostedInternal()...)
-		if allDead && !ch.allDead {
-			ch.allDead = true
-			prs = append(prs, ch.m.takePostedWildcard()...)
-		}
-		ch.cond.Broadcast() // wake probes so they re-check state
-		ch.lock.Unlock()
-		for _, pr := range prs {
-			victims = append(victims, pr.req)
-			frees = append(frees, pr)
-		}
-		return true
-	})
-	e.pendMu.Lock()
-	for id, ps := range e.pendSend {
-		if ps.destGlobal == globalRank || (ps.internal && channelHasRank(ps.ch, globalRank)) {
-			victims = append(victims, ps.req)
-			delete(e.pendSend, id)
+		if member {
+			ch.lock.Lock()
+			ch.deadMember = true
+			if allDead {
+				ch.allDead = true
+			}
+			ch.lock.Unlock()
+			marked = append(marked, ch)
 		}
 	}
-	for id, pr := range e.pendRecv {
-		// resSrc is the matched sender's comm rank, fixed when the CTS was
-		// issued. The receive hangs if that sender died — or, for internal
-		// tags, if any member of the channel died (the sender may never
-		// reach its DATA send).
-		dead := pr.resSrc >= 0 && pr.resSrc < len(pr.ch.ranks) && pr.ch.ranks[pr.resSrc] == globalRank
-		if dead || (pr.resTag < 0 && channelHasRank(pr.ch, globalRank)) {
-			victims = append(victims, pr.req)
-			frees = append(frees, pr)
-			delete(e.pendRecv, id)
-		}
-	}
-	e.pendMu.Unlock()
-	err := fmt.Errorf("%w: rank %d", ErrPeerFailed, globalRank)
-	for _, r := range victims {
-		r.complete(Status{}, err)
-	}
-	for _, pr := range frees {
-		e.freePostedRecv(pr)
-	}
+	return marked
 }
 
 // RevivePeer clears the failure mark for a respawned process so new
@@ -161,10 +307,10 @@ func (e *Engine) Revoke(ch *Channel) {
 	}
 }
 
-// revokeLocal applies the local half of a revocation: poison the channel,
-// fail every posted receive and every pending rendezvous operation on it.
-// Reports whether this call was the one that revoked (false if the channel
-// was already revoked or removed).
+// revokeLocal applies the local half of a revocation: mark the channel
+// revoked and sweep, which fails every posted receive and every pending
+// rendezvous operation on it. Reports whether this call was the one that
+// revoked (false if the channel was already revoked or removed).
 func (e *Engine) revokeLocal(ch *Channel) bool {
 	ch.lock.Lock()
 	if ch.revoked || ch.removed {
@@ -172,36 +318,8 @@ func (e *Engine) revokeLocal(ch *Channel) bool {
 		return false
 	}
 	ch.revoked = true
-	posted := ch.m.takeAllPosted()
-	ch.cond.Broadcast() // wake probes so they re-check state
 	ch.lock.Unlock()
-
-	var victims []*Request
-	frees := append([]*postedRecv(nil), posted...)
-	for _, pr := range posted {
-		victims = append(victims, pr.req)
-	}
-	e.pendMu.Lock()
-	for id, ps := range e.pendSend {
-		if ps.ch == ch {
-			victims = append(victims, ps.req)
-			delete(e.pendSend, id)
-		}
-	}
-	for id, pr := range e.pendRecv {
-		if pr.ch == ch {
-			victims = append(victims, pr.req)
-			frees = append(frees, pr)
-			delete(e.pendRecv, id)
-		}
-	}
-	e.pendMu.Unlock()
-	for _, r := range victims {
-		r.complete(Status{}, ErrRevoked)
-	}
-	for _, pr := range frees {
-		e.freePostedRecv(pr)
-	}
+	e.sweep(ch)
 	return true
 }
 
@@ -242,13 +360,4 @@ func (e *Engine) handleRevoke(pkt []byte, env envelope) {
 	}
 	e.revokeLocal(ch)
 	e.putBuf(pkt)
-}
-
-func channelHasRank(ch *Channel, globalRank int) bool {
-	for _, r := range ch.ranks {
-		if r == globalRank {
-			return true
-		}
-	}
-	return false
 }

@@ -215,68 +215,20 @@ func (b *bucketMatcher) peekUnexpected(src, tag int) *inbound {
 	return b.findUnexpected(src, tag)
 }
 
-// takePostedBySrc removes and returns, in posted order, every receive naming
-// src as its specific source (peer failure). Wildcards stay.
-func (b *bucketMatcher) takePostedBySrc(src int) []*postedRecv {
-	var out []*postedRecv
-	for pr := b.postSrc[src].head; pr != nil; {
-		next := pr.pnext
-		b.postSrc[src].remove(pr)
-		out = append(out, pr)
-		pr = next
-	}
-	return out
-}
-
-// takePostedInternal removes and returns every posted receive carrying an
-// internal (negative) tag, regardless of source. Collective algorithms run
-// on internal tags and their dependency graphs reach every rank
-// transitively, so when a channel member dies these receives can hang on
-// perfectly alive peers that themselves bailed out; FailPeer poisons them
-// all. Application receives (tag >= 0) stay.
-func (b *bucketMatcher) takePostedInternal() []*postedRecv {
+// takePostedIf removes and returns every posted receive for which pred
+// holds: each source's receives in posted order, then the wildcards in
+// posted order. The failure sweep passes the channel's failure rule
+// (Channel.doomed), so one walk serves peer death, revocation and
+// teardown.
+func (b *bucketMatcher) takePostedIf(pred func(*postedRecv) bool) []*postedRecv {
 	var out []*postedRecv
 	take := func(l *postedList) {
 		for pr := l.head; pr != nil; {
 			next := pr.pnext
-			if pr.tag < 0 && pr.tag != AnyTag {
+			if pred(pr) {
 				l.remove(pr)
 				out = append(out, pr)
 			}
-			pr = next
-		}
-	}
-	for i := range b.postSrc {
-		take(&b.postSrc[i])
-	}
-	take(&b.postWild)
-	return out
-}
-
-// takePostedWildcard removes and returns, in posted order, every AnySource
-// receive. A wildcard can only complete if SOME channel member is still
-// alive to send; when the last non-self member dies, FailPeer drains these —
-// otherwise a blocking wildcard Recv hangs forever on a channel nobody can
-// ever send on again.
-func (b *bucketMatcher) takePostedWildcard() []*postedRecv {
-	var out []*postedRecv
-	for pr := b.postWild.head; pr != nil; {
-		next := pr.pnext
-		b.postWild.remove(pr)
-		out = append(out, pr)
-		pr = next
-	}
-	return out
-}
-
-// takeAllPosted removes and returns every posted receive (teardown).
-func (b *bucketMatcher) takeAllPosted() []*postedRecv {
-	var out []*postedRecv
-	take := func(l *postedList) {
-		for pr := l.head; pr != nil; {
-			next := pr.pnext
-			l.remove(pr)
-			out = append(out, pr)
 			pr = next
 		}
 	}

@@ -48,51 +48,17 @@ func (l *listMatcher) peekUnexpected(src, tag int) *inbound {
 	return nil
 }
 
-func (l *listMatcher) takePostedBySrc(src int) []*postedRecv {
+func (l *listMatcher) takePostedIf(pred func(*postedRecv) bool) []*postedRecv {
 	var out []*postedRecv
 	kept := l.posted[:0]
 	for _, pr := range l.posted {
-		if pr.src == src {
+		if pred(pr) {
 			out = append(out, pr)
 		} else {
 			kept = append(kept, pr)
 		}
 	}
 	l.posted = kept
-	return out
-}
-
-func (l *listMatcher) takePostedInternal() []*postedRecv {
-	var out []*postedRecv
-	kept := l.posted[:0]
-	for _, pr := range l.posted {
-		if pr.tag < 0 && pr.tag != AnyTag {
-			out = append(out, pr)
-		} else {
-			kept = append(kept, pr)
-		}
-	}
-	l.posted = kept
-	return out
-}
-
-func (l *listMatcher) takePostedWildcard() []*postedRecv {
-	var out []*postedRecv
-	kept := l.posted[:0]
-	for _, pr := range l.posted {
-		if pr.src == AnySource {
-			out = append(out, pr)
-		} else {
-			kept = append(kept, pr)
-		}
-	}
-	l.posted = kept
-	return out
-}
-
-func (l *listMatcher) takeAllPosted() []*postedRecv {
-	out := l.posted
-	l.posted = nil
 	return out
 }
 

@@ -3,6 +3,7 @@ package pml
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -13,9 +14,13 @@ import (
 // so the test checks the full matching semantics — wildcard source/tag,
 // FIFO per sender, earliest-posted-first across specific and wildcard
 // receives — of the bucketed engine against the original linear reference.
+// Failure sweeps run the engine's own marking and failure rule on ch, a
+// channel of ranks 0..size-1 (this process is rank 0) on a bare engine.
 type mirror struct {
 	t      *testing.T
 	size   int
+	e      *Engine
+	ch     *Channel
 	bucket *bucketMatcher
 	list   *listMatcher
 	bpID   map[*postedRecv]int
@@ -26,9 +31,17 @@ type mirror struct {
 }
 
 func newMirror(t *testing.T, size int) *mirror {
+	e := &Engine{}
+	ch := &Channel{eng: e, ranks: make([]int, size)}
+	for i := range ch.ranks {
+		ch.ranks[i] = i
+	}
+	e.comms.Store(uint16(0), ch)
 	return &mirror{
 		t:      t,
 		size:   size,
+		e:      e,
+		ch:     ch,
 		bucket: newBucketMatcher(size),
 		list:   newListMatcher(),
 		bpID:   map[*postedRecv]int{},
@@ -116,53 +129,67 @@ func (m *mirror) probe(src, tag int) {
 	}
 }
 
-// sameBatch checks that a batch removal (peer failure, channel poisoning)
-// took the same records from both matchers — in the same order when the
-// bucket matcher promises posted order.
-func (m *mirror) sameBatch(what string, ordered bool, bucket, list []*postedRecv) {
-	var bids, lids []int
-	for _, pr := range bucket {
-		bids = append(bids, m.postedID(pr, m.bpID))
-	}
-	for _, pr := range list {
-		lids = append(lids, m.postedID(pr, m.lpID))
-	}
-	if !ordered {
-		sort.Ints(bids)
-		sort.Ints(lids)
-	}
-	if len(bids) != len(lids) {
-		m.t.Fatalf("%s: bucket dropped %v, list dropped %v", what, bids, lids)
-	}
-	for i := range bids {
-		if bids[i] != lids[i] {
-			m.t.Fatalf("%s: order differs: bucket %v, list %v", what, bids, lids)
-		}
-	}
-}
-
-func (m *mirror) failSrc(src int) {
-	m.sameBatch(fmt.Sprintf("failSrc(%d)", src), true, m.bucket.takePostedBySrc(src), m.list.takePostedBySrc(src))
-}
-
-func (m *mirror) failWildcard() {
-	m.sameBatch("failWildcard", true, m.bucket.takePostedWildcard(), m.list.takePostedWildcard())
-}
-
-func (m *mirror) failInternal() {
-	m.sameBatch("failInternal", false, m.bucket.takePostedInternal(), m.list.takePostedInternal())
-}
-
-func (m *mirror) drain() {
-	collectP := func(prs []*postedRecv, ids map[*postedRecv]int) []int {
-		var out []int
+// sameBatch checks that a batch removal (a failure sweep) took the same
+// records from both matchers (unordered), and each source's records, the
+// wildcards counting as one source, in posted order (ordered): the order
+// the bucket matcher promises.
+func (m *mirror) sameBatch(what string, bucket, list []*postedRecv) {
+	ids := func(prs []*postedRecv, idOf map[*postedRecv]int) (all []int, bySrc map[int][]int) {
+		bySrc = map[int][]int{}
 		for _, pr := range prs {
-			out = append(out, m.postedID(pr, ids))
+			id := m.postedID(pr, idOf)
+			all = append(all, id)
+			bySrc[pr.src] = append(bySrc[pr.src], id)
 		}
-		sort.Ints(out)
-		return out
+		sort.Ints(all)
+		return all, bySrc
 	}
-	collectU := func(us []*inbound, ids map[*inbound]int) []int {
+	ball, bsrc := ids(bucket, m.bpID)
+	lall, lsrc := ids(list, m.lpID)
+	if !slices.Equal(ball, lall) {
+		m.t.Fatalf("%s: bucket took %v, list took %v", what, ball, lall)
+	}
+	for src, l := range lsrc {
+		if !slices.Equal(bsrc[src], l) {
+			m.t.Fatalf("%s: source %d taken in order %v from the bucket, %v from the list", what, src, bsrc[src], l)
+		}
+	}
+}
+
+// sweep runs the failure sweep's batch removal on both matchers, with the
+// predicate the engine's sweep passes: the channel's failure rule.
+func (m *mirror) sweep(what string) {
+	m.ch.lock.Lock()
+	defer m.ch.lock.Unlock()
+	m.sameBatch(what, m.bucket.takePostedIf(m.ch.doomed), m.list.takePostedIf(m.ch.doomed))
+}
+
+// failPeer marks src dead as FailPeer does, then sweeps.
+func (m *mirror) failPeer(src int) {
+	m.e.markFailed(src)
+	m.sweep(fmt.Sprintf("FailPeer(%d)", src))
+}
+
+// teardown ends a trial as Revoke, RemoveChannel or Engine.Close does:
+// mark, sweep (the rule now refuses every posted receive), and drop the
+// unexpected queue.
+func (m *mirror) teardown(kind int) {
+	what := [...]string{"Revoke", "RemoveChannel", "Close"}[kind]
+	m.ch.lock.Lock()
+	switch kind {
+	case 0:
+		m.ch.revoked = true
+	case 1:
+		m.ch.removed = true
+	default:
+		m.e.closed.Store(true)
+	}
+	m.ch.lock.Unlock()
+	m.sweep(what)
+	if len(m.bpID) != 0 || len(m.lpID) != 0 {
+		m.t.Fatalf("%s left posted receives: bucket %d, list %d", what, len(m.bpID), len(m.lpID))
+	}
+	collect := func(us []*inbound, ids map[*inbound]int) []int {
 		var out []int
 		for _, u := range us {
 			out = append(out, m.unexID(u, ids, true))
@@ -170,38 +197,24 @@ func (m *mirror) drain() {
 		sort.Ints(out)
 		return out
 	}
-	bp := collectP(m.bucket.takeAllPosted(), m.bpID)
-	lp := collectP(m.list.takeAllPosted(), m.lpID)
-	bu := collectU(m.bucket.takeAllUnexpected(), m.buID)
-	lu := collectU(m.list.takeAllUnexpected(), m.luID)
-	equal := func(a, b []int) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if !equal(bp, lp) {
-		m.t.Fatalf("drain posted: bucket %v, list %v", bp, lp)
-	}
-	if !equal(bu, lu) {
+	bu := collect(m.bucket.takeAllUnexpected(), m.buID)
+	lu := collect(m.list.takeAllUnexpected(), m.luID)
+	if !slices.Equal(bu, lu) {
 		m.t.Fatalf("drain unexpected: bucket %v, list %v", bu, lu)
 	}
-	if len(m.bpID) != 0 || len(m.buID) != 0 {
-		m.t.Fatalf("bucket leaked records: %d posted, %d unexpected", len(m.bpID), len(m.buID))
+	if len(m.buID) != 0 {
+		m.t.Fatalf("bucket leaked %d unexpected records", len(m.buID))
 	}
 }
 
 // TestMatcherPropertyEquivalence is the matching-semantics property test:
-// random streams of posts, arrivals, receives, probes, and peer failures
-// (one source, the internal-tag receives, or the wildcards),
+// random streams of posts, arrivals, receives, probes, and peer failures,
 // with wildcard sources, wildcard tags, and negative (internal) tags, must
 // produce identical decisions from the bucketed matcher and the linear
-// reference matcher at every step.
+// reference matcher at every step. Each peer failure sweeps both with the
+// predicate FailPeer's sweep passes (dead sources, then every internal
+// tag, then the wildcards once every peer is dead), and each trial ends in
+// the sweep of a Revoke, RemoveChannel or Close.
 func TestMatcherPropertyEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
@@ -234,16 +247,11 @@ func TestMatcherPropertyEquivalence(t *testing.T) {
 			case 7, 8:
 				m.probe(randSrc(true), randTag(true))
 			case 9:
-				switch rng.Intn(4) {
-				case 0:
-					m.failWildcard()
-				case 1:
-					m.failInternal()
-				default:
-					m.failSrc(rng.Intn(size))
+				if size > 1 { // rank 0 is this process
+					m.failPeer(1 + rng.Intn(size-1))
 				}
 			}
 		}
-		m.drain()
+		m.teardown(rng.Intn(3))
 	}
 }

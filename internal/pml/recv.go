@@ -43,56 +43,22 @@ func (ch *Channel) irecv(src, tag int, buf []byte, req *Request) {
 		req.complete(Status{}, fmt.Errorf("pml: recv src %d out of range [0,%d)", src, len(ch.ranks)))
 		return
 	}
-	if e.closed.Load() {
-		req.complete(Status{}, ErrClosed)
-		return
-	}
 	pr := e.newPostedRecv()
 	pr.ch, pr.src, pr.tag, pr.buf, pr.req = ch, src, tag, buf, req
 
 	if raceYield != nil {
 		raceYield("irecv")
 	}
-	// Every liveness check runs under the channel lock that also guards the
-	// posted queue. FailPeer marks the peer dead before it sweeps that
-	// queue under the same lock, so a receive is either rejected here or
-	// posted in time for the sweep.
+	// The failure rule runs under the channel lock that also guards the
+	// posted queue. A failure marks its state before it sweeps that queue
+	// under the same lock, so a receive is either refused here or posted
+	// in time for the sweep.
 	ch.lock.Lock()
-	var refuse error
-	var msg *inbound
-	switch {
-	case e.closed.Load() || ch.removed:
-		refuse = ErrClosed
-	case ch.revoked:
-		// Revocation is terminal: even messages already in the unexpected
-		// queue are not delivered — the communicator's state is no longer
-		// globally consistent and the caller must rebuild.
-		refuse = ErrRevoked
-	default:
-		msg = ch.m.takeUnexpected(src, tag)
-	}
-	if refuse == nil && msg == nil {
-		// A source the runtime already declared dead may have sent this
-		// message before dying, so the unexpected queue is drained first;
-		// but the receive never waits for a new one.
-		switch {
-		case src != AnySource && e.peerFailed(ch.ranks[src]):
-			refuse = fmt.Errorf("%w: rank %d", ErrPeerFailed, ch.ranks[src])
-		case src == AnySource && ch.allDead:
-			// Every peer that could ever match this wildcard is dead and
-			// its pre-death traffic was just drained above: nothing will
-			// arrive, so posting would hang forever.
-			refuse = fmt.Errorf("%w: all channel peers failed", ErrPeerFailed)
-		case ch.deadMember && tag < 0 && tag != AnyTag:
-			// A collective must not start (or continue) on a communicator
-			// with a failed member: its dependency graph includes the dead
-			// rank, so this receive could hang on a live-but-bailed peer.
-			refuse = fmt.Errorf("%w: communicator has a failed member", ErrPeerFailed)
-		default:
-			ch.m.pushPosted(pr)
-			ch.lock.Unlock()
-			return
-		}
+	msg, refuse := ch.unexpectedLocked(src, tag, true)
+	if msg == nil && refuse == nil {
+		ch.m.pushPosted(pr)
+		ch.lock.Unlock()
+		return
 	}
 	ch.lock.Unlock()
 	if refuse != nil {
@@ -123,35 +89,18 @@ func (e *Engine) consume(pr *postedRecv, msg *inbound) {
 	}
 	// Rendezvous: register the receive and send CTS.
 	recvID := e.nextReq.Add(1)
-	pr.resSrc, pr.resTag = msg.src, msg.tag
+	src, tag := msg.src, msg.tag
+	pr.resSrc, pr.resTag = src, tag
 	sendReqID, senderGlobal := msg.sendReqID, msg.senderGlobal
-	ch, internal := pr.ch, msg.tag < 0
+	ch := pr.ch
 	e.freeInbound(msg)
 	e.pendMu.Lock()
-	if e.closed.Load() {
-		e.pendMu.Unlock()
-		pr.req.complete(Status{}, ErrClosed)
-		e.freePostedRecv(pr)
-		return
-	}
 	e.pendRecv[recvID] = pr
 	e.pendMu.Unlock()
-	// Registered first, checked second, as in isend: a FailPeer or Revoke
-	// sweep of pendRecv that ran before the registration is seen here. A
-	// sweep after it may already have failed and recycled pr, so pr is not
-	// touched again.
-	ch.lock.Lock()
-	var refuse error
-	switch {
-	case ch.revoked:
-		refuse = ErrRevoked
-	case e.peerFailed(senderGlobal):
-		refuse = fmt.Errorf("%w: rank %d", ErrPeerFailed, senderGlobal)
-	case internal && ch.deadMember:
-		refuse = fmt.Errorf("%w: communicator has a failed member", ErrPeerFailed)
-	}
-	ch.lock.Unlock()
-	if refuse != nil {
+	// Registered first, checked second, as in isend: a sweep of pendRecv
+	// that ran before the registration is seen here. A sweep after it may
+	// already have failed and recycled pr, so pr is not touched again.
+	if refuse := ch.refuses(src, tag, opUnderway); refuse != nil {
 		e.failPendingRecv(recvID, refuse)
 		return
 	}
@@ -193,26 +142,31 @@ func probeStatus(msg *inbound) Status {
 }
 
 // Iprobe checks for a matching unexpected message without receiving it.
-func (ch *Channel) Iprobe(src, tag int) (Status, bool) {
+// With none queued it reports the failure rule's refusal, as a receive
+// would get it.
+func (ch *Channel) Iprobe(src, tag int) (Status, bool, error) {
 	ch.lock.Lock()
 	defer ch.lock.Unlock()
-	if msg := ch.m.peekUnexpected(src, tag); msg != nil {
-		return probeStatus(msg), true
+	msg, err := ch.unexpectedLocked(src, tag, false)
+	if msg == nil {
+		return Status{}, false, err
 	}
-	return Status{}, false
+	return probeStatus(msg), true, nil
 }
 
-// Probe blocks until a matching message is available (without consuming it).
+// Probe blocks until a matching message is available (without consuming
+// it), or until the failure rule refuses the wait. Arrivals and sweeps
+// broadcast the channel's cond.
 func (ch *Channel) Probe(src, tag int) (Status, error) {
-	e := ch.eng
 	ch.lock.Lock()
 	defer ch.lock.Unlock()
 	for {
-		if e.closed.Load() || ch.removed {
-			return Status{}, ErrClosed
-		}
-		if msg := ch.m.peekUnexpected(src, tag); msg != nil {
+		msg, err := ch.unexpectedLocked(src, tag, false)
+		if msg != nil {
 			return probeStatus(msg), nil
+		}
+		if err != nil {
+			return Status{}, err
 		}
 		ch.cond.Wait()
 	}

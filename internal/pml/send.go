@@ -71,11 +71,10 @@ func (ch *Channel) isend(dest, tag int, buf []byte, synchronous bool) sendOutcom
 
 	// Fail fast before routing: routeTo may block resolving a peer that
 	// the runtime already declared dead.
-	if e.closed.Load() {
-		return sendOutcome{err: ErrClosed}
-	}
-	if e.peerFailed(destGlobal) {
-		return sendOutcome{err: fmt.Errorf("%w: rank %d", ErrPeerFailed, destGlobal)}
+	if e.closed.Load() || e.peerFailed(destGlobal) {
+		if err := ch.refuses(dest, tag, opEager); err != nil {
+			return sendOutcome{err: err}
+		}
 	}
 
 	rt, err := e.routeTo(destGlobal)
@@ -84,41 +83,31 @@ func (ch *Channel) isend(dest, tag int, buf []byte, synchronous bool) sendOutcom
 	}
 
 	eager := len(buf) <= rt.eager && !synchronous
-	// A rendezvous send is registered in pendSend before the liveness
-	// check, and the check runs under the channel lock. FailPeer and Revoke
-	// mark the peer or poison the channel before they sweep pendSend, so a
-	// failure that lands after the registration finds the entry, and one
-	// that lands before it fails the check: no send waits for a CTS that a
-	// dead or revoked peer will never send.
+	// A rendezvous send is registered in pendSend before it asks the
+	// failure rule, and the rule runs under the channel lock. A failure
+	// marks its state before it sweeps pendSend, so a failure that lands
+	// after the registration finds the entry, and one that lands before it
+	// is refused here: no send waits for a CTS that a dead or revoked peer
+	// will never send. An eager send does not wait on its peer, so only a
+	// closed, removed or revoked channel or a dead destination refuses it.
 	var reqID uint64
 	var req *Request
 	if !eager {
 		reqID = e.nextReq.Add(1)
 		req = newRequest(e)
 		e.pendMu.Lock()
-		if e.closed.Load() {
-			e.pendMu.Unlock()
-			return sendOutcome{err: ErrClosed}
-		}
-		e.pendSend[reqID] = &pendingSend{req: req, payload: buf, destGlobal: destGlobal, ch: ch, internal: tag < 0}
+		e.pendSend[reqID] = &pendingSend{req: req, payload: buf, ch: ch, dest: dest, tag: tag}
 		e.pendMu.Unlock()
 		if raceYield != nil {
 			raceYield("isend")
 		}
 	}
 	ch.lock.Lock()
-	var refuse error
-	switch {
-	case ch.revoked:
-		refuse = ErrRevoked
-	case ch.deadMember && tag < 0 && !eager:
-		// The mirror of Irecv's rule: a collective's rendezvous send to a
-		// live member that already bailed out would wait for a CTS forever.
-		refuse = fmt.Errorf("%w: communicator has a failed member", ErrPeerFailed)
-	case !eager && e.peerFailed(destGlobal):
-		refuse = fmt.Errorf("%w: rank %d", ErrPeerFailed, destGlobal)
+	op := opEager
+	if !eager {
+		op = opWaits
 	}
-	if refuse != nil {
+	if refuse := ch.refusal(dest, tag, op); refuse != nil {
 		ch.lock.Unlock()
 		if eager {
 			return sendOutcome{err: refuse}
@@ -180,8 +169,8 @@ func (ch *Channel) isend(dest, tag int, buf []byte, synchronous bool) sendOutcom
 }
 
 // dropPendingSend withdraws a registered rendezvous send and fails it. A
-// sweep by FailPeer or Revoke may have got there first; then the entry is
-// already gone and the request keeps the sweep's error.
+// failure sweep may have got there first; then the entry is already gone
+// and the request keeps the sweep's error.
 func (e *Engine) dropPendingSend(reqID uint64, req *Request, err error) {
 	e.pendMu.Lock()
 	delete(e.pendSend, reqID)

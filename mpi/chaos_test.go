@@ -816,3 +816,69 @@ func netProgressGoroutines() int {
 	}
 	return strings.Count(string(buf), "gompi/internal/btl/net.(*Module).progress(")
 }
+
+// TestChaosProbeAfterPeerDeath: a Probe parked on a rank that then panics
+// must fail with MPI_ERR_PROC_FAILED, through the error handler, within
+// 100 ms of the death, and an Iprobe of the dead rank after it must fail
+// the same way. Before, the Probe was still blocked seconds later, where a
+// Recv in its place failed at once.
+func TestChaosProbeAfterPeerDeath(t *testing.T) {
+	job, err := runtime.NewJob(runtime.Options{
+		Cluster: topo.New(topo.Loopback(2), 1),
+		PPN:     2,
+		Config:  core.Config{CIDMode: core.CIDExtended},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer job.Shutdown()
+
+	var diedAt atomic.Int64 // unix nanoseconds
+	err = job.Launch(func(p *mpi.Process) error {
+		sess, err := p.SessionInit(nil, mpi.ErrorsReturn())
+		if err != nil {
+			return err
+		}
+		grp, err := sess.GroupFromPset(mpi.PsetWorld)
+		if err != nil {
+			return err
+		}
+		comm, err := sess.CommCreateFromGroup(grp, "probe", nil, nil)
+		if err != nil {
+			return err
+		}
+		if p.JobRank() == 1 {
+			time.Sleep(20 * time.Millisecond) // let rank 0 park in Probe
+			diedAt.Store(time.Now().UnixNano())
+			panic("rank 1 dies under a Probe")
+		}
+		defer func() {
+			_ = comm.Free()
+			_ = sess.Finalize()
+		}()
+		probed := make(chan error, 1)
+		go func() {
+			_, err := comm.Probe(1, 7)
+			probed <- err
+		}()
+		select {
+		case err = <-probed:
+		case <-time.After(2 * time.Second):
+			return fmt.Errorf("Probe of a dead rank still blocked after 2s")
+		}
+		if since := time.Since(time.Unix(0, diedAt.Load())); since > 100*time.Millisecond {
+			return fmt.Errorf("Probe returned %v after the death, want within 100ms", since)
+		}
+		if cls := mpi.ErrorClassOf(err); cls != mpi.ErrClassProcFailed {
+			return fmt.Errorf("Probe class = %v (%v), want MPI_ERR_PROC_FAILED", cls, err)
+		}
+		if _, ok, err := comm.Iprobe(1, 7); ok || mpi.ErrorClassOf(err) != mpi.ErrClassProcFailed {
+			return fmt.Errorf("Iprobe of the dead rank = %v, %v, want MPI_ERR_PROC_FAILED", ok, err)
+		}
+		return nil
+	})
+	var je *runtime.JobError
+	if !errors.As(err, &je) || len(je.Errors) != 1 || je.Errors[0].Rank != 1 {
+		t.Fatalf("Launch = %v, want a job error naming only the killed rank 1", err)
+	}
+}

@@ -182,6 +182,6 @@ func (c *Comm) Iprobe(src, tag int) (Status, bool, error) {
 	if err := c.checkP2P(src, tag, true); err != nil {
 		return Status{}, false, c.errh.invoke(err)
 	}
-	st, ok := c.ch.Iprobe(src, tag)
-	return fromPML(st), ok, nil
+	st, ok, err := c.ch.Iprobe(src, tag)
+	return fromPML(st), ok, c.errh.invoke(err)
 }

@@ -25,14 +25,16 @@ type Win struct {
 	comm *Comm
 	svc  *service
 
-	mu          sync.Mutex // guards base against the service, freed and accessGroup
+	mu          sync.Mutex // guards base against the service, freed, accessGroup and locked
 	base        []byte
 	freed       bool
-	accessGroup []int // targets of the current Start epoch (global ranks)
+	accessGroup []int        // targets of the current Start epoch (global ranks)
+	locked      map[int]bool // targets this process holds a passive-target lock on
 
 	// The passive-target lock, owned by the service goroutine.
-	lockHeld  int          // 0 free, -1 exclusive, >0 shared holders
-	lockQueue []lockWaiter // requests not yet granted, in arrival order
+	lockHolders   map[int]bool // the comm ranks holding it
+	lockExclusive bool         // its one holder holds it exclusively
+	lockQueue     []lockWaiter // requests not yet granted, in arrival order
 }
 
 // WinCreateFromGroup creates a window over the processes of group
@@ -75,7 +77,7 @@ func WinCreate(comm *Comm, localSize int) (*Win, error) {
 // newWinOn wires a window onto a private communicator the window owns;
 // on failure it frees the communicator.
 func newWinOn(priv *Comm, localSize int) (*Win, error) {
-	w := &Win{comm: priv, base: make([]byte, localSize)}
+	w := &Win{comm: priv, base: make([]byte, localSize), locked: map[int]bool{}, lockHolders: map[int]bool{}}
 	w.svc = serve(priv, w.handle)
 	// Creation is collective; synchronize so no origin races a target whose
 	// service is not yet running.

@@ -87,7 +87,8 @@ func (w *Win) tokens(ranks []int, tag int, recv bool) error {
 }
 
 // Lock opens a passive-target epoch on target (MPI_Win_lock). lockType is
-// LockExclusive or LockShared. Locking the local process is allowed.
+// LockExclusive or LockShared. Locking the local process is allowed;
+// locking a target this process already holds a lock on is an error.
 func (w *Win) Lock(lockType, target int) error {
 	if err := w.checkTarget(target); err != nil {
 		return err
@@ -95,16 +96,36 @@ func (w *Win) Lock(lockType, target int) error {
 	if lockType != LockExclusive && lockType != LockShared {
 		return fmt.Errorf("mpi: bad lock type %d", lockType)
 	}
-	_, err := request(w.comm, target, svcRecord{kind: svcLock, arg: lockType}, nil)
-	return err
+	w.mu.Lock()
+	held := w.locked[target]
+	w.mu.Unlock()
+	if held {
+		return fmt.Errorf("mpi: Lock of target %d, which this process already holds", target)
+	}
+	if _, err := request(w.comm, target, svcRecord{kind: svcLock, arg: lockType}, nil); err != nil {
+		return err
+	}
+	w.mu.Lock()
+	w.locked[target] = true
+	w.mu.Unlock()
+	return nil
 }
 
 // Unlock closes the passive-target epoch (MPI_Win_unlock). All operations
 // issued under the lock are complete at the target when it returns (they
 // complete synchronously here), so the unlock is one message with no reply.
+// Unlocking a target this process holds no lock on is an error, and sends
+// nothing.
 func (w *Win) Unlock(target int) error {
 	if err := w.checkTarget(target); err != nil {
 		return err
+	}
+	w.mu.Lock()
+	held := w.locked[target]
+	delete(w.locked, target)
+	w.mu.Unlock()
+	if !held {
+		return fmt.Errorf("mpi: Unlock of target %d without a matching Lock", target)
 	}
 	return w.comm.ch.Send(target, svcTagReq, svcCodec.Encode(svcRecord{kind: svcUnlock}))
 }
@@ -112,11 +133,17 @@ func (w *Win) Unlock(target int) error {
 // lock serves a lock or unlock request at this member (service goroutine)
 // and grants queued locks in arrival order: an exclusive lock waits for a
 // free window, a shared one for no exclusive holder, and no request
-// overtakes an earlier one, so readers never starve a writer.
+// overtakes an earlier one, so readers never starve a writer. Holders are
+// recorded by rank, so an unlock from a process that holds no lock
+// releases nothing.
 func (w *Win) lock(s *service, src int, r svcRecord) {
 	switch {
 	case r.kind == svcUnlock:
-		w.lockHeld = max(w.lockHeld-1, 0)
+		if !w.lockHolders[src] {
+			return
+		}
+		delete(w.lockHolders, src)
+		w.lockExclusive = false // an exclusive holder is the only holder
 	case r.arg != LockExclusive && r.arg != LockShared:
 		s.reply(src, failed(ErrClassOther))
 		return
@@ -125,14 +152,11 @@ func (w *Win) lock(s *service, src int, r svcRecord) {
 	}
 	for len(w.lockQueue) > 0 {
 		next := w.lockQueue[0]
-		switch {
-		case w.lockHeld < 0 || next.lockType == LockExclusive && w.lockHeld > 0:
+		if w.lockExclusive || next.lockType == LockExclusive && len(w.lockHolders) > 0 {
 			return
-		case next.lockType == LockExclusive:
-			w.lockHeld = -1
-		default:
-			w.lockHeld++
 		}
+		w.lockExclusive = next.lockType == LockExclusive
+		w.lockHolders[next.origin] = true
 		w.lockQueue = w.lockQueue[1:]
 		s.reply(next.origin, svcRecord{})
 	}

@@ -2,7 +2,9 @@ package mpi_test
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gompi/mpi"
 )
@@ -153,5 +155,56 @@ func TestWinLockValidation(t *testing.T) {
 			return fmt.Errorf("bad target accepted")
 		}
 		return nil
+	})
+}
+
+// An Unlock from a process that holds no lock on the target is an error,
+// sends nothing, and leaves the holder's lock in place: rank 1's stray
+// Unlock(0) must not let rank 2's exclusive Lock(0) in while rank 0 holds
+// it. Before, the target's service counted holders without their ranks, so
+// the stray unlock released rank 0's lock.
+func TestWinStrayUnlockKeepsHolderLock(t *testing.T) {
+	var released atomic.Bool
+	withSession(t, 1, 3, func(p *mpi.Process, s *mpi.Session, g *mpi.Group) error {
+		win, err := s.WinCreateFromGroup(g, "stray", 8)
+		if err != nil {
+			return err
+		}
+		defer win.Free()
+		comm := win.Comm()
+		if comm.Rank() == 0 {
+			if err := win.Lock(mpi.LockExclusive, 0); err != nil {
+				return err
+			}
+		}
+		if err := comm.Barrier(); err != nil { // rank 0 holds the lock
+			return err
+		}
+		var bad error
+		if comm.Rank() == 1 && win.Unlock(0) == nil {
+			bad = fmt.Errorf("stray Unlock(0) from a process holding no lock succeeded")
+		}
+		if err := comm.Barrier(); err != nil { // any stray unlock is on its way first
+			return err
+		}
+		switch comm.Rank() {
+		case 0:
+			time.Sleep(50 * time.Millisecond) // rank 2's Lock queues behind the held lock
+			released.Store(true)
+			if err := win.Unlock(0); err != nil {
+				return err
+			}
+		case 2:
+			if err := win.Lock(mpi.LockExclusive, 0); err != nil {
+				return err
+			}
+			if !released.Load() {
+				bad = fmt.Errorf("rank 2's exclusive lock was granted while rank 0 held it")
+			}
+			if err := win.Unlock(0); err != nil {
+				return err
+			}
+		}
+		return bad
 	})
 }
