@@ -50,12 +50,13 @@ lint:
 pool-guard:
 	$(GO) test -race -tags debug -run TestPoolGuard ./internal/pml
 
-# bubble runs the testing/synctest tests: a parked receive must be durably
-# blocked on a wake channel of its own bubble, bubble after bubble, and a
-# Wait on a started collective must park, not spin, while a completion hook
-# holds the collective's driver token across a modelled delay.
+# bubble runs the testing/synctest tests: a simnet send must take exactly
+# its modelled cost, a parked receive must be durably blocked on a wake
+# channel of its own bubble, bubble after bubble, and a Wait on a started
+# collective must park, not spin, while a completion hook holds the
+# collective's driver token across a modelled delay.
 bubble:
-	GOEXPERIMENT=synctest $(GO) test -count=1 -run InBubble ./internal/pml ./mpi
+	GOEXPERIMENT=synctest $(GO) test -count=1 -run InBubble ./internal/simnet ./internal/pml ./mpi
 
 # fuzz-smoke runs the packet-decoder fuzz targets, the control-plane codec
 # fuzzer and the reduction-kernel differential fuzzer for a short fixed budget

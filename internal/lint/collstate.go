@@ -9,12 +9,13 @@ import (
 	"gompi/internal/lint/flow"
 )
 
-// CollState enforces the startable-request state machine shared by
-// persistent collectives and partitioned requests — any handle whose method
-// set has Start() error, Wait, and Free() error. Three misuses are
-// reported: starting a request that was declared zero-valued and never
-// assigned a *Init result, starting an active round again without an
-// intervening Wait/Test, and freeing a request while a round is active.
+// CollState enforces the startable-request lifecycle shared by persistent
+// point-to-point requests, persistent collectives and partitioned requests
+// (mpi/startable.go) — any handle whose method set has Start() error, Wait,
+// and Free() error. Three misuses are reported: starting a request that was
+// declared zero-valued and never assigned a *Init result, starting an
+// active round again without an intervening Wait/Test, and freeing a
+// request while a round is active.
 // Requests reaching the call through struct fields or other functions are
 // out of scope (no false positives, no report); tests that deliberately
 // probe ErrActive can annotate with //gompilint:ignore collstate.
@@ -44,9 +45,7 @@ type collState map[*types.Var]collVar
 // isStartableType reports whether t is a startable request handle: a named
 // type (or pointer to one) whose method set has Start() error, Free()
 // error, and Wait with a trailing error result. This covers
-// *mpi.PersistentColl, *mpi.PartitionedRequest, and the pml partitioned
-// requests; persistent point-to-point requests have no Free and are exempt
-// (their Start recycles a completed round by design).
+// *mpi.PersistentRequest, *mpi.PersistentColl and *mpi.PartitionedRequest.
 func isStartableType(t types.Type) bool {
 	if t == nil || namedOf(t) == nil {
 		return false

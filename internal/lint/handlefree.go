@@ -8,7 +8,7 @@ import (
 )
 
 // HandleFree enforces the MPI handle lifecycle: a Comm, Session, Win, File,
-// persistent-collective, or partitioned-request handle must not be used
+// or startable-request handle must not be used
 // after its Free/Finalize/Close, and must not be freed twice, within the
 // function that freed it. Handles reaching Free
 // through struct fields or other functions are out of scope (no false
@@ -29,6 +29,7 @@ var handleFrees = map[string]map[string]string{
 	"Session":            {"Finalize": "finalized by Session.Finalize"},
 	"Win":                {"Free": "freed by Win.Free"},
 	"File":               {"Close": "closed by File.Close"},
+	"PersistentRequest":  {"Free": "freed by PersistentRequest.Free"},
 	"PersistentColl":     {"Free": "freed by PersistentColl.Free"},
 	"PartitionedRequest": {"Free": "freed by PartitionedRequest.Free"},
 }

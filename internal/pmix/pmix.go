@@ -28,29 +28,6 @@ type Proc struct {
 
 func (p Proc) String() string { return fmt.Sprintf("%s:%d", p.Nspace, p.Rank) }
 
-// Well-known info keys (mirroring PMIX_* attribute names).
-const (
-	KeyQueryNumPsets   = "pmix.qry.num_psets"
-	KeyQueryPsetNames  = "pmix.qry.pset_names"
-	KeyGroupContextID  = "pmix.grp.ctxid"
-	KeyTimeout         = "pmix.timeout"
-	KeyGroupAssignCtx  = "pmix.grp.gid.assign"
-	KeyGroupNotifyTerm = "pmix.grp.notifyterm"
-)
-
-// Status is a PMIx-style status code.
-type Status int
-
-// Status codes used by this implementation.
-const (
-	OK Status = iota
-	ErrTimeoutStatus
-	ErrProcTerminated
-	ErrNotFound
-	ErrInvalid
-	ErrShutdownStatus
-)
-
 // Errors returned by client operations.
 var (
 	ErrTimeout      = errors.New("pmix: operation timed out")
@@ -98,83 +75,6 @@ type Event struct {
 	Accept  bool
 	Members []int
 	Payload []byte
-}
-
-// Info is an ordered list of key/value directives, the PMIx (and MPI)
-// mechanism for passing optional parameters.
-type Info struct {
-	keys []string
-	vals map[string]string
-}
-
-// NewInfo returns an empty Info.
-func NewInfo() *Info { return &Info{vals: make(map[string]string)} }
-
-// Set stores a key/value pair, replacing any existing value.
-func (i *Info) Set(key, value string) {
-	if i.vals == nil {
-		i.vals = make(map[string]string)
-	}
-	if _, ok := i.vals[key]; !ok {
-		i.keys = append(i.keys, key)
-	}
-	i.vals[key] = value
-}
-
-// Get returns the value for key.
-func (i *Info) Get(key string) (string, bool) {
-	if i == nil || i.vals == nil {
-		return "", false
-	}
-	v, ok := i.vals[key]
-	return v, ok
-}
-
-// Keys returns the keys in insertion order.
-func (i *Info) Keys() []string {
-	if i == nil {
-		return nil
-	}
-	out := make([]string, len(i.keys))
-	copy(out, i.keys)
-	return out
-}
-
-// Delete removes a key if present.
-func (i *Info) Delete(key string) {
-	if i == nil || i.vals == nil {
-		return
-	}
-	if _, ok := i.vals[key]; !ok {
-		return
-	}
-	delete(i.vals, key)
-	for n, k := range i.keys {
-		if k == key {
-			i.keys = append(i.keys[:n], i.keys[n+1:]...)
-			break
-		}
-	}
-}
-
-// Dup returns a deep copy.
-func (i *Info) Dup() *Info {
-	out := NewInfo()
-	if i == nil {
-		return out
-	}
-	for _, k := range i.keys {
-		out.Set(k, i.vals[k])
-	}
-	return out
-}
-
-// Len returns the number of stored keys.
-func (i *Info) Len() int {
-	if i == nil {
-		return 0
-	}
-	return len(i.keys)
 }
 
 // setKey builds a stable key identifying a set of ranks, used to sequence

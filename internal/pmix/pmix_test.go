@@ -51,37 +51,6 @@ func allRanks(np int) []int {
 	return out
 }
 
-func TestInfoOperations(t *testing.T) {
-	in := NewInfo()
-	in.Set("a", "1")
-	in.Set("b", "2")
-	in.Set("a", "3") // overwrite keeps position
-	if v, ok := in.Get("a"); !ok || v != "3" {
-		t.Fatalf("Get(a) = %q,%v", v, ok)
-	}
-	keys := in.Keys()
-	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
-		t.Fatalf("Keys = %v", keys)
-	}
-	dup := in.Dup()
-	dup.Set("c", "4")
-	if _, ok := in.Get("c"); ok {
-		t.Fatal("Dup is not independent")
-	}
-	in.Delete("a")
-	if _, ok := in.Get("a"); ok || in.Len() != 1 {
-		t.Fatalf("Delete failed: len=%d", in.Len())
-	}
-	in.Delete("missing") // no-op
-	var nilInfo *Info
-	if _, ok := nilInfo.Get("x"); ok {
-		t.Fatal("nil Info Get should miss")
-	}
-	if nilInfo.Len() != 0 || nilInfo.Keys() != nil {
-		t.Fatal("nil Info should be empty")
-	}
-}
-
 func TestPutCommitGetLocal(t *testing.T) {
 	e := newEnv(t, 1, 2)
 	if err := e.clients[0].Put("endpoint", []byte("ep-0")); err != nil {

@@ -1,12 +1,6 @@
 package pml
 
-import (
-	"bytes"
-	"errors"
-	"math/rand"
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestPersistentWindowReservation(t *testing.T) {
 	tn := newTestNet(t, 2, Config{})
@@ -71,203 +65,5 @@ func TestPersistentWindowReservation(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("allocation sequence diverges at step %d: %d vs %d", i, got[i], want[i])
 		}
-	}
-}
-
-func TestPartitionedRoundTrip(t *testing.T) {
-	tn := newTestNet(t, 2, Config{})
-	chans := tn.worldChannels(t, 3)
-	const parts = 8
-	const chunk = 512 // > eager limit in aggregate, mixed paths per partition
-	payload := make([]byte, parts*chunk)
-	for i := range payload {
-		payload[i] = byte(i*31 + 1)
-	}
-
-	ps, err := chans[0].PsendInit(1, 5, payload, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recvBuf := make([]byte, parts*chunk)
-	pr, err := chans[1].PrecvInit(0, 5, recvBuf, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const rounds = 3
-	for round := 0; round < rounds; round++ {
-		if err := ps.Start(); err != nil {
-			t.Fatalf("round %d: send Start: %v", round, err)
-		}
-		if err := pr.Start(); err != nil {
-			t.Fatalf("round %d: recv Start: %v", round, err)
-		}
-		// Contribute partitions in a shuffled order: out-of-order Pready
-		// is the point of the API.
-		order := rand.Perm(parts)
-		for _, p := range order {
-			if err := ps.Pready(p); err != nil {
-				t.Fatalf("round %d: Pready(%d): %v", round, p, err)
-			}
-		}
-		// Early partitions must become readable before Wait.
-		for polled := 0; polled < parts; {
-			polled = 0
-			for p := 0; p < parts; p++ {
-				ok, err := pr.Parrived(p)
-				if err != nil {
-					t.Fatalf("round %d: Parrived(%d): %v", round, p, err)
-				}
-				if ok {
-					got := recvBuf[p*chunk : (p+1)*chunk]
-					want := payload[p*chunk : (p+1)*chunk]
-					if !bytes.Equal(got, want) {
-						t.Fatalf("round %d: partition %d corrupt", round, p)
-					}
-					polled++
-				}
-			}
-		}
-		if err := pr.Wait(); err != nil {
-			t.Fatalf("round %d: recv Wait: %v", round, err)
-		}
-		if err := ps.Wait(); err != nil {
-			t.Fatalf("round %d: send Wait: %v", round, err)
-		}
-		if !bytes.Equal(recvBuf, payload) {
-			t.Fatalf("round %d: full payload corrupt", round)
-		}
-	}
-	if err := ps.Free(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pr.Free(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPartitionedConcurrentPready drives Pready from many goroutines at
-// once while the receiver polls Parrived — the -race coverage the
-// acceptance criteria call for.
-func TestPartitionedConcurrentPready(t *testing.T) {
-	tn := newTestNet(t, 2, Config{})
-	chans := tn.worldChannels(t, 3)
-	const parts = 16
-	const chunk = 64
-	payload := make([]byte, parts*chunk)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	ps, err := chans[0].PsendInit(1, 9, payload, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recvBuf := make([]byte, parts*chunk)
-	pr, err := chans[1].PrecvInit(0, 9, recvBuf, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 5; round++ {
-		if err := ps.Start(); err != nil {
-			t.Fatal(err)
-		}
-		if err := pr.Start(); err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for p := 0; p < parts; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				if err := ps.Pready(p); err != nil {
-					t.Errorf("Pready(%d): %v", p, err)
-				}
-			}(p)
-		}
-		done := make(chan error, 1)
-		go func() { done <- pr.Wait() }()
-		wg.Wait()
-		if err := <-done; err != nil {
-			t.Fatalf("recv Wait: %v", err)
-		}
-		if err := ps.Wait(); err != nil {
-			t.Fatalf("send Wait: %v", err)
-		}
-		if !bytes.Equal(recvBuf, payload) {
-			t.Fatalf("round %d: payload corrupt", round)
-		}
-	}
-}
-
-func TestPartitionedStateErrors(t *testing.T) {
-	tn := newTestNet(t, 2, Config{})
-	chans := tn.worldChannels(t, 3)
-
-	if _, err := chans[0].PsendInit(1, -1, make([]byte, 8), 2); err == nil {
-		t.Fatal("negative user tag accepted")
-	}
-	if _, err := chans[0].PsendInit(1, 0, make([]byte, 9), 2); err == nil {
-		t.Fatal("indivisible buffer accepted")
-	}
-	if _, err := chans[0].PsendInit(1, 0, make([]byte, 8), MaxPartitions+1); err == nil {
-		t.Fatal("oversized partition count accepted")
-	}
-	if _, err := chans[0].PrecvInit(5, 0, make([]byte, 8), 2); err == nil {
-		t.Fatal("out-of-range src accepted")
-	}
-
-	ps, err := chans[0].PsendInit(1, 3, make([]byte, 8), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Pready(0); !errors.Is(err, ErrNotStarted) {
-		t.Fatalf("Pready before Start: %v", err)
-	}
-	if err := ps.Wait(); !errors.Is(err, ErrNotStarted) {
-		t.Fatalf("Wait before Start: %v", err)
-	}
-	if done, err := ps.Test(); !done || err != nil {
-		t.Fatalf("Test on inactive request: %v %v", done, err)
-	}
-	if err := ps.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Start(); !errors.Is(err, ErrStillActive) {
-		t.Fatalf("double Start: %v", err)
-	}
-	if err := ps.Free(); !errors.Is(err, ErrStillActive) {
-		t.Fatalf("Free while started: %v", err)
-	}
-	if err := ps.Pready(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Pready(0); err == nil {
-		t.Fatal("double Pready accepted")
-	}
-	// Drain the round so Free becomes legal. The receive side consumes it.
-	pr, err := chans[1].PrecvInit(0, 3, make([]byte, 8), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pr.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Pready(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pr.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Free(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Start(); !errors.Is(err, ErrFreed) {
-		t.Fatalf("Start after Free: %v", err)
-	}
-	if err := ps.Free(); !errors.Is(err, ErrFreed) {
-		t.Fatalf("double Free: %v", err)
 	}
 }

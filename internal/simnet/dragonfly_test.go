@@ -2,41 +2,9 @@ package simnet
 
 import (
 	"testing"
-	"time"
 
 	"gompi/internal/topo"
 )
-
-func TestDragonflyGlobalHopCharged(t *testing.T) {
-	p := topo.Loopback(2)
-	p.InterNodeLatency = 2 * time.Millisecond
-	p.DragonflyGroupSize = 2
-	p.GlobalHopLatency = 3 * time.Millisecond
-	f := NewFabric(topo.New(p, 4))
-
-	a := f.NewEndpoint(0)
-	sameGroup := f.NewEndpoint(1)  // nodes 0,1 share group 0
-	otherGroup := f.NewEndpoint(2) // node 2 is in group 1
-
-	start := time.Now()
-	if err := a.Send(sameGroup.Addr(), Message{Ctrl: 1}); err != nil {
-		t.Fatal(err)
-	}
-	intra := time.Since(start)
-
-	start = time.Now()
-	if err := a.Send(otherGroup.Addr(), Message{Ctrl: 1}); err != nil {
-		t.Fatal(err)
-	}
-	inter := time.Since(start)
-
-	if intra < 2*time.Millisecond || intra > 4*time.Millisecond {
-		t.Fatalf("same-group send took %v, want ~2ms", intra)
-	}
-	if inter < 5*time.Millisecond {
-		t.Fatalf("cross-group send took %v, want >= 5ms (with global hop)", inter)
-	}
-}
 
 func TestSameDragonflyGroup(t *testing.T) {
 	p := topo.Loopback(1)

@@ -1,11 +1,6 @@
 package mpi
 
-import (
-	"errors"
-	"sync"
-
-	"gompi/internal/coll"
-)
+import "gompi/internal/coll"
 
 // Persistent collectives (MPI 4.0 MPI_Barrier_init and friends): the
 // communicator compiles the collective's schedule once, reserves a private
@@ -20,27 +15,17 @@ import (
 // must stay bound until Free, and at most one round may be active at a
 // time.
 
-// ErrCollNotStarted is returned when Wait or Test is applied to a
-// persistent collective with no active round.
-var ErrCollNotStarted = errors.New("mpi: persistent collective not started")
-
-// ErrCollFreed is returned when a freed persistent collective is reused.
-var ErrCollFreed = errors.New("mpi: persistent collective already freed")
-
-// PersistentColl is a startable, reusable collective operation. It
-// satisfies Startable, so StartAll composes it with persistent
-// point-to-point requests. It has no goroutine: Start runs the round's
-// first steps on the caller, and the round moves on from there as its
-// steps complete (completion-driven progress, internal/coll) and on Test
-// and Wait.
+// PersistentColl is a startable, reusable collective operation, with the
+// lifecycle of every startable request (startable.go). It satisfies
+// Startable, so StartAll composes it with persistent point-to-point
+// requests. It has no goroutine: Start runs the round's first steps on the
+// caller, and the round moves on from there as its steps complete
+// (completion-driven progress, internal/coll) and on Test and Wait.
 type PersistentColl struct {
+	lifecycle
 	c       *Comm
 	ex      *coll.Exec
 	baseTag int
-
-	mu     sync.Mutex
-	active bool
-	freed  bool
 }
 
 // collInit is the shared construction path: after the operation's checks
@@ -66,69 +51,32 @@ func (c *Comm) collInit(check error, prep func(m *coll.Module, baseTag int) (*co
 	return &PersistentColl{c: c, ex: ex, baseTag: base}, nil
 }
 
-// Start begins one round (MPI_Start). The request must be inactive. Start
-// is the persistent-collective hot path: all setup happened at *Init time,
-// so it issues the round's first steps on the caller's goroutine and
-// allocates nothing (TestPersistentCollStartAllocs). A failure the round
-// meets is reported by Wait or Test.
+// Start begins one round (MPI_Start). Start is the persistent-collective
+// hot path: all setup happened at *Init time, so it issues the round's
+// first steps on the caller's goroutine and allocates nothing
+// (TestPersistentCollStartAllocs). A failure the round meets is reported
+// by Wait or Test.
 //
 //gompilint:noalloc
-func (p *PersistentColl) Start() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.freed {
-		return p.c.errh.invoke(ErrCollFreed)
-	}
-	if p.active {
-		return p.c.errh.invoke(ErrActive)
-	}
-	p.active = true
-	p.ex.Start()
-	return nil
-}
+func (p *PersistentColl) Start() error { return p.c.errh.invoke(p.start(p)) }
 
 // Wait drives the active round to completion on the caller's goroutine and
-// rearms the request. After an error (for example ErrClassProcFailed when
-// a member died mid-round) the request is back in the inactive state: it
-// may be started again or freed, and never leaves outstanding internal
-// receives behind.
+// makes the request inactive. After an error (for example
+// ErrClassProcFailed when a member died mid-round) the request may be
+// started again or freed, and never leaves outstanding internal receives
+// behind.
 //
 //gompilint:noalloc
 func (p *PersistentColl) Wait() error {
-	p.mu.Lock()
-	if p.freed {
-		p.mu.Unlock()
-		return p.c.errh.invoke(ErrCollFreed)
-	}
-	if !p.active {
-		p.mu.Unlock()
-		return p.c.errh.invoke(ErrCollNotStarted)
-	}
-	p.mu.Unlock()
-	err := p.ex.Finish()
-	p.mu.Lock()
-	p.active = false
-	p.mu.Unlock()
+	_, err := p.wait(p)
 	return p.c.errh.invoke(err)
 }
 
-// Test drives the active round once and, if it has finished, rearms the
-// request and reports the outcome.
+// Test drives the active round once and reports whether it has finished,
+// making the request inactive when it has.
 func (p *PersistentColl) Test() (bool, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.freed {
-		return false, p.c.errh.invoke(ErrCollFreed)
-	}
-	if !p.active {
-		return false, p.c.errh.invoke(ErrCollNotStarted)
-	}
-	done, err := p.ex.Progress()
-	if !done {
-		return false, nil
-	}
-	p.active = false
-	return true, p.c.errh.invoke(err)
+	done, _, err := p.test(p)
+	return done, p.c.errh.invoke(err)
 }
 
 // Done returns a channel closed once the active round has finished, on
@@ -138,28 +86,31 @@ func (p *PersistentColl) Test() (bool, error) {
 func (p *PersistentColl) Done() <-chan struct{} {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.active {
+	if p.state != active {
 		return closedDone
 	}
 	return p.ex.Done()
 }
 
-// Free releases the request and its tag window (MPI_Request_free). Freeing
-// an active round is an error; Free calls must mirror the Init order on
-// every member so the recycled windows keep lining up.
+// Free releases an inactive request and its tag window
+// (MPI_Request_free). Free calls must mirror the Init order on every
+// member so the recycled windows keep lining up.
 func (p *PersistentColl) Free() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.freed {
-		return p.c.errh.invoke(ErrCollFreed)
+	if err := p.free(); err != nil {
+		return p.c.errh.invoke(err)
 	}
-	if p.active {
-		return p.c.errh.invoke(ErrActive)
-	}
-	p.freed = true
 	p.c.ch.ReleasePersistentWindow(p.baseTag)
 	return nil
 }
+
+func (p *PersistentColl) arm() { p.ex.Start() }
+
+func (p *PersistentColl) poll() (bool, Status, error) {
+	done, err := p.ex.Progress()
+	return done, Status{}, err
+}
+
+func (p *PersistentColl) finish() (Status, error) { return Status{}, p.ex.Finish() }
 
 // Algorithm returns the algorithm the schedule was compiled for.
 func (p *PersistentColl) Algorithm() string { return p.ex.Algorithm() }

@@ -1,10 +1,9 @@
 package mpi
 
 import (
-	"errors"
-	"fmt"
 	"reflect"
-	"sync"
+
+	"gompi/internal/pml"
 )
 
 // Persistent communication requests (MPI_Send_init / MPI_Recv_init /
@@ -12,153 +11,87 @@ import (
 // times, the classic optimization for fixed communication patterns such as
 // halo exchanges.
 
-// ErrActive is returned when starting an already-active persistent request
-// or freeing one mid-flight.
-var ErrActive = errors.New("mpi: persistent request is already active")
-
-type persistentKind int
-
-const (
-	persistSend persistentKind = iota
-	persistSsend
-	persistRecv
-)
-
 // PersistentRequest is a reusable communication operation bound to fixed
-// arguments. Start it, wait for completion, and start it again.
+// arguments. Start it, complete it with Wait or Test, and start it again
+// (the lifecycle in startable.go). It satisfies Request, so WaitAll,
+// Waitany and the Test family take it. Like the other startable kinds, it
+// issues each round on the communicator's channel, its arguments checked
+// once at Init, and reports a round's error through the communicator's
+// error handler at Wait or Test.
 type PersistentRequest struct {
+	lifecycle
 	c    *Comm
-	kind persistentKind
+	op   func(ch *pml.Channel, peer, tag int, buf []byte) *pml.Request // Isend, Issend or Irecv
 	buf  []byte
 	peer int
 	tag  int
-
-	mu     sync.Mutex
-	active Request
+	cur  *pml.Request // the active round's request
 }
 
 // SendInit prepares a persistent standard-mode send (MPI_Send_init).
 func (c *Comm) SendInit(buf []byte, dest, tag int) (*PersistentRequest, error) {
-	if err := c.checkP2P(dest, tag, false); err != nil {
-		return nil, c.errh.invoke(err)
-	}
-	return &PersistentRequest{c: c, kind: persistSend, buf: buf, peer: dest, tag: tag}, nil
+	return c.persistentInit((*pml.Channel).Isend, buf, dest, tag, false)
 }
 
 // SsendInit prepares a persistent synchronous-mode send (MPI_Ssend_init).
 func (c *Comm) SsendInit(buf []byte, dest, tag int) (*PersistentRequest, error) {
-	if err := c.checkP2P(dest, tag, false); err != nil {
-		return nil, c.errh.invoke(err)
-	}
-	return &PersistentRequest{c: c, kind: persistSsend, buf: buf, peer: dest, tag: tag}, nil
+	return c.persistentInit((*pml.Channel).Issend, buf, dest, tag, false)
 }
 
 // RecvInit prepares a persistent receive (MPI_Recv_init). src may be
 // AnySource and tag AnyTag.
 func (c *Comm) RecvInit(buf []byte, src, tag int) (*PersistentRequest, error) {
-	if err := c.checkP2P(src, tag, true); err != nil {
+	return c.persistentInit((*pml.Channel).Irecv, buf, src, tag, true)
+}
+
+func (c *Comm) persistentInit(op func(*pml.Channel, int, int, []byte) *pml.Request, buf []byte, peer, tag int, recv bool) (*PersistentRequest, error) {
+	if err := c.checkP2P(peer, tag, recv); err != nil {
 		return nil, c.errh.invoke(err)
 	}
-	return &PersistentRequest{c: c, kind: persistRecv, buf: buf, peer: src, tag: tag}, nil
+	return &PersistentRequest{c: c, op: op, buf: buf, peer: peer, tag: tag}, nil
 }
 
-// Start activates the prepared operation (MPI_Start). The request must not
-// already be active.
-func (r *PersistentRequest) Start() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.active != nil {
-		if done, _, _ := r.active.Test(); !done {
-			return r.c.errh.invoke(ErrActive)
-		}
-	}
-	switch r.kind {
-	case persistSend:
-		r.active = r.c.Isend(r.buf, r.peer, r.tag)
-	case persistSsend:
-		r.active = r.c.Issend(r.buf, r.peer, r.tag)
-	case persistRecv:
-		r.active = r.c.Irecv(r.buf, r.peer, r.tag)
-	default:
-		return fmt.Errorf("mpi: unknown persistent kind %d", r.kind)
-	}
-	return nil
-}
+// Start activates the prepared operation (MPI_Start).
+func (r *PersistentRequest) Start() error { return r.c.errh.invoke(r.start(r)) }
 
-// Wait blocks for the active operation (MPI_Wait on a persistent request):
-// the request returns to the inactive (startable) state.
+// Wait blocks for the active operation (MPI_Wait on a persistent request)
+// and makes the request inactive.
 func (r *PersistentRequest) Wait() (Status, error) {
-	r.mu.Lock()
-	active := r.active
-	r.mu.Unlock()
-	if active == nil {
-		return Status{}, fmt.Errorf("mpi: persistent request not started")
-	}
-	return active.Wait()
+	st, err := r.wait(r)
+	return st, r.c.errh.invoke(err)
 }
 
-// Test polls the active operation.
+// Test polls the active operation, making the request inactive once it
+// has completed.
 func (r *PersistentRequest) Test() (bool, Status, error) {
-	r.mu.Lock()
-	active := r.active
-	r.mu.Unlock()
-	if active == nil {
-		return false, Status{}, fmt.Errorf("mpi: persistent request not started")
-	}
-	return active.Test()
+	done, st, err := r.test(r)
+	return done, st, r.c.errh.invoke(err)
 }
 
-// closedDone is what an unstarted persistent request reports as its
-// completion channel: already closed, so a waiter falls through to the Test
-// that reports "not started".
-var closedDone = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-// Done returns the completion channel of the active operation.
+// Done returns the completion channel of the active operation, and a
+// closed channel on an inactive request.
 func (r *PersistentRequest) Done() <-chan struct{} {
 	r.mu.Lock()
-	active := r.active
-	r.mu.Unlock()
-	if active == nil {
+	defer r.mu.Unlock()
+	if r.state != active {
 		return closedDone
 	}
-	return active.Done()
+	return r.cur.Done()
 }
 
-// Startable is anything MPI_Start applies to: persistent point-to-point
-// requests, persistent collectives, and partitioned requests.
-type Startable interface {
-	Start() error
+// Free releases an inactive request (MPI_Request_free).
+func (r *PersistentRequest) Free() error { return r.c.errh.invoke(r.free()) }
+
+func (r *PersistentRequest) arm() { r.cur = r.op(r.c.ch, r.peer, r.tag, r.buf) }
+
+func (r *PersistentRequest) poll() (bool, Status, error) {
+	done, st, err := r.cur.Test()
+	return done, fromPML(st), err
 }
 
-// StartAll starts a set of startable requests (MPI_Startall): persistent
-// sends and receives, persistent collectives, and partitioned requests
-// compose freely. The loop body allocates nothing; callers who reuse the
-// argument slice keep the whole call allocation-free.
-//
-//gompilint:noalloc
-func StartAll(reqs ...Startable) error {
-	for _, r := range reqs {
-		if err := r.Start(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WaitAllPersistent waits for a set of persistent requests, returning the
-// first error.
-func WaitAllPersistent(reqs ...*PersistentRequest) error {
-	var first error
-	for _, r := range reqs {
-		if _, err := r.Wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+func (r *PersistentRequest) finish() (Status, error) {
+	st, err := r.cur.Wait()
+	return fromPML(st), err
 }
 
 // Waitany blocks until one of the requests completes and returns its index

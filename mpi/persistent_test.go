@@ -1,7 +1,6 @@
 package mpi_test
 
 import (
-	"errors"
 	"fmt"
 	goruntime "runtime"
 	"testing"
@@ -34,7 +33,7 @@ func TestPersistentHaloPattern(t *testing.T) {
 			if err := mpi.StartAll(rreq, sreq); err != nil {
 				return fmt.Errorf("iter %d: %w", iter, err)
 			}
-			if err := mpi.WaitAllPersistent(sreq, rreq); err != nil {
+			if err := mpi.WaitAll(sreq, rreq); err != nil {
 				return fmt.Errorf("iter %d: %w", iter, err)
 			}
 			for i := range in {
@@ -42,47 +41,6 @@ func TestPersistentHaloPattern(t *testing.T) {
 					return fmt.Errorf("iter %d byte %d = %d", iter, i, in[i])
 				}
 			}
-		}
-		return nil
-	})
-}
-
-func TestPersistentDoubleStartFails(t *testing.T) {
-	withWorld(t, 1, 2, exCfg(), func(p *mpi.Process, world *mpi.Comm) error {
-		if world.Rank() == 1 {
-			return world.Barrier()
-		}
-		// Recv with no matching send stays active.
-		req, err := world.RecvInit(make([]byte, 1), 1, 99)
-		if err != nil {
-			return err
-		}
-		if err := req.Start(); err != nil {
-			return err
-		}
-		if err := req.Start(); !errors.Is(err, mpi.ErrActive) {
-			return fmt.Errorf("double start: %v", err)
-		}
-		if _, _, err := req.Test(); err != nil {
-			return err
-		}
-		return world.Barrier()
-	})
-}
-
-func TestPersistentWaitBeforeStartFails(t *testing.T) {
-	withWorld(t, 1, 2, exCfg(), func(p *mpi.Process, world *mpi.Comm) error {
-		req, err := world.SendInit(nil, (world.Rank()+1)%2, 1)
-		if err != nil {
-			return err
-		}
-		if _, err := req.Wait(); err == nil {
-			return fmt.Errorf("wait before start should fail")
-		}
-		// An unstarted request's Done is already closed, so a select-based
-		// waiter falls through to the Test that reports the misuse.
-		if _, _, err := mpi.Waitany([]mpi.Request{req}); err == nil {
-			return fmt.Errorf("waitany before start should fail")
 		}
 		return nil
 	})
@@ -115,6 +73,37 @@ func TestPersistentSsend(t *testing.T) {
 			}
 		}
 		return nil
+	})
+}
+
+// TestPersistentRoundErrorHandled: a round's own error — here the
+// communicator was revoked after SendInit — reaches the communicator's
+// error handler once, at the Wait that reports it, as a persistent
+// collective's does.
+func TestPersistentRoundErrorHandled(t *testing.T) {
+	withWorld(t, 1, 1, exCfg(), func(p *mpi.Process, world *mpi.Comm) error {
+		dup, err := world.Dup()
+		if err != nil {
+			return err
+		}
+		defer dup.Free()
+		handled := 0
+		dup.SetErrhandler(mpi.ErrhandlerCreate("count", func(error) { handled++ }))
+		req, err := dup.SendInit([]byte{1}, 0, 3)
+		if err != nil {
+			return err
+		}
+		if err := dup.Revoke(); err != nil {
+			return err
+		}
+		if err := req.Start(); err != nil {
+			return fmt.Errorf("Start = %v, want nil: the round reports its error", err)
+		}
+		_, err = req.Wait()
+		if cls := mpi.ErrorClassOf(err); cls != mpi.ErrClassRevoked || handled != 1 {
+			return fmt.Errorf("Wait = %v (class %v), handler ran %d times; want MPI_ERR_REVOKED, once", err, cls, handled)
+		}
+		return req.Free()
 	})
 }
 
