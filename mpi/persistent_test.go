@@ -1,6 +1,7 @@
 package mpi_test
 
 import (
+	"errors"
 	"fmt"
 	goruntime "runtime"
 	"testing"
@@ -43,6 +44,50 @@ func TestPersistentHaloPattern(t *testing.T) {
 			}
 		}
 		return nil
+	})
+}
+
+func TestPersistentDoubleStartFails(t *testing.T) {
+	withWorld(t, 1, 2, exCfg(), func(p *mpi.Process, world *mpi.Comm) error {
+		if world.Rank() == 1 {
+			return world.Barrier()
+		}
+		// Recv with no matching send stays active.
+		req, err := world.RecvInit(make([]byte, 1), 1, 99)
+		if err != nil {
+			return err
+		}
+		if err := req.Start(); err != nil {
+			return err
+		}
+		if err := req.Start(); !errors.Is(err, mpi.ErrActive) {
+			return fmt.Errorf("double start: %v, want ErrActive", err)
+		}
+		if done, _, err := req.Test(); done || err != nil {
+			return fmt.Errorf("Test after refused Start: done=%v err=%v, want the first round still pending", done, err)
+		}
+		if err := req.Free(); !errors.Is(err, mpi.ErrActive) {
+			return fmt.Errorf("Free of an active request: %v, want ErrActive", err)
+		}
+		return world.Barrier()
+	})
+}
+
+func TestPersistentWaitBeforeStartFails(t *testing.T) {
+	withWorld(t, 1, 2, exCfg(), func(p *mpi.Process, world *mpi.Comm) error {
+		req, err := world.SendInit(nil, (world.Rank()+1)%2, 1)
+		if err != nil {
+			return err
+		}
+		if _, err := req.Wait(); !errors.Is(err, mpi.ErrNotStarted) {
+			return fmt.Errorf("wait before start: %v, want ErrNotStarted", err)
+		}
+		// An unstarted request's Done is already closed, so a select-based
+		// waiter falls through to the Test that reports the misuse.
+		if _, _, err := mpi.Waitany([]mpi.Request{req}); !errors.Is(err, mpi.ErrNotStarted) {
+			return fmt.Errorf("waitany before start: %v, want ErrNotStarted", err)
+		}
+		return req.Free()
 	})
 }
 
