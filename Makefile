@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build lint test test-race chaos pool-guard bubble fuzz-smoke bench bench-smoke bench-harness smoke-udp figures
+.PHONY: check fmt vet build lint test test-race chaos pool-guard bubble fuzz-smoke bench bench-smoke bench-harness smoke-udp figures examples
 
 # check is the repo's verification gate: gofmt, vet, build, the gompilint
 # suite, the full test suite under the race detector, the debug-build arena
@@ -117,6 +117,31 @@ smoke-udp:
 	$(GO) run ./cmd/prun -np 4 -ppn 1 -pset app://odd:3,1 -app psets > .bench_build/psets-sim.out
 	$(GO) run ./cmd/prun -np 4 -pset app://odd:3,1 -transport udp -timeout 60s -app psets > .bench_build/psets-udp.out
 	diff .bench_build/psets-sim.out .bench_build/psets-udp.out
+
+# examples runs every program under examples/ and checks that it exits 0
+# and that its closing line is the expected one. clientserver and
+# rollforward close by reporting their deliberate rank failure, whose
+# message carries the dead rank's goroutine stack, so the closing line is
+# the last one before any goroutine dump.
+EXAMPLE_CHECKS = \
+	'quickstart|rank-sum=28' \
+	'ensemble|ran 4 members; MPI was initialized and torn down 4 times' \
+	'clientserver|client job ended with (expected) failure: rank 5: panic: client 5: segfault!' \
+	'taskpool|all 5 tasks completed on 8 workers' \
+	'rollforward|job ended; launcher saw: rank 3: panic: rank 3: node failure' \
+	'coupled|finished 3 coupling steps'
+
+examples:
+	@mkdir -p .bench_build
+	@for check in $(EXAMPLE_CHECKS); do \
+		name=$${check%%|*}; want=$${check#*|}; out=.bench_build/example-$$name.out; \
+		echo "examples: $$name"; \
+		timeout 60 $(GO) run ./examples/$$name > $$out 2>&1 || \
+			{ cat $$out; echo "examples: $$name exited non-zero"; exit 1; }; \
+		last=$$(sed '/^goroutine [0-9]* \[/,$$d' $$out | tail -n 1); \
+		case "$$last" in *"$$want"*) ;; \
+		*) cat $$out; echo "examples: $$name closed with \"$$last\", want \"$$want\""; exit 1;; esac; \
+	done
 
 # figures regenerates figures_output.txt: every table and figure of the
 # paper's evaluation, run once in model time inside a testing/synctest

@@ -45,7 +45,9 @@ type Stats struct {
 	// DupsDropped counts inbound match/RTS frames discarded because their
 	// sequence number was already delivered (a duplicated wire packet) or
 	// because they are stale (a fast-path frame on an exCID channel before
-	// its sender's first extended frame there, see handleMatch);
+	// its sender's first extended frame there, see handleMatch, or one
+	// orphaned on a CID that an exCID channel takes or that leaves the
+	// reuse hold);
 	// ReorderStashed counts frames that arrived ahead of a gap and were
 	// parked until the missing sequence numbers filled in.
 	DupsDropped    uint64
@@ -77,14 +79,15 @@ type engineStats struct {
 // Locking (DESIGN.md §5b). Matching state is per channel: each Channel owns
 // a lock covering its posted/unexpected queues and peer (exCID/sequence)
 // state, so traffic on different communicators never serializes. The engine
-// keeps two narrow locks — regMu for the channel registry, orphan buffers,
-// and the CID allocator; pendMu for the rendezvous pending maps — plus
-// lock-free structures (sync.Map registries, atomic counters) for the
-// read-mostly lookups on the packet path. The hierarchy is flat but for
-// one nesting: the failure sweep asks the channel of each pending
-// rendezvous entry on a swept channel under pendMu (pendMu, then that channel's lock; no path takes
-// them the other way round). No lock is ever held across a BTL send or a
-// request completion.
+// keeps three narrow locks — regMu for the channel registry, orphan
+// buffers, and the CID allocator; routeMu for the route table; pendMu for
+// the rendezvous pending maps. The packet path reads the registry and the
+// routes from copy-on-write tables indexed by local CID and by global rank,
+// one atomic load each, and takes none of the three. The hierarchy is flat
+// but for one nesting: the failure sweep asks the channel of each pending
+// rendezvous entry on a swept channel under pendMu (pendMu, then that
+// channel's lock; no path takes them the other way round). No lock is ever
+// held across a BTL send or a request completion.
 type Engine struct {
 	btls     []btl.Module // in MCA priority order
 	cfgEager int          // explicit override; 0 = per-module default
@@ -94,20 +97,26 @@ type Engine struct {
 	nextReq atomic.Uint64
 
 	// regMu orders channel registry mutations against orphan buffering and
-	// the CID allocator. The registries themselves are sync.Maps so the
-	// packet path reads them without taking regMu; writers (and the
-	// lookup-miss path that buffers orphans) serialize on regMu, which
-	// closes the "packet races AddChannel" window.
-	regMu     sync.Mutex          //gompilint:lockorder rank=40
-	comms     sync.Map            // uint16 -> *Channel
-	byEx      sync.Map            // ExCID -> *Channel
-	orphans   map[uint16][][]byte // fast-path packets for not-yet-registered CIDs
-	orphansEx map[ExCID][][]byte  // ext packets for not-yet-registered exCIDs
-	cidHWM    int                 // CIDs below this have been claimed at least once
-	cidFree   []uint16            // released CIDs below cidHWM, sorted ascending
-	cidHold   []uint16            // released exCID local CIDs waiting out cidReuseDelay, oldest first
+	// the CID allocator. The packet path reads chans (and, for extended
+	// frames, byEx) without taking regMu; writers republish them under it,
+	// and the lookup-miss path that buffers orphans re-reads them under it,
+	// which closes the "packet races AddChannel" window.
+	regMu     sync.Mutex                 //gompilint:lockorder rank=40
+	chans     atomic.Pointer[[]*Channel] // local CID -> *Channel (nil: none); immutable, replaced whole
+	byEx      sync.Map                   // ExCID -> *Channel
+	orphans   map[uint16][][]byte        // fast-path packets for not-yet-registered CIDs
+	orphansEx map[ExCID][][]byte         // ext packets for not-yet-registered exCIDs
+	cidHWM    int                        // CIDs below this have been claimed at least once
+	cidFree   []uint16                   // released CIDs below cidHWM, sorted ascending
+	cidHold   []uint16                   // released exCID local CIDs waiting out cidReuseDelay, oldest first
 
-	routes sync.Map // int (global rank) -> *route
+	// routeMu orders route-table writers: a peer's first route and
+	// RevivePeer's clear. Senders read routeTab without it. routeGen
+	// counts revives, so a route resolved across one is used once but not
+	// kept.
+	routeMu  sync.Mutex               //gompilint:lockorder rank=46
+	routeTab atomic.Pointer[[]*route] // global rank -> *route (nil: not yet routed); immutable, replaced whole
+	routeGen uint64
 
 	// pendMu guards the rendezvous maps: sends awaiting CTS and receives
 	// awaiting DATA.
@@ -399,10 +408,7 @@ func (e *Engine) releaseCID(cid uint16, ex bool) {
 		e.cidHold = append(e.cidHold[:0], e.cidHold[1:]...)
 		// Only stale frames can be orphaned on a held CID: no channel,
 		// exCID or consensus, could claim it while it was held.
-		for _, pkt := range e.orphans[cid] {
-			e.putBuf(pkt)
-		}
-		delete(e.orphans, cid)
+		e.dropStaleOrphans(cid)
 	}
 	i := sort.Search(len(e.cidFree), func(i int) bool { return e.cidFree[i] >= cid })
 	if i < len(e.cidFree) && e.cidFree[i] == cid {
@@ -411,6 +417,17 @@ func (e *Engine) releaseCID(cid uint16, ex bool) {
 	e.cidFree = append(e.cidFree, 0)
 	copy(e.cidFree[i+1:], e.cidFree[i:])
 	e.cidFree[i] = cid
+}
+
+// dropStaleOrphans discards the fast-path frames orphaned on cid, which
+// no channel can take, and counts them with the other stale frames in
+// DupsDropped. Caller holds regMu.
+func (e *Engine) dropStaleOrphans(cid uint16) {
+	for _, pkt := range e.orphans[cid] {
+		e.st.dupsDropped.Add(1)
+		e.putBuf(pkt)
+	}
+	delete(e.orphans, cid)
 }
 
 // AddChannel registers a communicator with the matching engine. localCID
@@ -433,7 +450,7 @@ func (e *Engine) AddChannel(localCID uint16, ex ExCID, useEx bool, myRank int, r
 	}
 	ch.cond.L = &ch.lock
 	e.regMu.Lock()
-	if _, dup := e.comms.Load(localCID); dup {
+	if e.channel(localCID) != nil {
 		e.regMu.Unlock()
 		return nil, fmt.Errorf("pml: local CID %d already in use", localCID)
 	}
@@ -443,7 +460,7 @@ func (e *Engine) AddChannel(localCID uint16, ex ExCID, useEx bool, myRank int, r
 			return nil, fmt.Errorf("pml: exCID %v already in use", ex)
 		}
 	}
-	e.comms.Store(localCID, ch)
+	e.setChannel(localCID, ch)
 	e.claimCID(localCID)
 	var replay [][]byte
 	if useEx {
@@ -452,10 +469,7 @@ func (e *Engine) AddChannel(localCID uint16, ex ExCID, useEx bool, myRank int, r
 		delete(e.orphansEx, ex)
 		// Fast-path frames orphaned on this CID cannot be for this
 		// channel: a peer sends fast only after this channel's ACK.
-		for _, pkt := range e.orphans[localCID] {
-			e.putBuf(pkt)
-		}
-		delete(e.orphans, localCID)
+		e.dropStaleOrphans(localCID)
 	} else {
 		replay = e.orphans[localCID]
 		delete(e.orphans, localCID)
@@ -467,6 +481,38 @@ func (e *Engine) AddChannel(localCID uint16, ex ExCID, useEx bool, myRank int, r
 	return ch, nil
 }
 
+// channel returns the channel registered under a local CID, or nil: one
+// atomic load and an index, the whole registry lookup of a fast-path frame.
+func (e *Engine) channel(cid uint16) *Channel {
+	if t := e.chans.Load(); t != nil && int(cid) < len(*t) {
+		return (*t)[cid]
+	}
+	return nil
+}
+
+// setChannel republishes the CID table with cid mapped to ch (nil clears
+// the slot). The table grows to the highest CID ever registered, and CIDs
+// are dense from 0, so it stays as long as the communicator count. Caller
+// holds regMu.
+func (e *Engine) setChannel(cid uint16, ch *Channel) {
+	e.chans.Store(withSlot(e.chans.Load(), int(cid), ch))
+}
+
+// withSlot is the writer's half of the engine's copy-on-write tables: a
+// copy of *tab (nil reads as empty), grown to hold index i, with slot i
+// set to v. Readers load a table whole with one atomic load, so a
+// published table is never written again.
+func withSlot[T any](tab *[]T, i int, v T) *[]T {
+	var old []T
+	if tab != nil {
+		old = *tab
+	}
+	t := make([]T, max(len(old), i+1))
+	copy(t, old)
+	t[i] = v
+	return &t
+}
+
 // RemoveChannel deregisters a communicator. Its posted receives fail with
 // ErrClosed and its queued messages are dropped; a rendezvous already
 // under way finishes (see opUnderway). The registry entries go first so in-flight
@@ -475,8 +521,8 @@ func (e *Engine) AddChannel(localCID uint16, ex ExCID, useEx bool, myRank int, r
 // channel lock and retries its lookup.
 func (e *Engine) RemoveChannel(ch *Channel) {
 	e.regMu.Lock()
-	if cur, ok := e.comms.Load(ch.localCID); ok && cur.(*Channel) == ch {
-		e.comms.Delete(ch.localCID)
+	if e.channel(ch.localCID) == ch {
+		e.setChannel(ch.localCID, nil)
 		if ch.useEx {
 			e.byEx.Delete(ch.ex)
 		}
@@ -513,11 +559,17 @@ func (ch *Channel) GlobalRank(commRank int) int { return ch.ranks[commRank] }
 // use: modules are tried in priority order and the first whose AddProc
 // accepts the peer wins; ErrUnreachable falls through to the next module,
 // any other resolution error aborts. AddProc may block on the modex
-// exchange, so the cache is a sync.Map — the steady-state hit takes no lock.
+// exchange, so it runs with no lock held, and the steady-state hit is one
+// atomic load and an index.
 func (e *Engine) routeTo(globalRank int) (*route, error) {
-	if v, ok := e.routes.Load(globalRank); ok {
-		return v.(*route), nil
+	if t := e.routeTab.Load(); t != nil && uint(globalRank) < uint(len(*t)) {
+		if rt := (*t)[globalRank]; rt != nil {
+			return rt, nil
+		}
 	}
+	e.routeMu.Lock()
+	gen := e.routeGen
+	e.routeMu.Unlock()
 	for _, m := range e.btls {
 		ep, err := m.AddProc(globalRank)
 		if errors.Is(err, btl.ErrUnreachable) {
@@ -539,13 +591,26 @@ func (e *Engine) routeTo(globalRank int) (*route, error) {
 		if e.trace != nil {
 			e.trace.Logf("btl", "rank %d routed via %s (eager=%d)", globalRank, m.Name(), eager)
 		}
-		rt := &route{mod: m, ep: ep, eager: eager}
-		if prior, loaded := e.routes.LoadOrStore(globalRank, rt); loaded {
-			rt = prior.(*route) // a concurrent caller routed this peer first
-		}
-		return rt, nil
+		return e.keepRoute(globalRank, gen, &route{mod: m, ep: ep, eager: eager}), nil
 	}
 	return nil, fmt.Errorf("pml: no btl module reaches rank %d", globalRank)
+}
+
+// keepRoute publishes rt as the peer's route and returns the route to use:
+// a concurrent caller's, if it routed the peer first. A route resolved
+// while RevivePeer ran (gen is stale) may name the dead incarnation's
+// endpoint, so it serves the send that resolved it and is not kept.
+func (e *Engine) keepRoute(globalRank int, gen uint64, rt *route) *route {
+	e.routeMu.Lock()
+	defer e.routeMu.Unlock()
+	t := e.routeTab.Load()
+	if t != nil && uint(globalRank) < uint(len(*t)) && (*t)[globalRank] != nil {
+		return (*t)[globalRank]
+	}
+	if gen == e.routeGen && globalRank >= 0 {
+		e.routeTab.Store(withSlot(t, globalRank, rt))
+	}
+	return rt
 }
 
 // handlePacket decodes and dispatches one wire packet. It runs on whatever

@@ -24,6 +24,13 @@ type testNet struct {
 
 func newTestNet(t *testing.T, n int, cfg Config) *testNet {
 	t.Helper()
+	return newWrappedNet(t, n, cfg, nil)
+}
+
+// newWrappedNet is newTestNet with engine i's net module passed through
+// wrap (when non-nil) before the engine takes it.
+func newWrappedNet(t *testing.T, n int, cfg Config, wrap func(i int, m btl.Module) btl.Module) *testNet {
+	t.Helper()
 	fabric := simnet.NewFabric(topo.New(topo.Loopback(n), 1))
 	eps := make([]*simnet.Endpoint, n)
 	for i := range eps {
@@ -37,7 +44,10 @@ func newTestNet(t *testing.T, n int, cfg Config) *testNet {
 	}
 	tn := &testNet{}
 	for i := 0; i < n; i++ {
-		mod := btlnet.New(eps[i], resolve, 0)
+		var mod btl.Module = btlnet.New(eps[i], resolve, 0)
+		if wrap != nil {
+			mod = wrap(i, mod)
+		}
 		tn.engines = append(tn.engines, NewEngine([]btl.Module{mod}, cfg))
 	}
 	t.Cleanup(tn.close)
@@ -303,10 +313,71 @@ func TestExCIDHandshake(t *testing.T) {
 	}
 }
 
+// holdModule wraps a module so that what its engine sends waits in a queue
+// while the hold is on, and goes out in order on release: a test can keep
+// one engine's traffic (its exCID ACK) back for exactly as long as it
+// needs, whatever the scheduler does.
+type holdModule struct {
+	btl.Module
+	mu    sync.Mutex
+	held  bool
+	queue []heldPacket
+}
+
+type heldPacket struct {
+	ep  btl.Endpoint
+	pkt []byte
+}
+
+type holdEndpoint struct {
+	m  *holdModule
+	ep btl.Endpoint
+}
+
+func (m *holdModule) AddProc(globalRank int) (btl.Endpoint, error) {
+	ep, err := m.Module.AddProc(globalRank)
+	if err != nil {
+		return nil, err
+	}
+	return holdEndpoint{m, ep}, nil
+}
+
+func (e holdEndpoint) Send(pkt []byte) error {
+	e.m.mu.Lock()
+	if e.m.held {
+		e.m.queue = append(e.m.queue, heldPacket{e.ep, pkt})
+		e.m.mu.Unlock()
+		return nil
+	}
+	e.m.mu.Unlock()
+	return e.ep.Send(pkt)
+}
+
+// release sends the held packets and lets later ones through.
+func (m *holdModule) release() {
+	m.mu.Lock()
+	m.held = false
+	q := m.queue
+	m.queue = nil
+	m.mu.Unlock()
+	for _, h := range q {
+		_ = h.ep.Send(h.pkt)
+	}
+}
+
 func TestExCIDWindowBeforeAck(t *testing.T) {
 	// The Fig. 5c mechanism: a window of sends issued back-to-back before
-	// the receiver's ACK arrives all carry extended headers.
-	tn := newTestNet(t, 2, Config{})
+	// the receiver's ACK arrives all carry extended headers, and the
+	// receiver acknowledges once. Engine 1's ACK is held until the whole
+	// window is out, so the window outpaces it by construction.
+	hold := &holdModule{held: true}
+	tn := newWrappedNet(t, 2, Config{}, func(i int, m btl.Module) btl.Module {
+		if i != 1 {
+			return m
+		}
+		hold.Module = m
+		return hold
+	})
 	ex := ExCID{PGCID: 7}
 	chs := tn.exChannels(t, ex, 20)
 	const window = 16
@@ -330,11 +401,30 @@ func TestExCIDWindowBeforeAck(t *testing.T) {
 		}
 	}
 	s0 := tn.engines[0].Stats()
-	if s0.ExtSent < 2 {
-		t.Fatalf("ExtSent = %d, want >1 (window outpaces the ACK)", s0.ExtSent)
+	if s0.ExtSent != window || s0.FastSent != 0 {
+		t.Fatalf("ExtSent = %d, FastSent = %d; want all %d extended (the window outpaces the ACK)", s0.ExtSent, s0.FastSent, window)
+	}
+	hold.release()
+	deadline := time.Now().Add(2 * time.Second)
+	for !chs[0].PeerConnected(1) {
+		if time.Now().After(deadline) {
+			t.Fatal("released ACK never completed the handshake")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if s1 := tn.engines[1].Stats(); s1.AcksSent != 1 {
 		t.Fatalf("AcksSent = %d, want exactly 1 despite %d ext messages", s1.AcksSent, s0.ExtSent)
+	}
+	buf := make([]byte, 1)
+	req := chs[1].Irecv(0, 5, buf)
+	if err := chs[0].Send(1, 5, []byte{window}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := req.Wait(); err != nil || buf[0] != window {
+		t.Fatalf("message after the ACK: %v, %d", err, buf[0])
+	}
+	if s0 := tn.engines[0].Stats(); s0.FastSent != 1 {
+		t.Fatalf("FastSent = %d after the ACK, want 1", s0.FastSent)
 	}
 }
 

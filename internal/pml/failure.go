@@ -22,10 +22,12 @@ import (
 
 // raceYield, when set, runs at the named points of Isend and Irecv that
 // lie between an operation's registration and its liveness check, so a
-// test can land a FailPeer or Revoke exactly there, and at the point of
+// test can land a FailPeer or Revoke exactly there; at the point of
 // Request.complete between publishing the outcome and running the hook,
-// so a test can land a Notify there. It is nil in production, which
-// costs one predictable branch.
+// so a test can land a Notify there; and between handleMatch's lock-free
+// registry miss and its re-check under regMu, so a test can land an
+// AddChannel there. It is nil in production, which costs one predictable
+// branch.
 var raceYield func(point string)
 
 // opKind says how an operation waits, which decides what refuses it.
@@ -170,10 +172,13 @@ func (e *Engine) sweep(chs ...*Channel) {
 // reaches the whole engine (Close, FailPeer) marks and sweeps.
 func (e *Engine) channels() []*Channel {
 	var chs []*Channel
-	e.comms.Range(func(_, v any) bool {
-		chs = append(chs, v.(*Channel))
-		return true
-	})
+	if t := e.chans.Load(); t != nil {
+		for _, ch := range *t {
+			if ch != nil {
+				chs = append(chs, ch)
+			}
+		}
+	}
 	e.pendMu.Lock()
 	for _, ps := range e.pendSend {
 		if !slices.Contains(chs, ps.ch) {
@@ -259,7 +264,12 @@ func (e *Engine) RevivePeer(globalRank int) {
 	if _, loaded := e.failedPeers.LoadAndDelete(globalRank); loaded {
 		e.failedCount.Add(-1)
 	}
-	e.routes.Delete(globalRank)
+	e.routeMu.Lock()
+	defer e.routeMu.Unlock()
+	e.routeGen++
+	if t := e.routeTab.Load(); t != nil && uint(globalRank) < uint(len(*t)) && (*t)[globalRank] != nil {
+		e.routeTab.Store(withSlot(t, globalRank, nil))
+	}
 }
 
 // Revoke marks the communicator revoked everywhere (the ULFM
@@ -350,10 +360,7 @@ func (e *Engine) handleRevoke(pkt []byte, env envelope) {
 			}
 		}
 	} else {
-		if v, ok := e.comms.Load(env.hdr.ctx); ok {
-			ch = v.(*Channel)
-		}
-		if ch == nil {
+		if ch = e.channel(env.hdr.ctx); ch == nil {
 			e.putBuf(pkt)
 			return
 		}

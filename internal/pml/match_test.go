@@ -36,7 +36,7 @@ func newMirror(t *testing.T, size int) *mirror {
 	for i := range ch.ranks {
 		ch.ranks[i] = i
 	}
-	e.comms.Store(uint16(0), ch)
+	e.setChannel(0, ch)
 	return &mirror{
 		t:      t,
 		size:   size,

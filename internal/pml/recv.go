@@ -68,11 +68,14 @@ func (ch *Channel) irecv(src, tag int, buf []byte, req *Request) {
 	}
 	e.st.unexpectedHits.Add(1)
 	e.consume(pr, msg)
+	e.freeInbound(msg)
 }
 
 // consume finishes matching a posted receive against an inbound message.
 // Called with no locks held; both records have been removed from every
-// queue, so this goroutine owns them.
+// queue, so this goroutine owns them. consume recycles the receive record
+// and the eager frame; the caller recycles msg, which may be a record on
+// its own stack.
 func (e *Engine) consume(pr *postedRecv, msg *inbound) {
 	if !msg.rndv {
 		n := copy(pr.buf, msg.payload)
@@ -82,7 +85,6 @@ func (e *Engine) consume(pr *postedRecv, msg *inbound) {
 			err = ErrTruncate
 		}
 		e.putBuf(msg.raw)
-		e.freeInbound(msg)
 		pr.req.complete(st, err)
 		e.freePostedRecv(pr)
 		return
@@ -93,7 +95,6 @@ func (e *Engine) consume(pr *postedRecv, msg *inbound) {
 	pr.resSrc, pr.resTag = src, tag
 	sendReqID, senderGlobal := msg.sendReqID, msg.senderGlobal
 	ch := pr.ch
-	e.freeInbound(msg)
 	e.pendMu.Lock()
 	e.pendRecv[recvID] = pr
 	e.pendMu.Unlock()
@@ -173,7 +174,9 @@ func (ch *Channel) Probe(src, tag int) (Status, error) {
 }
 
 // handleMatch routes an eager (hdrMatch) or rendezvous-RTS packet through
-// tag matching on its channel.
+// tag matching on its channel. A frame that a posted receive takes at once
+// is matched from a record on this stack; only a frame that must queue, as
+// unexpected or stashed out of sequence, draws a pooled one.
 func (e *Engine) handleMatch(pkt []byte, env envelope) {
 	hdr := env.hdr
 	for {
@@ -183,15 +186,16 @@ func (e *Engine) handleMatch(pkt []byte, env envelope) {
 				ch = v.(*Channel)
 			}
 		} else {
-			if v, ok := e.comms.Load(hdr.ctx); ok {
-				ch = v.(*Channel)
-			}
+			ch = e.channel(hdr.ctx)
 		}
 		if ch == nil {
 			// The communicator is still being constructed locally: buffer
 			// and replay on AddChannel. Re-check the registry under regMu
 			// first — AddChannel holds it while taking the orphan list, so
 			// a packet cannot slip into orphans after its replay.
+			if raceYield != nil {
+				raceYield("orphan")
+			}
 			e.regMu.Lock()
 			if env.hasExt {
 				if v, ok := e.byEx.Load(env.ext.ex); ok {
@@ -200,9 +204,7 @@ func (e *Engine) handleMatch(pkt []byte, env envelope) {
 					e.orphansEx[env.ext.ex] = append(e.orphansEx[env.ext.ex], pkt)
 				}
 			} else {
-				if v, ok := e.comms.Load(hdr.ctx); ok {
-					ch = v.(*Channel)
-				} else {
+				if ch = e.channel(hdr.ctx); ch == nil {
 					e.orphans[hdr.ctx] = append(e.orphans[hdr.ctx], pkt)
 				}
 			}
@@ -216,18 +218,14 @@ func (e *Engine) handleMatch(pkt []byte, env envelope) {
 			return // corrupt source rank
 		}
 
-		msg := e.newInbound()
-		msg.src = int(hdr.src)
-		msg.tag = int(hdr.tag)
-		msg.seq = hdr.seq
-		msg.senderGlobal = ch.ranks[hdr.src]
+		in := inbound{src: int(hdr.src), tag: int(hdr.tag), seq: hdr.seq, senderGlobal: ch.ranks[hdr.src]}
 		if hdr.typ == hdrRTS {
-			msg.rndv = true
-			msg.rndvLen = env.rndv.length
-			msg.sendReqID = env.rndv.sendReqID
+			in.rndv = true
+			in.rndvLen = env.rndv.length
+			in.sendReqID = env.rndv.sendReqID
 		} else {
-			msg.payload = env.payload
-			msg.raw = pkt
+			in.payload = env.payload
+			in.raw = pkt
 		}
 
 		var needAck bool
@@ -235,8 +233,6 @@ func (e *Engine) handleMatch(pkt []byte, env envelope) {
 		ch.lock.Lock()
 		if ch.removed {
 			ch.lock.Unlock()
-			msg.raw = nil
-			e.freeInbound(msg)
 			continue // channel torn down under us: redo the lookup
 		}
 		ps := &ch.peers[hdr.src]
@@ -248,8 +244,6 @@ func (e *Engine) handleMatch(pkt []byte, env envelope) {
 			// space, where it would displace the real frame of its number.
 			ch.lock.Unlock()
 			e.st.dupsDropped.Add(1)
-			msg.raw = nil
-			e.freeInbound(msg)
 			e.putBuf(pkt)
 			return
 		}
@@ -265,22 +259,20 @@ func (e *Engine) handleMatch(pkt []byte, env envelope) {
 		// dropped; a frame ahead of it is parked until the gap fills. This
 		// is what makes the matching path immune to duplicated or reordered
 		// first messages on an exCID channel (and everywhere else).
-		if d := int16(msg.seq - ps.recvSeq); d != 0 {
-			if d < 0 || ps.stash[msg.seq] != nil {
+		if d := int16(in.seq - ps.recvSeq); d != 0 {
+			if d < 0 || ps.stash[in.seq] != nil {
 				ch.lock.Unlock()
 				e.st.dupsDropped.Add(1)
-				msg.raw = nil
-				e.freeInbound(msg)
 				e.putBuf(pkt)
 			} else {
 				if ps.stash == nil {
 					ps.stash = make(map[uint16]*inbound)
 				}
-				ps.stash[msg.seq] = msg
+				ps.stash[in.seq] = e.queued(&in)
 				ch.lock.Unlock()
 				e.st.reorderStashed.Add(1)
 				if hdr.typ == hdrRTS {
-					e.putBuf(pkt) // fully decoded into msg; the frame is done
+					e.putBuf(pkt) // fully decoded into the record; the frame is done
 				}
 			}
 			if needAck {
@@ -291,9 +283,9 @@ func (e *Engine) handleMatch(pkt []byte, env envelope) {
 
 		// In sequence: deliver, then drain any parked successors in order.
 		ps.recvSeq++
-		matched := ch.m.takePosted(msg.src, msg.tag)
+		matched := ch.m.takePosted(in.src, in.tag)
 		if matched == nil {
-			ch.m.pushUnexpected(msg)
+			ch.m.pushUnexpected(e.queued(&in))
 			ch.cond.Broadcast()
 		}
 		var drained []*inbound
@@ -309,28 +301,36 @@ func (e *Engine) handleMatch(pkt []byte, env envelope) {
 			if m2 == nil {
 				ch.m.pushUnexpected(nxt)
 				ch.cond.Broadcast()
+			} else {
+				drained = append(drained, nxt)
+				drainedMatch = append(drainedMatch, m2)
 			}
-			drained = append(drained, nxt)
-			drainedMatch = append(drainedMatch, m2)
 		}
 		ch.lock.Unlock()
 
 		if matched != nil {
 			e.st.postedHits.Add(1)
-			e.consume(matched, msg)
+			e.consume(matched, &in)
 		}
 		for i, m2 := range drainedMatch {
-			if m2 != nil {
-				e.st.postedHits.Add(1)
-				e.consume(m2, drained[i])
-			}
+			e.st.postedHits.Add(1)
+			e.consume(m2, drained[i])
+			e.freeInbound(drained[i])
 		}
 		if hdr.typ == hdrRTS {
-			e.putBuf(pkt) // RTS is fully decoded into msg; the frame is done
+			e.putBuf(pkt) // RTS is fully decoded; the frame is done
 		}
 		if needAck {
 			e.sendChannelAck(ch, ackTo)
 		}
 		return
 	}
+}
+
+// queued copies a frame's record into a pooled one, for a frame that waits
+// in a queue or a stash.
+func (e *Engine) queued(in *inbound) *inbound {
+	m := e.newInbound()
+	*m = *in
+	return m
 }

@@ -14,17 +14,41 @@ import (
 	"gompi/internal/opal"
 )
 
-// TestRequestLayout pins the sizes the hot path was tuned for: a request
-// fits one 64-byte size class, and a channel's contended lock and cond sit
-// last, behind the immutable header every send reads without the lock.
+// TestRequestLayout pins the size the hot path was tuned for: a request
+// fits one 64-byte size class.
 func TestRequestLayout(t *testing.T) {
 	if n := unsafe.Sizeof(Request{}); n > 64 {
 		t.Errorf("Request is %d bytes, want <= 64", n)
 	}
+}
+
+// TestChannelLayout pins where a channel's contended lock and cond sit:
+// last, and at least a cache line past the last byte of the immutable
+// header (eng through ranks) that every send reads without the lock. A
+// heap object's start is not cache-line aligned, so only that distance
+// keeps the two apart wherever the channel lands; with the lock right
+// after ranks, data-sim's allreduce_32KiB_us read 4–5 % slower.
+func TestChannelLayout(t *testing.T) {
 	ct := reflect.TypeOf(Channel{})
 	n := ct.NumField()
 	if got := ct.Field(n-2).Name + "," + ct.Field(n-1).Name; got != "lock,cond" {
 		t.Errorf("Channel's last fields are %s, want lock,cond", got)
+	}
+	var ch Channel
+	const cacheLine = 64
+	headerLast := unsafe.Offsetof(ch.ranks) + unsafe.Sizeof(ch.ranks) - 1
+	for _, f := range []struct {
+		name string
+		off  uintptr
+	}{{"eng", unsafe.Offsetof(ch.eng)}, {"localCID", unsafe.Offsetof(ch.localCID)}, {"ex", unsafe.Offsetof(ch.ex)},
+		{"useEx", unsafe.Offsetof(ch.useEx)}, {"myRank", unsafe.Offsetof(ch.myRank)}} {
+		if f.off > headerLast {
+			t.Errorf("header field %s at offset %d lies past ranks (last byte %d)", f.name, f.off, headerLast)
+		}
+	}
+	if lock := unsafe.Offsetof(ch.lock); lock < headerLast+cacheLine {
+		t.Errorf("Channel.lock at offset %d shares a cache line with the header ending at %d; want >= %d",
+			lock, headerLast, headerLast+cacheLine)
 	}
 }
 

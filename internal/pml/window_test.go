@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"gompi/internal/btl"
 	"gompi/internal/opal"
 )
 
@@ -99,5 +100,48 @@ func TestNotifyInCompletionWindow(t *testing.T) {
 	case <-req.Done():
 	default:
 		t.Fatal("Notify refused the hook but Done is still open")
+	}
+}
+
+// TestAddChannelInOrphanWindow lands an AddChannel between a frame's
+// lock-free registry miss and handleMatch's re-check under regMu. The
+// channel's orphan replay has already run by then, so the frame must find
+// the channel on the re-check and be delivered, not parked as an orphan
+// that nothing will replay. Both registries are covered: the CID table
+// for a fast-path frame, byEx for an extended one.
+func TestAddChannelInOrphanWindow(t *testing.T) {
+	for _, ext := range []bool{false, true} {
+		name := "fast"
+		ex := ExCID{}
+		if ext {
+			name, ex = "extended", ExCID{PGCID: 3}
+		}
+		t.Run(name, func(t *testing.T) {
+			mod := &stampModule{acks: make(chan cidAck, 1)}
+			e := NewEngine([]btl.Module{mod}, Config{})
+			defer e.Close()
+			var ch *Channel
+			var once sync.Once
+			raceYield = func(point string) {
+				if point == "orphan" {
+					once.Do(func() {
+						var err error
+						if ch, err = e.AddChannel(5, ex, ext, 0, []int{0, 1}); err != nil {
+							t.Error(err)
+						}
+					})
+				}
+			}
+			defer func() { raceYield = nil }()
+			e.deliver(frame(5, ex, 0, 1, 2))
+			raceYield = nil
+			if ch == nil {
+				t.Fatal("the frame never missed the registry")
+			}
+			buf := make([]byte, 8)
+			if ok, st, _ := ch.Irecv(1, 7, buf).Test(); !ok || st.Count != 8 {
+				t.Fatalf("frame not delivered to the channel added in the window (ok=%v, %+v)", ok, st)
+			}
+		})
 	}
 }

@@ -152,9 +152,8 @@ func (f *Fabric) Segment(node int) *Segment {
 	if f.segments[node] == nil {
 		p := f.cluster.Profile
 		f.segments[node] = &Segment{
-			lat:   p.IntraNodeLatency,
-			bw:    p.IntraNodeBandwidth,
-			boxes: make(map[int]DeliverFunc),
+			lat: p.IntraNodeLatency,
+			bw:  p.IntraNodeBandwidth,
 		}
 	}
 	return f.segments[node]
@@ -175,8 +174,11 @@ type Segment struct {
 	lat time.Duration // the profile's IntraNodeLatency
 	bw  float64       // the profile's IntraNodeBandwidth, bytes/s
 
+	// mu serializes Register and Deregister, which publish a new boxes
+	// snapshot; Lookup, on every sm send, reads the snapshot with one
+	// atomic load and takes no lock.
 	mu    sync.Mutex
-	boxes map[int]DeliverFunc
+	boxes atomic.Pointer[[]DeliverFunc] // global rank -> delivery function (nil: none); immutable, replaced whole
 }
 
 // Charge charges the calling goroutine the modeled cost of handing n bytes
@@ -200,15 +202,19 @@ func transfer(lat time.Duration, bw float64, n int) time.Duration {
 }
 
 // Register installs the delivery function for a rank. Registering a rank
-// that is already present panics: each process registers once per init
-// cycle and deregisters on teardown, so a duplicate is a lifecycle bug.
+// that is already present, or a negative rank, panics: each process
+// registers once per init cycle and deregisters on teardown, so a duplicate
+// is a lifecycle bug.
 func (s *Segment) Register(rank int, deliver DeliverFunc) {
+	if rank < 0 {
+		panic(fmt.Sprintf("simnet: rank %d registered in segment", rank))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.boxes[rank]; dup {
+	if _, dup := s.Lookup(rank); dup {
 		panic(fmt.Sprintf("simnet: rank %d already registered in segment", rank))
 	}
-	s.boxes[rank] = deliver
+	s.publish(rank, deliver)
 }
 
 // Deregister removes a rank's delivery function; senders observe the rank
@@ -216,17 +222,34 @@ func (s *Segment) Register(rank int, deliver DeliverFunc) {
 func (s *Segment) Deregister(rank int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.boxes, rank)
+	if _, ok := s.Lookup(rank); ok {
+		s.publish(rank, nil)
+	}
+}
+
+// publish replaces the snapshot with one that maps rank to deliver. Caller
+// holds s.mu.
+func (s *Segment) publish(rank int, deliver DeliverFunc) {
+	var old []DeliverFunc
+	if p := s.boxes.Load(); p != nil {
+		old = *p
+	}
+	boxes := make([]DeliverFunc, max(len(old), rank+1))
+	copy(boxes, old)
+	boxes[rank] = deliver
+	s.boxes.Store(&boxes)
 }
 
 // Lookup returns the rank's delivery function. The function is invoked
-// outside the segment lock, so an in-flight handoff may race with
-// Deregister; receivers must tolerate delivery after their own close.
+// outside any lock, so an in-flight handoff may race with Deregister;
+// receivers must tolerate delivery after their own close.
 func (s *Segment) Lookup(rank int) (DeliverFunc, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fn, ok := s.boxes[rank]
-	return fn, ok
+	p := s.boxes.Load()
+	if p == nil || uint(rank) >= uint(len(*p)) {
+		return nil, false
+	}
+	fn := (*p)[rank]
+	return fn, fn != nil
 }
 
 func (f *Fabric) lookup(a Addr) *Endpoint {

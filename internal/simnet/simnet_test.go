@@ -277,6 +277,54 @@ func TestSegmentRegisterLookupDeregister(t *testing.T) {
 	}()
 }
 
+// TestSegmentSnapshotUnderChurn looks ranks up while other ranks register
+// and deregister, as sm senders do while node-mates finalize and
+// re-initialize. Lookup reads the published snapshot without a lock, so a
+// republish must never drop a rank it did not touch, and under -race the
+// reads of churned slots must be ordered against their writes.
+func TestSegmentSnapshotUnderChurn(t *testing.T) {
+	seg := loopbackFabric(1, 8).Segment(0)
+	var hits [8]int
+	for r := 0; r < 4; r++ {
+		seg.Register(r, func([]byte) { hits[r]++ })
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 4; r < 8; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				seg.Register(r, func([]byte) {})
+				seg.Deregister(r)
+			}
+		}()
+	}
+	for i := 0; i < 20000; i++ {
+		r := i % 4
+		fn, ok := seg.Lookup(r)
+		if !ok {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("lookup %d: rank %d vanished while other ranks churned", i, r)
+		}
+		fn(nil)
+		seg.Lookup(4 + r) // a churned slot: present or absent, and race-free
+	}
+	close(stop)
+	wg.Wait()
+	for r := 0; r < 4; r++ {
+		if hits[r] != 5000 {
+			t.Errorf("rank %d delivered %d times, want 5000", r, hits[r])
+		}
+	}
+}
+
 func TestSegmentOutOfRangePanics(t *testing.T) {
 	f := NewFabric(topo.New(topo.Loopback(1), 1))
 	defer func() {

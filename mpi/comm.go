@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"gompi/internal/coll"
 	"gompi/internal/core"
@@ -30,10 +31,13 @@ type Comm struct {
 	name  string
 	errh  *Errhandler
 
+	// freed is set once, by Free or freeLocal; every operation's checkLive
+	// reads it without taking mu.
+	freed atomic.Bool
+
 	mu      sync.Mutex
 	collSeq uint64
 	coll    *coll.Module // lazily bound to the instance's coll framework
-	freed   bool
 	attrs   map[int]any
 }
 
@@ -68,9 +72,7 @@ func (c *Comm) ExCID() pml.ExCID { return c.ch.Ex() }
 func (c *Comm) UsesExCID() bool { return c.gen != nil }
 
 func (c *Comm) checkLive() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.freed {
+	if c.freed.Load() {
 		return ErrCommFreed
 	}
 	return nil
@@ -495,12 +497,10 @@ func (c *Comm) Revoke() error {
 // Like the prototype, runtime-level PMIx group state is not destructed
 // here; it is reclaimed with the session.
 func (c *Comm) Free() error {
-	c.mu.Lock()
-	if c.freed {
-		c.mu.Unlock()
+	if !c.freed.CompareAndSwap(false, true) {
 		return ErrCommFreed
 	}
-	c.freed = true
+	c.mu.Lock()
 	c.coll = nil // compiled schedules and their parked run states go with the communicator
 	c.mu.Unlock()
 	c.p.inst.Engine().RemoveChannel(c.ch)
@@ -512,12 +512,10 @@ func (c *Comm) Free() error {
 
 // freeLocal tears down without session bookkeeping errors during aborts.
 func (c *Comm) freeLocal() {
-	c.mu.Lock()
-	if c.freed {
-		c.mu.Unlock()
+	if !c.freed.CompareAndSwap(false, true) {
 		return
 	}
-	c.freed = true
+	c.mu.Lock()
 	c.coll = nil
 	c.mu.Unlock()
 	if e := c.p.inst.Engine(); e != nil {

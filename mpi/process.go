@@ -108,8 +108,9 @@ type PMLStats struct {
 	PostedHits     uint64
 	UnexpectedHits uint64
 	// DupsDropped counts wire-duplicated packets screened out by the
-	// per-peer sequence numbers; ReorderStashed counts out-of-order packets
-	// parked until their gap filled. Both stay zero on a healthy fabric.
+	// per-peer sequence numbers, and stale frames addressed to a freed
+	// communicator's reused local CID; ReorderStashed counts out-of-order
+	// packets parked until their gap filled.
 	DupsDropped    uint64
 	ReorderStashed uint64
 }
