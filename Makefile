@@ -51,12 +51,14 @@ pool-guard:
 	$(GO) test -race -tags debug -run TestPoolGuard ./internal/pml
 
 # bubble runs the testing/synctest tests: a simnet send must take exactly
-# its modelled cost, a parked receive must be durably blocked on a wake
-# channel of its own bubble, bubble after bubble, and a Wait on a started
-# collective must park, not spin, while a completion hook holds the
-# collective's driver token across a modelled delay.
+# its modelled cost, a net BTL upcall that replies must pay the reply on
+# its endpoint's pump and never on the sender, a parked receive must be
+# durably blocked on a wake channel of its own bubble, bubble after
+# bubble, and a Wait on a started collective must park, not spin, while a
+# completion hook holds the collective's driver token across a modelled
+# delay.
 bubble:
-	GOEXPERIMENT=synctest $(GO) test -count=1 -run InBubble ./internal/simnet ./internal/pml ./mpi
+	GOEXPERIMENT=synctest $(GO) test -count=1 -run InBubble ./internal/simnet ./internal/btl/net ./internal/pml ./mpi
 
 # fuzz-smoke runs the packet-decoder fuzz targets, the control-plane codec
 # fuzzer and the reduction-kernel differential fuzzer for a short fixed budget
@@ -120,9 +122,8 @@ smoke-udp:
 
 # examples runs every program under examples/ and checks that it exits 0
 # and that its closing line is the expected one. clientserver and
-# rollforward close by reporting their deliberate rank failure, whose
-# message carries the dead rank's goroutine stack, so the closing line is
-# the last one before any goroutine dump.
+# rollforward close by reporting their deliberate rank failure in one line
+# (runtime.RankError keeps the dead rank's stack out of its message).
 EXAMPLE_CHECKS = \
 	'quickstart|rank-sum=28' \
 	'ensemble|ran 4 members; MPI was initialized and torn down 4 times' \
@@ -138,7 +139,7 @@ examples:
 		echo "examples: $$name"; \
 		timeout 60 $(GO) run ./examples/$$name > $$out 2>&1 || \
 			{ cat $$out; echo "examples: $$name exited non-zero"; exit 1; }; \
-		last=$$(sed '/^goroutine [0-9]* \[/,$$d' $$out | tail -n 1); \
+		last=$$(tail -n 1 $$out); \
 		case "$$last" in *"$$want"*) ;; \
 		*) cat $$out; echo "examples: $$name closed with \"$$last\", want \"$$want\""; exit 1;; esac; \
 	done

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -108,6 +109,10 @@ func main() {
 	if os.Getenv("GOMPI_RANK") != "" {
 		if err := runChild(mode, appMain); err != nil {
 			fmt.Fprintln(os.Stderr, "prun:", err)
+			var re runtime.RankError
+			if errors.As(err, &re) && re.Stack != nil {
+				os.Stderr.Write(re.Stack)
+			}
 			os.Exit(1)
 		}
 		return

@@ -35,10 +35,13 @@ type Stats struct {
 	Drops     uint64
 }
 
-// DeliverFunc hands one inbound packet up to the PML. Modules may invoke it
-// from a progress goroutine (net) or inline on the sender's goroutine (sm);
-// the PML must not assume a particular calling context and must not hold
-// locks that a nested Send from inside the callback would need. The packet
+// DeliverFunc hands one inbound packet up to the PML. sm invokes it inline
+// on the sender's goroutine; net does too for a hop that costs nothing and
+// finds nothing queued at the receiver, and otherwise from its endpoint's
+// pump goroutine (simnet.Endpoint.Serve); udp from its receive loop. The
+// PML must not assume a particular calling context, must not block in it,
+// and must not hold locks that a nested Send from inside the callback
+// would need. The packet
 // becomes the receiving engine's property: it may retain it (unexpected
 // eager payloads) or recycle it into the PML buffer arena once consumed, so
 // modules must not touch pkt after the callback returns.
@@ -74,7 +77,11 @@ type Module interface {
 	// Stats snapshots the module's send-side counters.
 	Stats() Stats
 
-	// Close tears the module down and blocks until its progress machinery
-	// has fully stopped; no deliveries run after Close returns.
+	// Close tears the module down: peers' sends fail with ErrClosed and no
+	// delivery starts after it returns. That is all it guarantees. sm and
+	// net do not wait for a delivery already running, which may be inline
+	// on a peer's goroutine, so the PML drops packets that reach it after
+	// its own close (pml.Engine.deliver); udp also waits for its receive
+	// loop to exit.
 	Close()
 }

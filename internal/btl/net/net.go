@@ -3,6 +3,13 @@
 // model. It is the catch-all transport — AddProc accepts every peer — and
 // sits below sm in MCA priority so intra-node traffic prefers the
 // shared-memory fast path when that module is enabled.
+//
+// The module owns no receive loop: Activate serves the endpoint, so
+// delivery follows simnet's one rule. A packet whose hop costs nothing
+// (the Loopback profile, no fault verdict) and finds nothing queued at the
+// receiver is delivered inline on the sender's goroutine, as sm delivers;
+// every other packet is queued and delivered in arrival order by the
+// endpoint's pump goroutine.
 package net
 
 import (
@@ -22,10 +29,6 @@ type Module struct {
 	resolve func(globalRank int) (simnet.Addr, error)
 	eager   int
 
-	deliver btl.DeliverFunc
-	started bool
-	done    chan struct{}
-
 	msgs  atomic.Uint64
 	bytes atomic.Uint64
 }
@@ -37,7 +40,7 @@ func New(ep *simnet.Endpoint, resolve func(int) (simnet.Addr, error), eagerLimit
 	if eagerLimit <= 0 {
 		eagerLimit = DefaultEagerLimit
 	}
-	return &Module{ep: ep, resolve: resolve, eager: eagerLimit, done: make(chan struct{})}
+	return &Module{ep: ep, resolve: resolve, eager: eagerLimit}
 }
 
 // Name implements btl.Module.
@@ -46,22 +49,9 @@ func (m *Module) Name() string { return "net" }
 // EagerLimit implements btl.Module.
 func (m *Module) EagerLimit() int { return m.eager }
 
-// Activate starts the progress goroutine draining the endpoint.
+// Activate serves the endpoint with the upcall (simnet.Endpoint.Serve).
 func (m *Module) Activate(deliver btl.DeliverFunc) {
-	m.deliver = deliver
-	m.started = true
-	go m.progress()
-}
-
-func (m *Module) progress() {
-	defer close(m.done)
-	for {
-		msg, err := m.ep.Recv(0)
-		if err != nil {
-			return
-		}
-		m.deliver(msg.Payload)
-	}
+	m.ep.Serve(func(msg simnet.Message) { deliver(msg.Payload) })
 }
 
 // AddProc resolves the peer's fabric address. The fabric reaches every
@@ -79,13 +69,12 @@ func (m *Module) Stats() btl.Stats {
 	return btl.Stats{Msgs: m.msgs.Load(), Bytes: m.bytes.Load()}
 }
 
-// Close shuts the endpoint and blocks until the progress goroutine has
-// drained and exited, so no delivery upcall runs after Close returns.
+// Close shuts the endpoint: senders see btl.ErrClosed, no delivery starts
+// afterwards, and the pump goroutine exits. Like sm's Close it does not
+// wait for a delivery already running, inline on a sender or on the pump;
+// the PML drops packets that reach it after its own close.
 func (m *Module) Close() {
 	m.ep.Close()
-	if m.started {
-		<-m.done
-	}
 }
 
 type endpoint struct {

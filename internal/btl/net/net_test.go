@@ -65,9 +65,9 @@ func TestSendAfterPeerClose(t *testing.T) {
 	}
 }
 
-// TestCloseDrainsProgress is the goroutine-leak regression test: Close must
-// block until the progress goroutine has exited, so repeated
-// init/finalize churn (session churn) leaves no goroutines behind.
+// TestCloseDrainsProgress is the goroutine-leak regression test: Close
+// stops the served endpoint's pump, so repeated init/finalize churn
+// (session churn) leaves no goroutines behind.
 func TestCloseDrainsProgress(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
@@ -84,8 +84,8 @@ func TestCloseDrainsProgress(t *testing.T) {
 		m0.Close()
 		m1.Close()
 	}
-	// Close blocks on the progress goroutine, so the count must already be
-	// back near the baseline; poll briefly for scheduler noise only.
+	// Close wakes each pump, which exits at once; poll briefly for the
+	// scheduler to run them.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= base+2 {
@@ -100,7 +100,7 @@ func TestCloseDrainsProgress(t *testing.T) {
 
 func TestCloseWithoutActivate(t *testing.T) {
 	m0, _ := newPair(t)
-	m0.Close() // must not hang on the never-started progress goroutine
+	m0.Close() // nothing was served, so there is no pump to stop
 }
 
 func TestDefaultEagerLimit(t *testing.T) {

@@ -17,8 +17,9 @@ import (
 //     whenever nothing else can move, as run does;
 //   - a step's completion hook, when the request of a step issued outside
 //     Finish completes. The PML runs hooks on whichever goroutine completes
-//     the request: a progress goroutine, or another rank's goroutine when
-//     the sm BTL delivers inline.
+//     the request: a transport's pump or receive loop, or another rank's
+//     goroutine when a BTL delivers inline (sm always, net on a hop that
+//     costs nothing).
 //
 // One driver token per Exec serialises them. Whoever holds it runs advance;
 // a hook that finds it held only raises kick, and the holder, once it has

@@ -175,9 +175,8 @@ func (s *Server) Connect(rank int) *Client {
 // HandleFetch implements prrte.ServerHandler: it serves direct-modex
 // requests for data published by local ranks.
 func (s *Server) HandleFetch(key string) ([]byte, bool) {
-	var rank int
-	var sub string
-	if _, err := fmt.Sscanf(key, "modex/%d/%s", &rank, &sub); err != nil {
+	rank, sub, ok := prrte.ParseModexKey(key)
+	if !ok {
 		return nil, false
 	}
 	s.mu.Lock()

@@ -72,7 +72,8 @@ func TestFenceFailsOnCorruptContribution(t *testing.T) {
 
 // TestHandleEventNeverBlocks: HandleEvent only queues. With the dispatcher
 // stuck in a client's handler, thousands of further events must still be
-// accepted at once (the daemon calls HandleEvent from its receive loop), and
+// accepted at once (the daemon calls HandleEvent from its message handler,
+// which may run on a sending daemon's caller), and
 // once the handler returns every event is delivered, in order.
 func TestHandleEventNeverBlocks(t *testing.T) {
 	const n = 5000

@@ -179,7 +179,7 @@ func TestSMRendezvousAndExCID(t *testing.T) {
 }
 
 // TestCloseDrainsUnderChurn is the session-churn goroutine-leak assertion
-// for the whole engine: Close must leave no progress goroutine behind.
+// for the whole engine: Close must leave no net endpoint pump behind.
 func TestCloseDrainsUnderChurn(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 30; i++ {

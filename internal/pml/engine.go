@@ -275,7 +275,10 @@ func NewEngine(btls []btl.Module, cfg Config) *Engine {
 }
 
 // deliver is the upcall every BTL invokes for inbound packets. It may run
-// on a net progress goroutine or inline on a node-local sender's goroutine.
+// inline on a sender's goroutine (sm always, net on a hop that costs
+// nothing), on a net endpoint's pump, or on the udp receive loop. A
+// delivery can still be running when Close returns (btl.Module.Close), so
+// one that starts after the closed flag is published drops its packet.
 func (e *Engine) deliver(pkt []byte) {
 	if e.closed.Load() {
 		return // teardown already failed every pending request
@@ -317,9 +320,10 @@ func (e *Engine) peerFailed(globalRank int) bool {
 }
 
 // Close shuts down the engine: all pending requests fail with ErrClosed,
-// and every BTL module is closed (net blocks until its progress goroutine
-// has drained and exited, so no goroutine outlives Close). The closed flag
-// is the mark of the shared sweep (failure.go): it is published before
+// and every BTL module is closed, so no delivery starts afterwards and the
+// net module's pump goroutine exits. A delivery already running when Close
+// returns finds the closed flag and drops its packet (deliver). The closed
+// flag is the mark of the shared sweep (failure.go): it is published before
 // the sweep, and every operation asks the failure rule after it
 // registers, so no request can slip into a queue after its sweep.
 func (e *Engine) Close() {

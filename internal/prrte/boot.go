@@ -232,7 +232,7 @@ func (s *BootServer) handle(bc *bootConn, msg bootMsg) {
 		// The same rule as Daemon.Fetch: a terminated rank's data is
 		// hopeless, found or not. Checked under s.mu, so a fetch either
 		// sees the note here or is parked before failFetches runs.
-		rank, isModex := modexRank(msg.Key)
+		rank, _, isModex := ParseModexKey(msg.Key)
 		s.mu.Lock()
 		if isModex && s.rm.isDead(rank) {
 			s.mu.Unlock()
@@ -293,7 +293,7 @@ func (s *BootServer) handle(bc *bootConn, msg bootMsg) {
 func (s *BootServer) failFetches(rank int) {
 	s.mu.Lock()
 	woken := s.fetches.takeLocked(func(k string) bool {
-		r, ok := modexRank(k)
+		r, _, ok := ParseModexKey(k)
 		return ok && r == rank
 	})
 	s.mu.Unlock()

@@ -50,8 +50,9 @@ type ServerHandler interface {
 	// HandleFetch returns locally published data for key, if present.
 	HandleFetch(key string) ([]byte, bool)
 	// HandleEvent delivers a broadcast runtime event. It is called from the
-	// daemon's receive loop and under its broadcast lock, so it must only
-	// queue the event, never run handlers or block on them.
+	// daemon's message handler, which may run on the sending daemon's
+	// caller, and under the broadcast lock, so it must only queue the
+	// event, never run handlers or block on them.
 	HandleEvent(data []byte)
 }
 
@@ -190,32 +191,31 @@ type noServer struct{}
 func (noServer) HandleFetch(string) ([]byte, bool) { return nil, false }
 func (noServer) HandleEvent([]byte)                {}
 
-func (d *Daemon) run() {
-	for {
-		m, err := d.ep.Recv(0)
-		if err != nil {
-			return // endpoint closed: DVM shutdown
+// handle serves one inbound daemon message. It is the endpoint's served
+// handler (simnet.Endpoint.Serve): a message whose hop costs nothing runs
+// it on the sender's goroutine, any other on the endpoint's pump, one
+// message at a time. So it never blocks: each case records, relays or
+// queues, and a reply is one more Send.
+func (d *Daemon) handle(m simnet.Message) {
+	switch msg := m.Ctrl.(type) {
+	case xchgMsg:
+		d.handleXchg(msg)
+	case rmMsg:
+		// Only the master daemon receives these.
+		d.dvm.rm.serve(msg.Req, msg.ReplyTo, func(r rmResp) {
+			_ = d.ep.Send(msg.ReplyTo, simnet.Message{Ctrl: r, Size: r.size()})
+		})
+	case fetchReq:
+		// Answered off the handler: a reply's modeled wire cost must not
+		// hold up the next request, or which of two fetches landing at
+		// once waits out the other's reply would depend on which one the
+		// pump dequeued first.
+		go d.serveFetch(msg)
+	case eventMsg:
+		if msg.Relay {
+			d.relayEvent(msg)
 		}
-		switch msg := m.Ctrl.(type) {
-		case xchgMsg:
-			d.handleXchg(msg)
-		case rmMsg:
-			// Only the master daemon receives these.
-			d.dvm.rm.serve(msg.Req, msg.ReplyTo, func(r rmResp) {
-				_ = d.ep.Send(msg.ReplyTo, simnet.Message{Ctrl: r, Size: r.size()})
-			})
-		case fetchReq:
-			// Answered off the loop: a reply's modeled wire cost must not
-			// hold up the next request, or which of two fetches landing
-			// at once waits out the other's reply would depend on which
-			// one the loop dequeued first.
-			go d.serveFetch(msg)
-		case eventMsg:
-			if msg.Relay {
-				d.relayEvent(msg)
-			}
-			d.server().HandleEvent(msg.Data)
-		}
+		d.server().HandleEvent(msg.Data)
 	}
 }
 
@@ -451,7 +451,7 @@ func (d *Daemon) Fetch(node int, key string, timeout time.Duration) ([]byte, boo
 	// A modex fetch names the rank that published the data; once that rank
 	// is known dead, retrying against its (possibly gone) node is hopeless.
 	var hopeless func() error
-	if keyRank, ok := modexRank(key); ok {
+	if keyRank, _, ok := ParseModexKey(key); ok {
 		hopeless = func() error {
 			if d.dvm.rm.isDead(keyRank) {
 				return fmt.Errorf("prrte: fetch %q: rank %d: %w", key, keyRank, ErrDeadParticipant)
@@ -483,7 +483,7 @@ func (d *Daemon) BroadcastEvent(data []byte) {
 	// different goroutines of this node, and a node that sees them reversed
 	// keeps the respawned rank marked dead for good. HandleEvent only
 	// queues the event (the handler's own dispatcher runs it), as it must
-	// for the receive loop's sake too.
+	// for the daemon handler's sake too.
 	d.bcastMu.Lock()
 	defer d.bcastMu.Unlock()
 	d.relayEvent(eventMsg{Data: data, Root: d.node, Relay: true})
@@ -565,8 +565,8 @@ func NewDVM(fabric *simnet.Fabric) *DVM {
 			handler:   noServer{},
 		}
 		d.rmClient = rmClient{d}
+		d.ep.Serve(d.handle)
 		dvm.daemons[i] = d
-		go d.run()
 	}
 	return dvm
 }

@@ -96,7 +96,7 @@ func retryable(err error) bool { return errors.Is(err, simnet.ErrTimeout) }
 // answer usefully.
 func (d *Daemon) rpcRetry(timeout time.Duration, waitFull bool, hopeless func() error, send func(replyTo simnet.Addr, remaining time.Duration) error) (simnet.Message, error) {
 	// A fresh reply endpoint keeps responses from interleaving with the
-	// daemon's main loop traffic.
+	// daemon's served endpoint.
 	rep := d.dvm.fabric.NewEndpoint(d.node)
 	defer rep.Close()
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -288,9 +290,22 @@ func (c rmClient) NoteDeadRank(rank int) { _ = c.t.post(rmReq{Op: rmNoteDead, Ra
 // re-admitted it (pmix.Runtime).
 func (c rmClient) NoteRevivedRank(rank int) { _ = c.t.post(rmReq{Op: rmNoteRevived, Rank: rank}) }
 
-// modexRank parses the publishing rank out of a "modex/<rank>/<key>" key.
-func modexRank(key string) (int, bool) {
-	var rank int
-	_, err := fmt.Sscanf(key, "modex/%d/", &rank)
-	return rank, err == nil
+// ParseModexKey splits a direct-modex key "modex/<rank>/<key>" into the
+// publishing rank and the rank's own key, which is everything after the
+// second slash, spaces and slashes included. ok is false unless the prefix,
+// a non-negative decimal rank and the second slash are all there.
+func ParseModexKey(key string) (rank int, sub string, ok bool) {
+	rest, ok := strings.CutPrefix(key, "modex/")
+	if !ok {
+		return 0, "", false
+	}
+	rs, sub, ok := strings.Cut(rest, "/")
+	if !ok {
+		return 0, "", false
+	}
+	rank, err := strconv.Atoi(rs)
+	if err != nil || rs[0] < '0' || rs[0] > '9' { // a sign is not a rank
+		return 0, "", false
+	}
+	return rank, sub, true
 }

@@ -254,3 +254,32 @@ func TestResentLookupGetsOneReply(t *testing.T) {
 		t.Fatalf("second reply %+v for one requester", m.Ctrl)
 	}
 }
+
+// TestParseModexKey pins the one direct-modex key parser the daemon and
+// the PMIx server share: the rank's own key is everything after the second
+// slash (a space does not cut it), and a key without a non-negative
+// decimal rank between two slashes is not a modex key.
+func TestParseModexKey(t *testing.T) {
+	for _, c := range []struct {
+		key  string
+		rank int
+		sub  string
+		ok   bool
+	}{
+		{"modex/3/k", 3, "k", true},
+		{"modex/3/a b", 3, "a b", true},
+		{"modex/12/a/b", 12, "a/b", true},
+		{"modex/0/", 0, "", true},
+		{"modex//k", 0, "", false},
+		{"modex/-1/k", 0, "", false},
+		{"modex/+1/k", 0, "", false},
+		{"modex/x/k", 0, "", false},
+		{"modex/3", 0, "", false},
+		{"pset/3/k", 0, "", false},
+	} {
+		rank, sub, ok := ParseModexKey(c.key)
+		if rank != c.rank || sub != c.sub || ok != c.ok {
+			t.Errorf("ParseModexKey(%q) = %d, %q, %v; want %d, %q, %v", c.key, rank, sub, ok, c.rank, c.sub, c.ok)
+		}
+	}
+}

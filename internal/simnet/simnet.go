@@ -11,6 +11,17 @@
 // delay injection is disabled, so unit tests measure only the real Go code
 // paths.
 //
+// An endpoint is read in one of two ways. A mailbox endpoint is drained
+// with Recv (PMIx reply endpoints, RPC retries). A served endpoint (Serve)
+// owns delivery, under one rule: a hop that costs nothing — no modelled
+// latency, bandwidth or global-link term, and no fault verdict — and finds
+// nothing queued or being delivered at its destination runs the handler
+// on the sender's goroutine, as the shared segment's inline handoff does.
+// Every other hop is queued, and the endpoint's one pump goroutine runs the
+// handler in arrival order. Per-pair order holds either way, and a modelled
+// hop never charges the receiver's reply to its sender, so model time is
+// the same as with a receive loop per endpoint.
+//
 // The delay model is deliberately simple (LogP-style o+L lumped at the
 // sender). The paper's results are relative comparisons between two software
 // stacks on the same fabric, so the model only needs to charge both stacks
@@ -336,6 +347,12 @@ type Endpoint struct {
 	closed bool
 	ready  chan struct{} // capacity 1; signaled on enqueue
 	done   chan struct{} // closed by Close; wakes every blocked receiver
+
+	// serve is a served endpoint's handler (nil for a mailbox), set once
+	// by Serve. delivering is set while it runs, inline on a sender or on
+	// the pump, so one message at a time is delivered, in queue order.
+	serve      func(Message)
+	delivering bool
 }
 
 // Addr returns the endpoint's fabric address.
@@ -343,7 +360,9 @@ func (e *Endpoint) Addr() Addr { return e.addr }
 
 // Send delivers a message to dst, charging the sender the modeled wire cost.
 // It returns ErrClosed if the destination endpoint has been closed (the
-// destination process failed) or does not exist.
+// destination process failed) or does not exist. On a served destination a
+// hop that costs nothing runs the handler before Send returns (see the
+// package doc).
 func (e *Endpoint) Send(dst Addr, m Message) error {
 	dep := e.fab.lookup(dst)
 	if dep == nil {
@@ -380,9 +399,9 @@ func (e *Endpoint) Send(dst Addr, m Message) error {
 		// sender-side Delay cannot reorder (the sender's own sends stay
 		// serialized behind it), so late enqueue is the mechanism.
 		if v.dup {
-			dep.enqueue(dupMessage(m))
+			dep.put(dupMessage(m), false)
 		}
-		time.AfterFunc(v.reorderLag, func() { dep.enqueue(m) })
+		time.AfterFunc(v.reorderLag, func() { dep.put(m, false) })
 		return nil
 	}
 	// Copy before the hand-off: once m is enqueued the receiver owns its
@@ -391,9 +410,13 @@ func (e *Endpoint) Send(dst Addr, m Message) error {
 	if v.dup {
 		dup = dupMessage(m)
 	}
-	err := dep.enqueue(m)
+	// A hop with no modelled cost and no fault verdict may run the
+	// destination's handler here; a costed hop is queued, so the handler's
+	// replies charge their cost to the pump, never to this sender.
+	inline := d == 0 && t == nil && !v.dup && v.extraDelay == 0
+	err := dep.put(m, inline)
 	if err == nil && v.dup {
-		dep.enqueue(dup)
+		dep.put(dup, false)
 	}
 	return err
 }
@@ -408,23 +431,113 @@ func dupMessage(m Message) Message {
 	return m
 }
 
-func (e *Endpoint) enqueue(m Message) error {
+// put hands m to the endpoint. With inline set, a served endpoint with
+// nothing queued and nothing being delivered runs its handler on the
+// caller's goroutine before put returns; otherwise m joins the queue, for
+// Recv or the pump.
+func (e *Endpoint) put(m Message, inline bool) error {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return ErrClosed
 	}
+	if inline && e.serve != nil && !e.delivering && len(e.queue) == 0 {
+		e.delivering = true
+		fn := e.serve
+		e.mu.Unlock()
+		e.run(fn, m)
+		return nil
+	}
 	e.queue = append(e.queue, m)
 	e.mu.Unlock()
+	e.wake()
+	return nil
+}
+
+// wake pulses the one-slot ready channel.
+func (e *Endpoint) wake() {
 	select {
 	case e.ready <- struct{}{}:
 	default:
 	}
-	return nil
+}
+
+// run delivers m to fn; the caller set e.delivering. When fn returns, or
+// panics, messages queued behind m meanwhile are left to the pump (on the
+// pump itself the wake is a spare pulse).
+func (e *Endpoint) run(fn func(Message), m Message) {
+	defer func() {
+		e.mu.Lock()
+		e.delivering = false
+		pending := len(e.queue) > 0
+		e.mu.Unlock()
+		if pending {
+			e.wake()
+		}
+	}()
+	fn(m)
+}
+
+// Serve makes e a served endpoint: from now on fn receives every message,
+// inline on the sender for a hop that costs nothing and finds nothing
+// ahead of it, and on e's pump goroutine otherwise (see the package doc).
+// One message is delivered at a time, in arrival order. Call Serve once,
+// before e's address is handed to any sender; Recv and TryRecv on a served
+// endpoint panic. fn must not block indefinitely: it may run on a sender's
+// goroutine, and while it runs, later messages to e wait in the queue.
+//
+// After Close no delivery starts and the queue is dropped, but Close does
+// not wait for one already running, inline or on the pump: fn must tolerate
+// running after its owner closed e. The pump exits once its current
+// delivery returns.
+func (e *Endpoint) Serve(fn func(Message)) {
+	e.mu.Lock()
+	if e.serve != nil {
+		e.mu.Unlock()
+		panic(fmt.Sprintf("simnet: %v served twice", e.addr))
+	}
+	e.serve = fn
+	e.mu.Unlock()
+	go e.pump(fn)
+}
+
+// pump runs the queued deliveries of a served endpoint, one at a time and
+// in arrival order, until Close. It leaves the queue alone while an inline
+// delivery runs; that delivery wakes it again when it ends.
+func (e *Endpoint) pump(fn func(Message)) {
+	for {
+		select {
+		case <-e.ready:
+		case <-e.done:
+			return
+		}
+		for {
+			e.mu.Lock()
+			if e.delivering || len(e.queue) == 0 {
+				e.mu.Unlock()
+				break
+			}
+			m := e.queue[0]
+			e.queue[0] = Message{}
+			e.queue = e.queue[1:]
+			e.delivering = true
+			e.mu.Unlock()
+			e.run(fn, m)
+		}
+	}
+}
+
+// mustMailbox panics on a read of a served endpoint; caller holds e.mu.
+func (e *Endpoint) mustMailbox() {
+	if e.serve != nil {
+		e.mu.Unlock()
+		panic(fmt.Sprintf("simnet: Recv on served endpoint %v", e.addr))
+	}
 }
 
 // Recv blocks until a message arrives, the timeout expires (timeout > 0), or
-// the endpoint is closed. A zero timeout means wait forever.
+// the endpoint is closed. A zero timeout means wait forever. It panics on a
+// served endpoint.
 func (e *Endpoint) Recv(timeout time.Duration) (Message, error) {
 	var timer *time.Timer
 	var expiry <-chan time.Time
@@ -435,6 +548,7 @@ func (e *Endpoint) Recv(timeout time.Duration) (Message, error) {
 	}
 	for {
 		e.mu.Lock()
+		e.mustMailbox()
 		if len(e.queue) > 0 {
 			m := e.queue[0]
 			e.queue = e.queue[1:]
@@ -475,9 +589,10 @@ func (e *Endpoint) Recv(timeout time.Duration) (Message, error) {
 
 // TryRecv returns a queued message without blocking; ok is false when the
 // mailbox is empty. It returns ErrClosed once the endpoint is closed and
-// fully drained.
+// fully drained. It panics on a served endpoint.
 func (e *Endpoint) TryRecv() (Message, bool, error) {
 	e.mu.Lock()
+	e.mustMailbox()
 	defer e.mu.Unlock()
 	if len(e.queue) > 0 {
 		m := e.queue[0]
@@ -491,8 +606,9 @@ func (e *Endpoint) TryRecv() (Message, bool, error) {
 }
 
 // Close marks the endpoint dead. Pending and future Recv calls return
-// ErrClosed once the queue is drained; future Sends to it fail. Closing an
-// already-closed endpoint is a no-op.
+// ErrClosed once the queue is drained; future Sends to it fail; a served
+// endpoint starts no further delivery, and its pump exits (Serve). Closing
+// an already-closed endpoint is a no-op.
 func (e *Endpoint) Close() {
 	e.mu.Lock()
 	if e.closed {

@@ -786,25 +786,28 @@ func TestChaosPeerDeathMidPrefixAndRooted(t *testing.T) {
 }
 
 // TestChaosPeerDeathReclaimsProgressGoroutines: a rank that dies without
-// Finalize never closes its own fabric BTL, so the net module's progress
-// goroutine stays parked in Endpoint.Recv unless Job.Shutdown reclaims the
-// rank. After both peer-death bodies, none of theirs may be left.
+// Finalize never closes its own fabric BTL, so the pump goroutine of its
+// served endpoint (the net module's progress machinery) stays parked
+// unless Job.Shutdown reclaims the rank; the DVM's daemon endpoints are
+// served too and stop at Shutdown. After both peer-death bodies, none of
+// their pumps may be left.
 func TestChaosPeerDeathReclaimsProgressGoroutines(t *testing.T) {
-	before := netProgressGoroutines()
+	before := pumpGoroutines()
 	TestChaosPeerDeathMidCollective(t)
 	TestChaosPeerDeathMidPrefixAndRooted(t)
-	after := netProgressGoroutines()
+	after := pumpGoroutines()
 	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); {
 		time.Sleep(10 * time.Millisecond)
-		after = netProgressGoroutines()
+		after = pumpGoroutines()
 	}
 	if after > before {
-		t.Fatalf("%d btl/net progress goroutines before the peer-death jobs, %d after their shutdown", before, after)
+		t.Fatalf("%d served-endpoint pump goroutines before the peer-death jobs, %d after their shutdown", before, after)
 	}
 }
 
-// netProgressGoroutines counts the live btl/net progress goroutines.
-func netProgressGoroutines() int {
+// pumpGoroutines counts the live pump goroutines of served simnet
+// endpoints: one per active net BTL module and one per DVM daemon.
+func pumpGoroutines() int {
 	buf := make([]byte, 1<<20)
 	for {
 		n := goruntime.Stack(buf, true)
@@ -814,7 +817,7 @@ func netProgressGoroutines() int {
 		}
 		buf = make([]byte, 2*len(buf))
 	}
-	return strings.Count(string(buf), "gompi/internal/btl/net.(*Module).progress(")
+	return strings.Count(string(buf), "gompi/internal/simnet.(*Endpoint).pump(")
 }
 
 // TestChaosProbeAfterPeerDeath: a Probe parked on a rank that then panics

@@ -59,8 +59,8 @@ func TestNonblockingCollsSpawnNoGoroutines(t *testing.T) {
 // TestStartedCollsCompleteOnDoneAlone: a started collective finishes on
 // its steps' completions, so a caller that only selects on Done — never
 // calling Test or Wait while the round runs — still sees it close. Two
-// nodes of two ranks put both the sm BTL's inline delivery and the net
-// BTL's progress goroutine in the path.
+// nodes of two ranks put both BTLs' deliveries in the path: sm's inline,
+// and net's, inline to an idle endpoint or on its pump when frames queue.
 func TestStartedCollsCompleteOnDoneAlone(t *testing.T) {
 	withWorld(t, 2, 2, exCfg(), func(p *mpi.Process, world *mpi.Comm) error {
 		await := func(what string, done <-chan struct{}) error {

@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"runtime/debug"
 
 	"gompi/internal/core"
 	"gompi/internal/pmix"
@@ -79,20 +78,8 @@ func RunProcess(opts ProcOptions, main func(p *mpi.Process) error) error {
 		Cfg:    opts.Config,
 	})
 
-	proc := mpi.NewProcess(inst)
-	runErr := func() (err error) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				if c := inst.Client(); c != nil {
-					c.Abort()
-				}
-				err = fmt.Errorf("panic: %v\n%s", rec, debug.Stack())
-			}
-		}()
-		return main(proc)
-	}()
-	if runErr != nil {
-		return RankError{Rank: opts.Rank, Err: runErr}
+	if re := runRank(inst, opts.Rank, main); re != nil {
+		return *re
 	}
 	return nil
 }

@@ -123,10 +123,13 @@ func (j *Job) NP() int { return j.opts.NP }
 // Fabric exposes the simulated fabric (for traffic statistics).
 func (j *Job) Fabric() *simnet.Fabric { return j.fabric }
 
-// RankError carries a per-rank failure.
+// RankError carries a per-rank failure. Err is the error the rank
+// returned, or "panic: <value>" for a rank that panicked; Stack then holds
+// the panicking goroutine's stack, kept out of the one-line message.
 type RankError struct {
-	Rank int
-	Err  error
+	Rank  int
+	Err   error
+	Stack []byte
 }
 
 func (e RankError) Error() string { return fmt.Sprintf("rank %d: %v", e.Rank, e.Err) }
@@ -142,12 +145,46 @@ func (e *JobError) Error() string {
 	return fmt.Sprintf("%v (and %d more rank errors)", e.Errors[0], len(e.Errors)-1)
 }
 
-// Launch runs main once on every rank (each on its own goroutine, with a
-// fresh mpi.Process view of the persistent instance) and waits for all of
-// them. A panicking rank is converted into an error and reported to the
-// PMIx runtime as an abnormal termination, so surviving ranks observe a
-// process-failure event rather than a silent hang.
+// runRank runs main as one incarnation of a rank, on a fresh mpi.Process
+// view of inst, and returns its failure (nil when main returns nil). A
+// panicking rank is reported to the PMIx runtime as an abnormal
+// termination, so surviving ranks observe a process-failure event rather
+// than a silent hang.
+func runRank(inst *core.Instance, rank int, main func(p *mpi.Process) error) (re *RankError) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			if c := inst.Client(); c != nil {
+				c.Abort()
+			}
+			re = &RankError{Rank: rank, Err: fmt.Errorf("panic: %v", rec), Stack: debug.Stack()}
+		}
+	}()
+	if err := main(mpi.NewProcess(inst)); err != nil {
+		return &RankError{Rank: rank, Err: err}
+	}
+	return nil
+}
+
+// Launch runs main once on every rank (see LaunchRanks).
 func (j *Job) Launch(main func(p *mpi.Process) error) error {
+	ranks := make([]int, j.opts.NP)
+	for r := range ranks {
+		ranks[r] = r
+	}
+	return j.LaunchRanks(ranks, main)
+}
+
+// LaunchRanks runs main once on each of the given ranks, each on its own
+// goroutine with a fresh mpi.Process view of the persistent instance, and
+// waits for all of them; the other instances stay idle (client/server-style
+// scenarios launch each side separately). A failed or panicking rank comes
+// back as a RankError in the returned *JobError.
+func (j *Job) LaunchRanks(ranks []int, main func(p *mpi.Process) error) error {
+	for _, r := range ranks {
+		if r < 0 || r >= j.opts.NP {
+			return fmt.Errorf("runtime: rank %d out of range", r)
+		}
+	}
 	j.mu.Lock()
 	if j.shutdown {
 		j.mu.Unlock()
@@ -155,67 +192,16 @@ func (j *Job) Launch(main func(p *mpi.Process) error) error {
 	}
 	j.mu.Unlock()
 
-	errs := make([]RankError, 0)
-	var errMu sync.Mutex
-	var wg sync.WaitGroup
-	for r := 0; r < j.opts.NP; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			proc := mpi.NewProcess(j.insts[rank])
-			defer func() {
-				if rec := recover(); rec != nil {
-					if c := j.insts[rank].Client(); c != nil {
-						c.Abort()
-					}
-					errMu.Lock()
-					errs = append(errs, RankError{Rank: rank,
-						Err: fmt.Errorf("panic: %v\n%s", rec, debug.Stack())})
-					errMu.Unlock()
-				}
-			}()
-			if err := main(proc); err != nil {
-				errMu.Lock()
-				errs = append(errs, RankError{Rank: rank, Err: err})
-				errMu.Unlock()
-			}
-		}(r)
-	}
-	wg.Wait()
-	if len(errs) > 0 {
-		return &JobError{Errors: errs}
-	}
-	return nil
-}
-
-// LaunchRanks runs main only on the given subset of ranks; the other
-// instances stay idle. Used by client/server-style scenarios.
-func (j *Job) LaunchRanks(ranks []int, main func(p *mpi.Process) error) error {
-	errs := make([]RankError, 0)
+	var errs []RankError
 	var errMu sync.Mutex
 	var wg sync.WaitGroup
 	for _, r := range ranks {
-		if r < 0 || r >= j.opts.NP {
-			return fmt.Errorf("runtime: rank %d out of range", r)
-		}
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			proc := mpi.NewProcess(j.insts[rank])
-			defer func() {
-				if rec := recover(); rec != nil {
-					if c := j.insts[rank].Client(); c != nil {
-						c.Abort()
-					}
-					errMu.Lock()
-					errs = append(errs, RankError{Rank: rank,
-						Err: fmt.Errorf("panic: %v\n%s", rec, debug.Stack())})
-					errMu.Unlock()
-				}
-			}()
-			if err := main(proc); err != nil {
+			if re := runRank(j.insts[rank], rank, main); re != nil {
 				errMu.Lock()
-				errs = append(errs, RankError{Rank: rank, Err: err})
+				errs = append(errs, *re)
 				errMu.Unlock()
 			}
 		}(r)
@@ -253,22 +239,8 @@ func (j *Job) Respawn(rank int, main func(p *mpi.Process) error) error {
 
 	inst := j.insts[rank]
 	inst.ForceTeardown()
-
-	var err error
-	func() {
-		proc := mpi.NewProcess(inst)
-		defer func() {
-			if rec := recover(); rec != nil {
-				if c := inst.Client(); c != nil {
-					c.Abort()
-				}
-				err = fmt.Errorf("panic: %v\n%s", rec, debug.Stack())
-			}
-		}()
-		err = main(proc)
-	}()
-	if err != nil {
-		return RankError{Rank: rank, Err: err}
+	if re := runRank(inst, rank, main); re != nil {
+		return *re
 	}
 	return nil
 }
@@ -278,8 +250,9 @@ func (j *Job) Instance(rank int) *core.Instance { return j.insts[rank] }
 
 // Shutdown tears down the runtime substrate. It first reclaims every rank
 // still active: one that died without Finalize still holds its PML engine,
-// its BTL modules (the net module's progress goroutine among them) and its
-// PMIx connection.
+// its BTL modules (the pump goroutine of its served fabric endpoint among
+// them) and its PMIx connection. Closing the DVM's daemon endpoints last
+// stops their pumps.
 func (j *Job) Shutdown() {
 	j.mu.Lock()
 	if j.shutdown {

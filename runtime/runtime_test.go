@@ -107,6 +107,17 @@ func TestPanicBecomesRankError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v", err)
 	}
+	// The message stays one line; the stack rides in its own field.
+	if msg := err.Error(); msg != "rank 0: panic: boom" {
+		t.Fatalf("message = %q, want one line", msg)
+	}
+	var je *JobError
+	if !errors.As(err, &je) || len(je.Errors) != 1 {
+		t.Fatalf("err = %T %v, want one rank error", err, err)
+	}
+	if re := je.Errors[0]; !strings.Contains(string(re.Stack), "TestPanicBecomesRankError") {
+		t.Fatalf("rank error %v carries no stack of the panicking rank:\n%s", re, re.Stack)
+	}
 }
 
 func TestFaultIsolationClientServer(t *testing.T) {
@@ -242,11 +253,19 @@ func TestLaunchRanksValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer job.Shutdown()
-	if err := job.LaunchRanks([]int{5}, func(*mpi.Process) error { return nil }); err == nil {
+	var ran atomic.Int32
+	count := func(*mpi.Process) error { ran.Add(1); return nil }
+	if err := job.LaunchRanks([]int{0, 5}, count); err == nil {
 		t.Fatal("out-of-range rank accepted")
 	}
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("%d ranks ran before the out-of-range rank was refused", n)
+	}
 	job.Shutdown()
-	if err := job.Launch(func(*mpi.Process) error { return nil }); err == nil {
+	if err := job.Launch(count); err == nil {
 		t.Fatal("launch after shutdown accepted")
+	}
+	if err := job.LaunchRanks([]int{0}, count); err == nil {
+		t.Fatal("LaunchRanks after shutdown accepted")
 	}
 }
