@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build lint test test-race chaos pool-guard bubble fuzz-smoke bench bench-smoke bench-harness smoke-udp figures examples
+.PHONY: check fmt vet build lint test test-race chaos pool-guard bubble fuzz-smoke bench bench-smoke bench-harness smoke-udp figures examples clis
 
 # check is the repo's verification gate: gofmt, vet, build, the gompilint
 # suite, the full test suite under the race detector, the debug-build arena
@@ -143,6 +143,38 @@ examples:
 		case "$$last" in *"$$want"*) ;; \
 		*) cat $$out; echo "examples: $$name closed with \"$$last\", want \"$$want\""; exit 1;; esac; \
 	done
+
+# clis runs one smoke scenario of each benchmark front-end under timeout 60
+# and requires exit 0: cmd/osu latency and bw up to 1 MiB on the simulated
+# fabric (above the 64 KiB sm eager limit every message is a rendezvous
+# whose DATA packet falls back to an oversize allocation), osu latency up to
+# 1 MiB over udp (the receiver rebuilds those packets from datagrams),
+# cmd/hpcc's ring benchmark, and cmd/twomesh's tiny problem, which must also
+# print its deterministic residual. osu bw over udp is not run: the udp BTL
+# does not retransmit, and a window of 64 rendezvous transfers of 256 KiB or
+# more overflows the receiver's socket buffer and never completes
+# (ROADMAP item 3).
+CLI_CHECKS = \
+	'osu -bench latency -maxsize 1048576' \
+	'osu -bench bw -maxsize 1048576' \
+	'osu -bench latency -maxsize 1048576 -transport udp' \
+	'hpcc -np 4 -ppn 2 -iters 50 -trials 1'
+TWOMESH_TINY = twomesh -problem tiny -np 4 -ppn 2 -threads 2
+TWOMESH_TINY_RESIDUAL = 0.8743487431791531
+
+clis:
+	@mkdir -p .bench_build/bin
+	$(GO) build -o .bench_build/bin/ ./cmd/osu ./cmd/hpcc ./cmd/twomesh
+	@for run in $(CLI_CHECKS); do \
+		echo "clis: $$run"; \
+		timeout 60 .bench_build/bin/$$run > .bench_build/cli.out 2>&1 || \
+			{ cat .bench_build/cli.out; echo "clis: $$run exited non-zero"; exit 1; }; \
+	done
+	@echo "clis: $(TWOMESH_TINY)"
+	@timeout 60 .bench_build/bin/$(TWOMESH_TINY) > .bench_build/cli.out 2>&1 || \
+		{ cat .bench_build/cli.out; echo "clis: $(TWOMESH_TINY) exited non-zero"; exit 1; }
+	@grep -q 'residual: $(TWOMESH_TINY_RESIDUAL)$$' .bench_build/cli.out || \
+		{ cat .bench_build/cli.out; echo "clis: residual is not $(TWOMESH_TINY_RESIDUAL)"; exit 1; }
 
 # figures regenerates figures_output.txt: every table and figure of the
 # paper's evaluation, run once in model time inside a testing/synctest

@@ -19,7 +19,30 @@ import "sync"
 // Sized without the room, a 64 KiB message misses the arena by 14 bytes and
 // pays make + a 64 KiB memclr + GC on every send, and a 4 KiB eager message
 // borrows a 64 KiB buffer.
+//
+// The medium and large classes, and the oversize fallback, also place their
+// buffer payloadSkew bytes into its allocation, so that the payload behind a
+// match header starts on an 8-byte boundary: it sits at byte 14 (eager) or
+// 22 (rendezvous DATA) of the packet, both ≡ 6 (mod 8), and the Go
+// allocator aligns these allocations to at least 16 bytes. The receiver's
+// copy out of a packet then reads from an aligned source. On amd64, Go's
+// memmove copies 2 KiB or more into a 16-byte-aligned destination with
+// REP MOVSQ when the CPU has fast REP MOVS (erms and fsrm), whatever the
+// source's alignment, and that path is slower from a misaligned source: on
+// a 2-core x86-64 VM a copy from byte 2 or 14 of a buffer took 2.9 µs at
+// 64 KiB, 1.5 µs at 32 KiB and 210 ns at 4 KiB, against 1.6–1.7 µs,
+// 0.86–0.90 µs and 34–44 ns from byte 0, 8 or 16. The two extra bytes
+// change no allocation's size class (4162 B still takes the 4864 B class,
+// 65602 B still nine pages). The small class stays unskewed: its payloads
+// are at most 242 B, far below 2 KiB, and two more bytes would move it from
+// the 256 B to the 288 B size class. The payload of an exCID channel's
+// first messages, behind the 22-byte extended header at byte 36, stays
+// misaligned (DESIGN.md §5b).
 const (
+	// payloadSkew is how far into its allocation a skewed buffer starts:
+	// the bytes that round matchHeaderLen up to a multiple of 8.
+	payloadSkew = (8 - matchHeaderLen%8) % 8
+
 	// arenaHeaderRoom covers the longest header the engine prepends
 	// (matchHeaderLen + extHeaderLen + rndvInfoLen = 52 bytes), rounded up
 	// to a cache line.
@@ -27,7 +50,7 @@ const (
 
 	bufClassSmall = 256                     // control packets and small eager messages, header included
 	bufClassMed   = 4096 + arenaHeaderRoom  // header + net/udp eager limit
-	bufClassLarge = 65536 + arenaHeaderRoom // header + sm eager limit or a 64 KiB rendezvous DATA payload; larger packets fall back to make
+	bufClassLarge = 65536 + arenaHeaderRoom // header + sm eager limit or a 64 KiB rendezvous DATA payload; larger packets get a fresh skewed allocation
 )
 
 // The pools hold *[N]byte array pointers, not []byte: a pointer stores
@@ -36,20 +59,28 @@ const (
 // arena exists to remove.
 var (
 	bufPoolSmall = sync.Pool{New: func() any { return new([bufClassSmall]byte) }}
-	bufPoolMed   = sync.Pool{New: func() any { return new([bufClassMed]byte) }}
-	bufPoolLarge = sync.Pool{New: func() any { return new([bufClassLarge]byte) }}
+	bufPoolMed   = sync.Pool{New: func() any { return (*[bufClassMed]byte)(skewed(bufClassMed)) }}
+	bufPoolLarge = sync.Pool{New: func() any { return (*[bufClassLarge]byte)(skewed(bufClassLarge)) }}
 )
+
+// skewed returns a fresh length-n buffer that starts payloadSkew bytes into
+// its allocation, with capacity n, so ArenaPut still knows a class buffer
+// by its exact capacity.
+func skewed(n int) []byte {
+	return make([]byte, payloadSkew+n)[payloadSkew:]
+}
 
 // ArenaGet returns a length-n buffer from the process-wide packet arena;
 // its contents are undefined and every caller fully overwrites [0:n].
-// Sizes above the largest class fall back to a fresh allocation. The arena
-// is shared with the BTL layer: transport modules that materialize inbound
-// packets themselves (udp reassembly) draw from it so the buffers they
-// deliver recycle through the same pools the engine drains into.
+// Sizes above the largest class fall back to a fresh allocation, skewed
+// like the medium and large classes. The arena is shared with the BTL
+// layer: transport modules that materialize inbound packets themselves (udp
+// reassembly) draw from it so the buffers they deliver recycle through the
+// same pools the engine drains into.
 func ArenaGet(n int) []byte {
 	switch {
 	case n > bufClassLarge:
-		return make([]byte, n)
+		return skewed(n)
 	case n <= bufClassSmall:
 		p := bufPoolSmall.Get().(*[bufClassSmall]byte)
 		guardCheckout(p)

@@ -145,6 +145,16 @@ func (e *JobError) Error() string {
 	return fmt.Sprintf("%v (and %d more rank errors)", e.Errors[0], len(e.Errors)-1)
 }
 
+// Unwrap returns the rank failures, so errors.Is and errors.As on a
+// JobError reach each RankError and, through it, the rank's own error.
+func (e *JobError) Unwrap() []error {
+	errs := make([]error, len(e.Errors))
+	for i, re := range e.Errors {
+		errs[i] = re
+	}
+	return errs
+}
+
 // runRank runs main as one incarnation of a rank, on a fresh mpi.Process
 // view of inst, and returns its failure (nil when main returns nil). A
 // panicking rank is reported to the PMIx runtime as an abnormal

@@ -238,12 +238,42 @@ func TestJobErrorAggregation(t *testing.T) {
 	if len(je.Errors) != 2 {
 		t.Fatalf("got %d rank errors, want 2", len(je.Errors))
 	}
-	var re RankError
-	if !errors.As(je.Errors[0], &re) && re.Rank%2 != 1 {
-		t.Fatalf("unexpected rank error %v", je.Errors[0])
+	for _, re := range je.Errors {
+		if re.Rank%2 != 1 {
+			t.Fatalf("rank error %v names an even rank; only odd ranks failed", re)
+		}
 	}
 	if !strings.Contains(je.Error(), "more rank errors") {
 		t.Fatalf("aggregate message = %q", je.Error())
+	}
+}
+
+// TestJobErrorUnwrap checks that errors.Is and errors.As see through a
+// JobError to the failed rank's RankError and to the error that rank
+// returned.
+func TestJobErrorUnwrap(t *testing.T) {
+	cause := errors.New("rank 1's cause")
+	err := Run(Options{
+		Cluster: topo.New(topo.Loopback(2), 1),
+		PPN:     2,
+	}, func(p *mpi.Process) error {
+		if p.JobRank() == 1 {
+			return fmt.Errorf("solver: %w", cause)
+		}
+		return nil
+	})
+	if err == nil {
+		t.Fatal("Run returned nil, want rank 1's failure")
+	}
+	if !errors.Is(err, cause) {
+		t.Fatalf("errors.Is(%v, cause) = false", err)
+	}
+	var re RankError
+	if !errors.As(err, &re) || re.Rank != 1 {
+		t.Fatalf("errors.As(%v, &RankError{}) found %+v, want rank 1's error", err, re)
+	}
+	if msg := err.Error(); msg != "rank 1: solver: rank 1's cause" {
+		t.Fatalf("message = %q", msg)
 	}
 }
 
